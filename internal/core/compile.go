@@ -117,7 +117,7 @@ func prepare[G graph.Rep](c *Compiled, g G, forest bool) ([]uint32, []bool, [][2
 			c.labels = make([]uint32, n)
 		}
 		labels := c.labels[:n]
-		parallel.For(n, func(i int) { labels[i] = uint32(i) })
+		parallel.Iota(labels)
 		return labels, nil, nil
 	}
 	res := runSampling(g, c.cfg, forest)
@@ -133,7 +133,11 @@ func prepare[G graph.Rep](c *Compiled, g G, forest bool) ([]uint32, []bool, [][2
 	}
 	skip := c.skip[:n]
 	f := frequent
-	parallel.For(n, func(i int) { skip[i] = labels[i] == f })
+	parallel.ForGrained(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			skip[i] = labels[i] == f
+		}
+	})
 	return labels, skip, res.Forest
 }
 

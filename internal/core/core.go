@@ -122,7 +122,7 @@ var ErrUnsupported = errors.New("connectit: unsupported combination")
 // Identity returns the identity labeling for n vertices.
 func Identity(n int) []uint32 {
 	labels := make([]uint32, n)
-	parallel.For(n, func(i int) { labels[i] = uint32(i) })
+	parallel.Iota(labels)
 	return labels
 }
 

@@ -14,10 +14,7 @@ import (
 // framework: 36 union-find variants, SV, 16 Liu-Tarjan variants, Stergiou,
 // and Label-Propagation (55 total).
 func allAlgorithms() []Algorithm {
-	var out []Algorithm
-	for _, v := range unionfind.Variants() {
-		out = append(out, Algorithm{Kind: FinishUnionFind, UF: v})
-	}
+	out := ufAlgorithms()
 	out = append(out, Algorithm{Kind: FinishShiloachVishkin})
 	for _, v := range liutarjan.Variants() {
 		out = append(out, Algorithm{Kind: FinishLiuTarjan, LT: v})

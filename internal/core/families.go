@@ -300,33 +300,21 @@ func newUFForest(cfg Config) ForestFunc {
 			df = unionfind.MustNew(0, opt)
 		}
 		df.Reset(labels)
-		n := g.NumVertices()
-		parallel.ForGrained(n, 256, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				if skip != nil && skip[v] {
-					continue
-				}
-				for _, u := range g.Neighbors(graph.Vertex(v)) {
-					df.UnionWitness(uint32(v), u, uint32(v), u)
-				}
-			}
-		})
+		unionFindFinish(g, df, skip)
 		return df.WitnessEdges(acc), nil
 	}
 }
 
 // unionFindFinish applies every edge incident to an unskipped vertex.
 //
-// The sweep is direction-oriented (DESIGN.md §3.1): the symmetric CSR
-// stores each undirected edge twice, and the old sweep paid a Union per
-// direction — every edge cost two find/CAS walks, one of them guaranteed
-// redundant. Each edge is now unioned exactly once, from its lower-degree
-// endpoint (ties toward the lower id), which both halves the union count
-// and starts each walk at the endpoint with the cheaper expected path.
-// When the reverse endpoint is skipped (the sampled most-frequent
-// component, whose out-edges are never scanned) the unskipped side
-// processes the edge regardless, as the only side that sees it. Decode
-// scratch is per pool worker, reused across the worker's chunks.
+// The sweep is id-oriented (DESIGN.md §3.1): the symmetric CSR stores each
+// undirected edge twice, and each is unioned exactly once, by its lower-id
+// endpoint (from = v+1). When the other endpoint is skipped (the sampled
+// most-frequent component, whose out-edges are never scanned) the unskipped
+// side applies the edge regardless, as the only side that sees it. Orienting
+// by degree instead cost two random offsets[] reads per directed edge, more
+// than the union it saved. A witness-recording DSU records each applied edge
+// as (v, u). Decode scratch is per pool worker, reused across its chunks.
 func unionFindFinish[G graph.Rep](g G, d *unionfind.DSU, skip []bool) {
 	n := g.NumVertices()
 	const grain = 256
@@ -337,18 +325,8 @@ func unionFindFinish[G graph.Rep](g G, d *unionfind.DSU, skip []bool) {
 			if skip != nil && skip[v] {
 				continue
 			}
-			dv := g.Degree(graph.Vertex(v))
 			buf = g.NeighborsInto(graph.Vertex(v), buf)
-			for _, u := range buf {
-				if skip != nil && skip[u] {
-					d.Union(uint32(v), u)
-					continue
-				}
-				du := g.Degree(u)
-				if dv < du || (dv == du && graph.Vertex(v) < u) {
-					d.Union(uint32(v), u)
-				}
-			}
+			d.UnionNeighbors(uint32(v), buf, uint32(v)+1, skip)
 		}
 		bufs[w.ID()] = buf
 	})

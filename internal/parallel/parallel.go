@@ -61,6 +61,16 @@ func ForWorkerSized(n, grain, maxID int, body func(w *Worker, lo, hi int)) {
 	forGrained(n, grain, maxID, nil, nil, body)
 }
 
+// Iota fills x with the identity (x[i] = i) in chunks, one plain store loop
+// per chunk instead of one indirect call per element.
+func Iota(x []uint32) {
+	ForGrained(len(x), DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			x[i] = uint32(i)
+		}
+	})
+}
+
 // ReduceAdd sums f(i) over [0, n) in parallel.
 func ReduceAdd(n int, f func(i int) uint64) uint64 {
 	var total atomic.Uint64

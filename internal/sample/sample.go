@@ -87,63 +87,56 @@ func KOut[G graph.Rep](g G, k int, variant KOutVariant, seed uint64, forest bool
 	// whole graph to an expected fraction of it.
 	parallel.ForGrained(n, 256, func(lo, hi int) {
 		var buf []graph.Vertex
-		idxs := make([]uint64, k)
+		idxs := make([]graph.Vertex, k)
 		for v := lo; v < hi; v++ {
 			deg := uint64(g.Degree(graph.Vertex(v)))
 			if deg == 0 {
 				continue
 			}
-			unite := func(u graph.Vertex) {
-				if forest {
-					d.UnionWitness(uint32(v), u, uint32(v), u)
-				} else {
-					d.Union(uint32(v), u)
-				}
-			}
 			// Gather the adjacency indices this vertex will touch.
-			var picks []uint64
+			var picks []graph.Vertex
 			switch variant {
 			case KOutAfforest:
 				picks = idxs[:0]
 				for i := 0; uint64(i) < deg && i < k; i++ {
-					picks = append(picks, uint64(i))
+					picks = append(picks, graph.Vertex(i))
 				}
 			case KOutPure:
 				picks = idxs[:0]
 				for i := 0; i < k; i++ {
-					picks = append(picks, graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg)
+					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
 				}
 			case KOutHybrid, KOutMaxDeg:
 				picks = append(idxs[:0], 0)
 				for i := 1; i < k; i++ {
-					picks = append(picks, graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg)
+					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
 				}
 			}
-			limit := uint64(0)
+			limit := graph.Vertex(0)
 			for _, i := range picks {
-				if i+1 > limit {
-					limit = i + 1
-				}
+				limit = max(limit, i+1)
 			}
-			var nbrs []graph.Vertex
 			if variant == KOutMaxDeg {
 				// MaxDeg inspects the whole list for the best neighbor.
-				nbrs = g.NeighborsInto(graph.Vertex(v), buf)
-				best := nbrs[0]
+				limit = graph.Vertex(deg)
+			}
+			nbrs := g.NeighborsIntoLimit(graph.Vertex(v), buf, int(limit))
+			buf = nbrs
+			// Indices become the picked neighbours in place, and go to the
+			// union kernel in one call per vertex (from = 0: every pick,
+			// whatever its id); the DSU records (v, u) witnesses itself when
+			// forest is set.
+			for j, i := range picks {
+				picks[j] = nbrs[i]
+			}
+			if variant == KOutMaxDeg {
 				for _, u := range nbrs {
-					if g.Degree(u) > g.Degree(best) {
-						best = u
+					if g.Degree(u) > g.Degree(picks[0]) {
+						picks[0] = u
 					}
 				}
-				unite(best)
-				picks = picks[1:]
-			} else {
-				nbrs = g.NeighborsIntoLimit(graph.Vertex(v), buf, int(limit))
 			}
-			buf = nbrs
-			for _, i := range picks {
-				unite(nbrs[i])
-			}
+			d.UnionNeighbors(uint32(v), picks, 0, nil)
 		}
 	})
 	// The ID-linking union-find can never hook the minimum vertex of a
@@ -165,7 +158,7 @@ func BFS[G graph.Rep](g G, c int, seed uint64, forest bool) *Result {
 	n := g.NumVertices()
 	identity := func() *Result {
 		labels := make([]uint32, n)
-		parallel.For(n, func(i int) { labels[i] = uint32(i) })
+		parallel.Iota(labels)
 		return &Result{Labels: labels}
 	}
 	if n == 0 {

@@ -1,6 +1,10 @@
 package unionfind
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"connectit/internal/concurrent"
+)
 
 // This file implements the union rules of §3.3.1 / Appendix D.2. Every rule
 // is root-based: a link is only installed at a vertex verified (by CAS or
@@ -122,7 +126,7 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) {
 				return
 			}
 		} else {
-			rx = d.splice(rx, px, py)
+			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
 		}
 		px = atomic.LoadUint32(&d.parent[rx])
 		py = atomic.LoadUint32(&d.parent[ry])
@@ -131,32 +135,81 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) {
 	d.stats.observe(int(u), steps)
 }
 
-// splice applies the configured splice rule (Algorithm 9) at a non-root
-// vertex rx whose loaded parent is px, with py the smaller opposing parent.
-// It returns the vertex at which the union loop continues.
-func (d *DSU) splice(rx, px, py uint32) uint32 {
-	switch d.opt.Splice {
-	case SplitAtomicOne:
-		// One step of path splitting.
-		wv := atomic.LoadUint32(&d.parent[px])
-		if px != wv {
-			atomic.CompareAndSwapUint32(&d.parent[rx], px, wv)
-		}
-		return px
-	case HalveAtomicOne:
-		// One step of path halving.
-		wv := atomic.LoadUint32(&d.parent[px])
-		if px != wv {
-			atomic.CompareAndSwapUint32(&d.parent[rx], px, wv)
-		}
-		return wv
-	case SpliceAtomic:
+// spliceAt applies a splice rule (Algorithm 9) at a non-root vertex rx whose
+// loaded parent is px, with py the smaller opposing parent. It returns the
+// vertex at which the union loop continues. A free function over the parent
+// slice so that the sweep kernel below inlines it with parent in a register.
+func spliceAt(parent []uint32, rule SpliceOption, rx, px, py uint32) uint32 {
+	if rule == SpliceAtomic {
 		// Rem's splice: point rx at the smaller parent py and continue
 		// from rx's old parent. py < px keeps parents decreasing.
-		atomic.CompareAndSwapUint32(&d.parent[rx], px, py)
+		atomic.CompareAndSwapUint32(&parent[rx], px, py)
 		return px
 	}
+	// One step of path splitting (continue at px) or halving (at wv).
+	wv := atomic.LoadUint32(&parent[px])
+	if px != wv {
+		atomic.CompareAndSwapUint32(&parent[rx], px, wv)
+	}
+	if rule == HalveAtomicOne {
+		return wv
+	}
 	return px
+}
+
+// UnionNeighbors unions v with every u in nbrs that is >= from or flagged in
+// skip (nil flags nothing). It is the kernel of an adjacency-list sweep: the
+// finish sweep passes from = v+1, so each undirected edge of the symmetric
+// graph is applied once, by its lower-id endpoint, except edges into a
+// skipped vertex (whose own list is never scanned), which the unskipped side
+// applies whatever the ids; k-out passes from = 0 to apply all its picks.
+//
+// The variant is resolved once per list, not once per edge. Union-Rem-CAS
+// without instrumentation or witness recording — the default finish and the
+// k-out kernel — runs the ascent of uniteRemCAS written out in the loop: no
+// call per edge, parent in a register. Everything else (Stats, witnesses,
+// the other union rules) takes the per-edge unite path, which remains the
+// definition of each rule; TestSweepKernelParity holds the two together.
+func (d *DSU) UnionNeighbors(v uint32, nbrs []uint32, from uint32, skip []bool) {
+	record := d.witness != nil || d.wlog != nil
+	if record || d.stats != nil || d.opt.Union != UnionRemCAS {
+		for _, u := range nbrs {
+			if u < from && (skip == nil || !skip[u]) {
+				continue
+			}
+			w := NoWitness
+			if record {
+				w = concurrent.Pack(v, u)
+			}
+			d.unite(v, u, w)
+		}
+		return
+	}
+	parent, rule, compress := d.parent, d.opt.Splice, d.opt.Find != FindNaive
+	for _, u := range nbrs {
+		if u < from && (skip == nil || !skip[u]) {
+			continue
+		}
+		rx, ry := v, u
+		px := atomic.LoadUint32(&parent[rx])
+		py := atomic.LoadUint32(&parent[ry])
+		for px != py {
+			if px < py {
+				rx, ry, px, py = ry, rx, py, px
+			}
+			if rx != px {
+				rx = spliceAt(parent, rule, rx, px, py)
+			} else if atomic.CompareAndSwapUint32(&parent[rx], rx, py) {
+				if compress {
+					d.Find(v)
+					d.Find(u)
+				}
+				break
+			}
+			px = atomic.LoadUint32(&parent[rx])
+			py = atomic.LoadUint32(&parent[ry])
+		}
+	}
 }
 
 // uniteRemLock is the lock-based Rem's algorithm of Patwary et al.: the same
@@ -189,7 +242,7 @@ func (d *DSU) uniteRemLock(u, v uint32, w uint64) {
 			}
 			d.locks[rx].Unlock()
 		} else {
-			rx = d.splice(rx, px, py)
+			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
 		}
 		px = atomic.LoadUint32(&d.parent[rx])
 		py = atomic.LoadUint32(&d.parent[ry])

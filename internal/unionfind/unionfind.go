@@ -205,7 +205,7 @@ func New(n int, opt Options) (*DSU, error) {
 		opt:    opt,
 		stats:  opt.Stats,
 	}
-	parallel.For(n, func(i int) { d.parent[i] = uint32(i) })
+	parallel.Iota(d.parent)
 	d.initAux(n)
 	return d, nil
 }
@@ -343,19 +343,26 @@ func (d *DSU) SameSet(u, v uint32) bool {
 }
 
 // Flatten fully compresses every path so that parent[v] is the root of v's
-// tree. It must be called quiescently (no concurrent unions).
+// tree. It must be called quiescently (no concurrent operation). One chunked
+// pass with no state beyond parent, so independent DSUs may flatten
+// concurrently: a vertex that is a root or one hop from one (every member of
+// a sampled star) is left after two loads, the rest are chased to their root
+// and stored once.
 func (d *DSU) Flatten() {
-	n := len(d.parent)
-	parallel.For(n, func(i int) {
-		r := uint32(i)
-		for {
-			p := atomic.LoadUint32(&d.parent[r])
+	parent := d.parent
+	parallel.ForGrained(len(parent), parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := atomic.LoadUint32(&parent[i])
+			p := atomic.LoadUint32(&parent[r])
 			if p == r {
-				break
+				continue
 			}
-			r = p
+			for p != r {
+				r = p
+				p = atomic.LoadUint32(&parent[r])
+			}
+			atomic.StoreUint32(&parent[i], r)
 		}
-		atomic.StoreUint32(&d.parent[i], r)
 	})
 }
 

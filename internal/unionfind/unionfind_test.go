@@ -1,6 +1,8 @@
 package unionfind
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -183,6 +185,48 @@ func TestFlattenMakesParentsRoots(t *testing.T) {
 	}
 }
 
+// Independent DSUs flattened from several goroutines at once (one Solver per
+// goroutine is a supported use) must not share any state: each holds chains
+// of eight, so every vertex must end at the head of its own chain.
+func TestFlattenConcurrentIndependentDSUs(t *testing.T) {
+	const n, chain, workers, rounds = 300_000, 8, 4, 6
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			labels := make([]uint32, n)
+			for round := 0; round < rounds; round++ {
+				for i := range labels {
+					if i%chain == 0 {
+						labels[i] = uint32(i)
+					} else {
+						labels[i] = uint32(i - 1)
+					}
+				}
+				d, err := NewFromLabels(labels, Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne})
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				d.Flatten()
+				for i, p := range d.Parents() {
+					if want := uint32(i - i%chain); p != want {
+						errs <- fmt.Sprintf("round %d: parent[%d]=%d want %d", round, i, p, want)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
 func TestWitnessEdgesFormSpanningStructure(t *testing.T) {
 	const n = 500
 	edges := testEdges(n, 2000, 7)
@@ -353,6 +397,75 @@ func TestLargeChainAllFinds(t *testing.T) {
 		}
 		if d.NumComponents() != 1 {
 			t.Fatalf("find %v: not one component", f)
+		}
+	}
+}
+
+// TestSweepKernelParity holds UnionNeighbors' two paths to one behaviour:
+// for every variant, the call-free kernel (no Stats; Rem-CAS only) and the
+// per-edge path (Stats set) applied concurrently to the adjacency lists of
+// one random graph yield the oracle's partition, and the instrumented run
+// counts exactly the applied edges — every list entry with from = 0, and one
+// per undirected edge with the sweep's from = v+1.
+func TestSweepKernelParity(t *testing.T) {
+	const n = 3000
+	g := graph.ErdosRenyi(n, 5000, 11)
+	oracle := newSeqDSU(n)
+	for _, e := range g.Edges() {
+		oracle.union(int(e.U), int(e.V))
+	}
+	want := oracle.roots()
+	sweep := func(d *DSU, oriented bool) {
+		parallel.ForGrained(n, 64, func(lo, hi int) {
+			for v := lo; v < hi; v++ {
+				from := uint32(0)
+				if oriented {
+					from = uint32(v) + 1
+				}
+				d.UnionNeighbors(uint32(v), g.Neighbors(graph.Vertex(v)), from, nil)
+			}
+		})
+	}
+	for _, v := range Variants() {
+		for _, oriented := range []bool{true, false} {
+			fast := MustNew(n, v.Options())
+			sweep(fast, oriented)
+			sameSets(t, v.Name()+"/fast", fast.Labels(), want)
+
+			var st Stats
+			opt := v.Options()
+			opt.Stats = &st
+			counted := MustNew(n, opt)
+			sweep(counted, oriented)
+			sameSets(t, v.Name()+"/stats", counted.Labels(), want)
+			applied := uint64(g.NumDirectedEdges())
+			if oriented {
+				applied = uint64(g.NumEdges())
+			}
+			if st.Unions() != applied {
+				t.Fatalf("%s oriented=%v: %d unions, want %d", v.Name(), oriented, st.Unions(), applied)
+			}
+		}
+	}
+}
+
+// TestUnionNeighborsSkipAndWitness: a neighbour below from is applied only
+// when skip flags it, and a witness-recording DSU attributes each hook to
+// the (v, u) edge that the kernel applied.
+func TestUnionNeighborsSkipAndWitness(t *testing.T) {
+	for _, v := range ForestVariants() {
+		opt := v.Options()
+		opt.RecordWitness = true
+		d := MustNew(6, opt)
+		skip := []bool{false, true, false, false, false, false}
+		d.UnionNeighbors(3, []uint32{0, 1, 2, 4}, 4, skip)
+		if !d.SameSet(3, 1) || !d.SameSet(3, 4) || d.SameSet(3, 0) || d.SameSet(3, 2) {
+			t.Fatalf("%s: applied the wrong neighbours: labels %v", v.Name(), d.Labels())
+		}
+		for _, w := range d.WitnessEdges(nil) {
+			if w[0] != 3 || (w[1] != 1 && w[1] != 4) {
+				t.Fatalf("%s: witness (%d,%d) is not an applied edge of 3", v.Name(), w[0], w[1])
+			}
 		}
 	}
 }
