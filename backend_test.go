@@ -1,6 +1,8 @@
 package connectit
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"connectit/internal/testutil"
@@ -51,22 +53,25 @@ func TestBackendEquivalenceAllAlgorithms(t *testing.T) {
 	}
 }
 
+// sampledSpecs crosses the four sampling modes with one representative
+// algorithm per family.
+var sampledSpecs = []string{
+	"none;uf;rem-cas;naive;split-one",
+	"kout;uf;rem-cas;naive;split-one",
+	"bfs;uf;hooks;naive;split-one",
+	"ldd;sv",
+	"kout;lt;CRFA",
+	"bfs;lt;PUF",
+	"ldd;stergiou",
+	"kout;lp",
+}
+
 // TestBackendEquivalenceSampled crosses the four sampling modes with one
 // representative algorithm per family on both backends: the sampling phase
 // (k-out selection, BFS frontiers, LDD cluster growth) must also agree with
 // the truth when run over the compressed encoding.
 func TestBackendEquivalenceSampled(t *testing.T) {
 	panel := testutil.Panel()
-	specs := []string{
-		"none;uf;rem-cas;naive;split-one",
-		"kout;uf;rem-cas;naive;split-one",
-		"bfs;uf;hooks;naive;split-one",
-		"ldd;sv",
-		"kout;lt;CRFA",
-		"bfs;lt;PUF",
-		"ldd;stergiou",
-		"kout;lp",
-	}
 	for name, g := range panel {
 		truth := testutil.Components(g)
 		c := Compress(g)
@@ -74,7 +79,7 @@ func TestBackendEquivalenceSampled(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, spec := range specs {
+		for _, spec := range sampledSpecs {
 			cfg, err := ParseConfig(spec)
 			if err != nil {
 				t.Fatal(err)
@@ -82,7 +87,11 @@ func TestBackendEquivalenceSampled(t *testing.T) {
 			cfg.Seed = 42
 			solver := MustCompile(cfg)
 			csrLabels := append([]uint32(nil), solver.Components(g)...)
-			compLabels := append([]uint32(nil), solver.ComponentsCompressed(c)...)
+			compLabels, err := solver.ComponentsOn(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compLabels = append([]uint32(nil), compLabels...)
 			segLabels, err := solver.ComponentsOn(seg)
 			if err != nil {
 				t.Fatal(err)
@@ -142,21 +151,116 @@ func TestBackendEquivalenceMappedSegmented(t *testing.T) {
 	}
 }
 
-// TestComponentsOnUnknownRep checks the dispatch error for representations
-// outside the registered backends.
-func TestComponentsOnUnknownRep(t *testing.T) {
+// foreignRep is a GraphRep that is none of the built-in backends: the
+// embedded *Graph supplies the methods, but no type switch on the three
+// concrete types matches it.
+type foreignRep struct{ *Graph }
+
+// TestComponentsOnForeignRep: the kernels reach the graph only through
+// GraphRep, so a representation the library has never heard of simply runs
+// — every algorithm unsampled, and the sampled specs — and a nil GraphRep
+// is the one rejected input.
+func TestComponentsOnForeignRep(t *testing.T) {
+	var cfgs []Config
+	for _, a := range Algorithms() {
+		cfgs = append(cfgs, Config{Algorithm: a, Seed: 7})
+	}
+	for _, spec := range sampledSpecs {
+		cfg, err := ParseConfig(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = 42
+		cfgs = append(cfgs, cfg)
+	}
+	for name, g := range testutil.Panel() {
+		truth := testutil.Components(g)
+		for _, cfg := range cfgs {
+			solver, err := Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels, err := solver.ComponentsOn(foreignRep{g})
+			if err != nil {
+				t.Fatal(err)
+			}
+			testutil.CheckPartition(t, name+"/"+solver.Name()+"/foreign", labels, truth)
+		}
+	}
 	solver := MustCompile(DefaultConfig())
-	if _, err := solver.ComponentsOn(fakeRep{}); err == nil {
-		t.Fatal("expected ErrUnsupported for unknown representation")
+	if _, err := solver.ComponentsOn(nil); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("ComponentsOn(nil): err = %v, want ErrUnsupported", err)
+	}
+	if _, err := solver.Query(nil); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Query(nil): err = %v, want ErrUnsupported", err)
+	}
+	q, err := solver.Query(foreignRep{NewGrid2D(4, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.SpanningForest(); !errors.Is(err, ErrNoForest) {
+		t.Fatalf("Query over a foreign representation: SpanningForest err = %v, want ErrNoForest (label-backed)", err)
 	}
 }
 
-type fakeRep struct{}
-
-func (fakeRep) NumVertices() int                                  { return 0 }
-func (fakeRep) NumEdges() int                                     { return 0 }
-func (fakeRep) NumDirectedEdges() int                             { return 0 }
-func (fakeRep) Degree(Vertex) int                                 { return 0 }
-func (fakeRep) NeighborsInto(Vertex, []Vertex) []Vertex           { return nil }
-func (fakeRep) NeighborsIntoLimit(Vertex, []Vertex, int) []Vertex { return nil }
-func (fakeRep) SizeBytes() int                                    { return 0 }
+// TestConcurrentSolversAcrossBackends runs four Solvers on four goroutines
+// at once, each cycling one retained finish hook (DSU, Liu-Tarjan
+// EdgeRunner, label and skip scratch) through the CSR, compressed,
+// segmented, and again CSR copy of its own panel graph. Every labeling is
+// checked against the oracle, so state leaking between solves — across
+// goroutines through the worker pool, or across backends through the
+// Solver's retained scratch — shows up as a wrong partition or, under
+// -race, as a report.
+func TestConcurrentSolversAcrossBackends(t *testing.T) {
+	panel := testutil.Panel()
+	jobs := []struct{ graph, spec string }{
+		{"rmat", "kout;uf;rem-cas;naive;split-one"},
+		{"grid", "none;uf;rem-cas;naive;split-one"},
+		{"weblike", "kout;lt;CRFA"},
+		{"ba", "ldd;sv"},
+	}
+	// CSR twice: the second run follows two runs on other representations.
+	repNames := []string{"csr", "compressed", "segmented", "csr-again"}
+	const rounds = 3
+	results := make([][][]uint32, len(jobs))
+	var wg sync.WaitGroup
+	for i, job := range jobs {
+		g := panel[job.graph]
+		seg, err := TrySegment(g, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := ParseConfig(job.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Seed = uint64(i)
+		solver := MustCompile(cfg)
+		reps := []GraphRep{g, Compress(g), seg, g}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for _, rep := range reps {
+					labels, err := solver.ComponentsOn(rep)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					// NoSampling labelings are solver-owned scratch.
+					results[i] = append(results[i], append([]uint32(nil), labels...))
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, job := range jobs {
+		truth := testutil.Components(panel[job.graph])
+		if len(results[i]) != rounds*len(repNames) {
+			t.Fatalf("%s/%s: %d solves completed, want %d", job.graph, job.spec, len(results[i]), rounds*len(repNames))
+		}
+		for k, labels := range results[i] {
+			testutil.CheckPartition(t, job.graph+"/"+job.spec+"/"+repNames[k%len(repNames)], labels, truth)
+		}
+	}
+}

@@ -19,7 +19,7 @@
 //	g := connectit.BuildGraph(5, []connectit.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}})
 //	solver, err := connectit.Compile(connectit.DefaultConfig())
 //	if err != nil { ... }
-//	labels := solver.Components(g)
+//	labels, err := solver.ComponentsOn(g)
 //	// labels[0] == labels[2], labels[3] == labels[4], labels[0] != labels[3]
 //
 // Richer questions — component counts, sizes, histograms, and actual paths
@@ -236,13 +236,13 @@ func Algorithms() []Algorithm { return core.Algorithms() }
 // Connectivity computes the connected components of g: the returned
 // labeling satisfies labels[u] == labels[v] iff u and v are connected. It
 // is a thin wrapper that compiles cfg and runs it once; repeated runs
-// should Compile once and call Solver.Components.
+// should Compile once and call Solver.ComponentsOn.
 func Connectivity(g *Graph, cfg Config) ([]uint32, error) {
 	s, err := Compile(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.Components(g), nil
+	return s.ComponentsOn(g)
 }
 
 // SpanningForest computes a spanning forest of g using a root-based finish
@@ -267,18 +267,3 @@ func NewIncremental(n int, cfg Config) (*Incremental, error) {
 	}
 	return s.NewIncremental(n)
 }
-
-// NumComponents counts the distinct components in a labeling returned by
-// ComponentsOn or Connectivity.
-//
-// Deprecated: use the Query surface — Solver.Query(g) (or QueryLabels for a
-// labeling you already hold) and Query.NumComponents — which answers
-// counting, histogram, and path queries from one handle (DESIGN.md §12).
-func NumComponents(labels []uint32) int { return core.NumComponents(labels) }
-
-// LargestComponent returns the most frequent label in a labeling and the
-// number of vertices carrying it.
-//
-// Deprecated: use the Query surface — Solver.Query(g) (or QueryLabels for a
-// labeling you already hold) and Query.LargestComponent (DESIGN.md §12).
-func LargestComponent(labels []uint32) (uint32, int) { return core.LargestComponent(labels) }

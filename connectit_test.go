@@ -17,12 +17,13 @@ func TestQuickStartFlow(t *testing.T) {
 	if labels[0] != labels[2] || labels[3] != labels[4] || labels[0] == labels[3] {
 		t.Fatalf("labels = %v", labels)
 	}
-	if NumComponents(labels) != 2 {
-		t.Fatalf("components = %d, want 2", NumComponents(labels))
+	q := QueryLabels(labels)
+	if n, err := q.NumComponents(); err != nil || n != 2 {
+		t.Fatalf("components = %d, %v, want 2", n, err)
 	}
-	l, c := LargestComponent(labels)
-	if c != 3 || l != labels[0] {
-		t.Fatalf("largest = (%d,%d)", l, c)
+	l, c, err := q.LargestComponent()
+	if err != nil || c != 3 || l != labels[0] {
+		t.Fatalf("largest = (%d,%d), %v", l, c, err)
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // GraphRep is the pluggable graph-representation interface: the flat CSR
 // Graph, the byte-compressed CompressedGraph, and the multi-segment
 // SegmentedGraph all satisfy it, and Solver.ComponentsOn runs on whichever
-// representation was built or loaded. See internal/graph.Rep for the
-// iteration contract.
+// representation was built or loaded — or on any other implementation. See
+// internal/graph.Rep for the iteration contract.
 type GraphRep = graph.Rep
 
 // CompressedGraph is the byte-compressed CSR backend (Ligra+-style

@@ -29,10 +29,10 @@ type Result struct {
 	Visited int
 }
 
-// Run performs a parallel direction-optimizing BFS from src. It is generic
-// over the graph representation (graph.Rep), so the frontier expansions run
+// Run performs a parallel direction-optimizing BFS from src. It takes
+// any graph representation (graph.Rep), so the frontier expansions run
 // directly on compressed encodings without materializing a flat CSR.
-func Run[G graph.Rep](g G, src graph.Vertex) *Result {
+func Run(g graph.Rep, src graph.Vertex) *Result {
 	n := g.NumVertices()
 	parent := make([]graph.Vertex, n)
 	parallel.For(n, func(i int) { parent[i] = graph.None })
@@ -64,7 +64,7 @@ func Run[G graph.Rep](g G, src graph.Vertex) *Result {
 
 // topDown expands the sparse frontier: each frontier vertex claims its
 // unvisited neighbors with a CAS on the parent entry.
-func topDown[G graph.Rep](g G, parent []graph.Vertex, frontier []graph.Vertex) []graph.Vertex {
+func topDown(g graph.Rep, parent []graph.Vertex, frontier []graph.Vertex) []graph.Vertex {
 	var mu sync.Mutex
 	var next []graph.Vertex
 	parallel.ForGrained(len(frontier), 128, func(lo, hi int) {
@@ -93,7 +93,7 @@ func topDown[G graph.Rep](g G, parent []graph.Vertex, frontier []graph.Vertex) [
 // frontier (membership tested via the epoch array). Each unvisited vertex
 // writes only its own parent entry; the next frontier is gathered from the
 // epoch marks.
-func bottomUp[G graph.Rep](g G, parent []graph.Vertex, frontier []graph.Vertex, epoch []uint32, round uint32) []graph.Vertex {
+func bottomUp(g graph.Rep, parent []graph.Vertex, frontier []graph.Vertex, epoch []uint32, round uint32) []graph.Vertex {
 	n := g.NumVertices()
 	cur := round*2 - 1 // odd mark: current frontier; even mark: claimed
 	parallel.For(len(frontier), func(i int) { atomic.StoreUint32(&epoch[frontier[i]], cur) })

@@ -31,21 +31,17 @@ type Capabilities struct {
 // repeated runs over same-sized graphs avoid re-allocation on the finish
 // hot path. It is the engine behind the public connectit.Solver.
 //
-// A Compiled carries one monomorphized runner per registered graph
-// representation (flat CSR, byte-compressed CSR, and segmented), so the
-// same instance runs directly on whichever representation was built or
-// loaded — Components for CSR, ComponentsCompressed for compressed,
-// ComponentsSegmented for segmented, ComponentsOn to dispatch on a
-// representation chosen at load time.
+// A Compiled carries one finish hook over graph.Rep, so the same instance —
+// and the same retained scratch — runs directly on whichever representation
+// was built or loaded: flat CSR, byte-compressed, segmented, or any other
+// graph.Rep.
 //
 // A Compiled is not safe for concurrent use — it owns scratch state.
 // Compile one instance per goroutine; compilation is cheap.
 type Compiled struct {
 	cfg    Config
 	family *Family
-	run    *Runner[*graph.Graph]
-	runC   *Runner[*graph.CompressedGraph]
-	runS   *Runner[*graph.SegmentedGraph]
+	finish FinishFunc
 	forest ForestFunc
 
 	forestErr  error
@@ -72,9 +68,7 @@ func Compile(cfg Config) (*Compiled, error) {
 	c := &Compiled{cfg: cfg, family: f}
 	c.forestErr = f.ForestSupport(cfg.Algorithm)
 	c.streamType, c.streamErr = f.StreamSupport(cfg.Algorithm)
-	c.run = f.Runners.CSR(cfg)
-	c.runC = f.Runners.Compressed(cfg)
-	c.runS = f.Runners.Segmented(cfg)
+	c.finish = f.NewFinish(cfg)
 	if c.forestErr == nil && f.NewForest != nil {
 		c.forest = f.NewForest(cfg)
 	}
@@ -108,9 +102,8 @@ func (c *Compiled) Capabilities() Capabilities {
 // representation and returns the star-form labeling, the skip flags for the
 // most frequent sampled component, and — when forest is set — the sampled
 // partial forest. The labels (NoSampling) and skip buffers are instance
-// scratch. It is a free generic function because Go methods cannot take
-// type parameters.
-func prepare[G graph.Rep](c *Compiled, g G, forest bool) ([]uint32, []bool, [][2]uint32) {
+// scratch.
+func (c *Compiled) prepare(g graph.Rep, forest bool) ([]uint32, []bool, [][2]uint32) {
 	n := g.NumVertices()
 	if c.cfg.Sampling == NoSampling {
 		if cap(c.labels) < n {
@@ -141,55 +134,22 @@ func prepare[G graph.Rep](c *Compiled, g G, forest bool) ([]uint32, []bool, [][2
 	return labels, skip, res.Forest
 }
 
-// components runs Algorithm 1 over one monomorphized backend runner.
-func components[G graph.Rep](c *Compiled, g G, run *Runner[G]) []uint32 {
-	if g.NumVertices() == 0 {
-		return nil
-	}
-	labels, skip, _ := prepare(c, g, false)
-	return run.Finish(g, labels, skip)
-}
-
 // Components runs the compiled combination over g (Algorithm 1) and
 // returns a connectivity labeling: labels[u] == labels[v] iff u and v are
-// connected. It cannot fail — all validation happened in Compile.
+// connected. It cannot fail — all validation happened in Compile. Sampling
+// and finish read g only through graph.Rep, so compressed and segmented
+// (possibly memory-mapped) graphs are decoded in place, never materialized
+// as a flat CSR.
 //
 // In the NoSampling configuration the returned slice is scratch owned by
 // the instance and is overwritten by the next run; copy it if it must
 // outlive the next call. Sampled configurations return a fresh slice.
-func (c *Compiled) Components(g *graph.Graph) []uint32 {
-	return components(c, g, c.run)
-}
-
-// ComponentsCompressed is Components directly over the byte-compressed
-// representation: sampling and finish decode neighbors off the encoding,
-// never materializing a flat CSR.
-func (c *Compiled) ComponentsCompressed(g *graph.CompressedGraph) []uint32 {
-	return components(c, g, c.runC)
-}
-
-// ComponentsSegmented is Components directly over the multi-segment
-// byte-compressed representation — the out-of-core backend: sampling and
-// finish decode neighbors segment by segment off the (possibly memory-
-// mapped) encoding, never materializing a flat CSR.
-func (c *Compiled) ComponentsSegmented(g *graph.SegmentedGraph) []uint32 {
-	return components(c, g, c.runS)
-}
-
-// ComponentsOn dispatches Components on the concrete representation behind
-// r — the load-time-chosen backend path used by the CLI and the public
-// Solver. The dispatch happens once per run; the selected kernel is the
-// same monomorphized code Components/ComponentsCompressed run.
-func (c *Compiled) ComponentsOn(r graph.Rep) ([]uint32, error) {
-	switch g := r.(type) {
-	case *graph.Graph:
-		return c.Components(g), nil
-	case *graph.CompressedGraph:
-		return c.ComponentsCompressed(g), nil
-	case *graph.SegmentedGraph:
-		return c.ComponentsSegmented(g), nil
+func (c *Compiled) Components(g graph.Rep) []uint32 {
+	if g.NumVertices() == 0 {
+		return nil
 	}
-	return nil, fmt.Errorf("%w: graph representation %T", ErrUnsupported, r)
+	labels, skip, _ := c.prepare(g, false)
+	return c.finish(g, labels, skip)
 }
 
 // SpanningForest computes a spanning forest of g (Algorithm 2): the
@@ -204,7 +164,7 @@ func (c *Compiled) SpanningForest(g *graph.Graph) ([][2]uint32, error) {
 	if g.NumVertices() == 0 {
 		return nil, nil
 	}
-	labels, skip, acc := prepare(c, g, true)
+	labels, skip, acc := c.prepare(g, true)
 	return c.forest(g, labels, skip, acc)
 }
 

@@ -7,7 +7,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"connectit/internal/graph"
@@ -129,7 +128,7 @@ func Identity(n int) []uint32 {
 // runSampling executes the configured sampling phase over any graph
 // representation and returns the star labeling plus (optionally) the
 // partial spanning forest.
-func runSampling[G graph.Rep](g G, cfg Config, forest bool) *sample.Result {
+func runSampling(g graph.Rep, cfg Config, forest bool) *sample.Result {
 	switch cfg.Sampling {
 	case KOutSampling:
 		k := cfg.K
@@ -166,105 +165,11 @@ func Connectivity(g *graph.Graph, cfg Config) ([]uint32, error) {
 	return c.Components(g), nil
 }
 
-// flattened reports whether every label is an in-range root
-// (labels[labels[v]] == labels[v]) — the form every labeling the framework
-// returns is in, and the precondition for the parallel reductions below.
-func flattened(labels []uint32) bool {
-	n := len(labels)
-	var bad atomic.Bool
-	parallel.ForGrained(n, 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			l := labels[i]
-			if int(l) >= n || labels[l] != l {
-				bad.Store(true)
-				return
-			}
-		}
-	})
-	return !bad.Load()
-}
-
-// NumComponents counts distinct labels in a labeling. For flattened
-// labelings (everything the framework returns) the count is a parallel
-// reduction over the roots — no hash map; arbitrary labelings fall back to
-// a sequential scan.
-func NumComponents(labels []uint32) int {
-	if !flattened(labels) {
-		seen := make(map[uint32]struct{}, 64)
-		for _, l := range labels {
-			seen[l] = struct{}{}
-		}
-		return len(seen)
-	}
-	return int(parallel.Count(len(labels), func(i int) bool {
-		return labels[i] == uint32(i)
-	}))
-}
-
-// LargestComponent returns the most frequent label in a labeling and the
-// number of vertices carrying it (ties break toward the smaller label).
-// For flattened labelings counting is a parallel histogram over the label
-// space; arbitrary labelings fall back to a sequential hash map.
-func LargestComponent(labels []uint32) (uint32, int) {
-	n := len(labels)
-	if n == 0 {
-		return 0, 0
-	}
-	if !flattened(labels) {
-		counts := make(map[uint32]int)
-		for _, l := range labels {
-			counts[l]++
-		}
-		var best uint32
-		bestC := 0
-		for l, c := range counts {
-			if c > bestC || (c == bestC && l < best) {
-				best, bestC = l, c
-			}
-		}
-		return best, bestC
-	}
-	counts := make([]uint32, n)
-	parallel.ForGrained(n, 2048, func(lo, hi int) {
-		// Batch runs of equal labels into one atomic add: real labelings are
-		// dominated by one root, so per-element RMWs would serialize every
-		// worker on that root's cache line.
-		i := lo
-		for i < hi {
-			l := labels[i]
-			j := i + 1
-			for j < hi && labels[j] == l {
-				j++
-			}
-			atomic.AddUint32(&counts[l], uint32(j-i))
-			i = j
-		}
-	})
-	var mu sync.Mutex
-	var best uint32
-	bestC := uint32(0)
-	parallel.ForGrained(n, 2048, func(lo, hi int) {
-		localBest, localC := uint32(0), uint32(0)
-		for i := lo; i < hi; i++ {
-			if c := counts[i]; c > localC || (c == localC && c > 0 && uint32(i) < localBest) {
-				localBest, localC = uint32(i), c
-			}
-		}
-		mu.Lock()
-		if localC > bestC || (localC == bestC && localC > 0 && localBest < best) {
-			best, bestC = localBest, localC
-		}
-		mu.Unlock()
-	})
-	return best, int(bestC)
-}
-
 // MapEdges performs one parallel pass over every directed edge, returning a
 // per-vertex reduction of f — the paper's MAPEDGES baseline primitive
-// (Table 8), the cost of reading the graph. Generic over the
-// representation, it doubles as the decode-throughput probe for the
-// compressed backend.
-func MapEdges[G graph.Rep](g G) []uint32 {
+// (Table 8), the cost of reading the graph. Run over a compressed
+// representation it doubles as the decode-throughput probe.
+func MapEdges(g graph.Rep) []uint32 {
 	n := g.NumVertices()
 	out := make([]uint32, n)
 	parallel.ForGrained(n, 256, func(lo, hi int) {
@@ -285,7 +190,7 @@ func MapEdges[G graph.Rep](g G) []uint32 {
 // indirect read through the neighbor into data — the paper's GATHEREDGES
 // lower-bound primitive (Table 8): every correct connectivity algorithm
 // performs at least this access pattern.
-func GatherEdges[G graph.Rep](g G, data []uint32) []uint32 {
+func GatherEdges(g graph.Rep, data []uint32) []uint32 {
 	n := g.NumVertices()
 	out := make([]uint32, n)
 	parallel.ForGrained(n, 256, func(lo, hi int) {

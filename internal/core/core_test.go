@@ -5,6 +5,7 @@ import (
 
 	"connectit/internal/graph"
 	"connectit/internal/liutarjan"
+	"connectit/internal/query"
 	"connectit/internal/sample"
 	"connectit/internal/testutil"
 	"connectit/internal/unionfind"
@@ -161,11 +162,11 @@ func TestMapAndGatherEdges(t *testing.T) {
 
 func TestNumComponentsAndLargest(t *testing.T) {
 	labels := []uint32{0, 0, 2, 2, 2, 5}
-	if NumComponents(labels) != 3 {
-		t.Fatalf("NumComponents = %d", NumComponents(labels))
+	if n := testutil.NumComponents(labels); n != 3 {
+		t.Fatalf("NumComponents = %d", n)
 	}
-	l, c := LargestComponent(labels)
-	if l != 2 || c != 3 {
-		t.Fatalf("LargestComponent = (%d,%d)", l, c)
+	l, c, err := query.NewLabelled(labels).LargestComponent()
+	if err != nil || l != 2 || c != 3 {
+		t.Fatalf("LargestComponent = (%d,%d), %v", l, c, err)
 	}
 }

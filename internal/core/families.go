@@ -16,11 +16,10 @@ import (
 // union-find variants, Shiloach-Vishkin, the sixteen Liu-Tarjan variants,
 // Stergiou, and Label-Propagation.
 //
-// Every family's execution hooks are built by one generic constructor
-// instantiated across the Runners backend table (flat CSR, byte-compressed,
-// segmented), so each backend's finish loop monomorphizes over its
+// Every family contributes one finish hook over graph.Rep, so the same
+// compiled hook runs on flat CSR, byte-compressed, segmented, or any other
 // representation — the compressed paths decode neighbors straight off the
-// encoding with no interface calls.
+// encoding, one NeighborsInto call per adjacency list.
 
 // liutarjanByCode indexes the paper's sixteen Liu-Tarjan variants by their
 // four-letter code.
@@ -78,11 +77,7 @@ func init() {
 			}
 			return TypeAsync, nil
 		},
-		Runners: Runners{
-			CSR:        newUFRunner[*graph.Graph],
-			Compressed: newUFRunner[*graph.CompressedGraph],
-			Segmented:  newUFRunner[*graph.SegmentedGraph],
-		},
+		NewFinish: newUFFinish,
 		NewForest: newUFForest,
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
 			return &Incremental{
@@ -106,11 +101,7 @@ func init() {
 		Validate:      func(Algorithm) error { return nil },
 		ForestSupport: func(Algorithm) error { return nil },
 		StreamSupport: func(Algorithm) (StreamType, error) { return TypeSynchronous, nil },
-		Runners: Runners{
-			CSR:        newSVRunner[*graph.Graph],
-			Compressed: newSVRunner[*graph.CompressedGraph],
-			Segmented:  newSVRunner[*graph.SegmentedGraph],
-		},
+		NewFinish:     newSVFinish,
 		NewForest: func(cfg Config) ForestFunc {
 			return func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error) {
 				_, acc = shiloachvishkin.RunForest(g, labels, skip, acc)
@@ -154,11 +145,7 @@ func init() {
 			}
 			return TypeSynchronous, nil
 		},
-		Runners: Runners{
-			CSR:        newLTRunner[*graph.Graph],
-			Compressed: newLTRunner[*graph.CompressedGraph],
-			Segmented:  newLTRunner[*graph.SegmentedGraph],
-		},
+		NewFinish: newLTFinish,
 		NewForest: func(cfg Config) ForestFunc {
 			v := cfg.Algorithm.LT
 			return func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error) {
@@ -180,11 +167,7 @@ func init() {
 		Validate:      func(Algorithm) error { return nil },
 		ForestSupport: unsupportedForest(FinishStergiou),
 		StreamSupport: unsupportedStream(FinishStergiou),
-		Runners: Runners{
-			CSR:        newStergiouRunner[*graph.Graph],
-			Compressed: newStergiouRunner[*graph.CompressedGraph],
-			Segmented:  newStergiouRunner[*graph.SegmentedGraph],
-		},
+		NewFinish:     newStergiouFinish,
 	})
 
 	RegisterFamily(&Family{
@@ -197,11 +180,7 @@ func init() {
 		Validate:      func(Algorithm) error { return nil },
 		ForestSupport: unsupportedForest(FinishLabelProp),
 		StreamSupport: unsupportedStream(FinishLabelProp),
-		Runners: Runners{
-			CSR:        newLPRunner[*graph.Graph],
-			Compressed: newLPRunner[*graph.CompressedGraph],
-			Segmented:  newLPRunner[*graph.SegmentedGraph],
-		},
+		NewFinish:     newLPFinish,
 	})
 }
 
@@ -230,62 +209,52 @@ func ufOptions(cfg Config) unionfind.Options {
 	return opt
 }
 
-// newSVRunner compiles the Shiloach-Vishkin finish hook for one backend.
-func newSVRunner[G graph.Rep](cfg Config) *Runner[G] {
-	return &Runner[G]{
-		Finish: func(g G, labels []uint32, skip []bool) []uint32 {
-			shiloachvishkin.Run(g, labels, skip)
-			return labels
-		},
+// newSVFinish compiles the Shiloach-Vishkin finish hook.
+func newSVFinish(Config) FinishFunc {
+	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+		shiloachvishkin.Run(g, labels, skip)
+		return labels
 	}
 }
 
-// newLTRunner compiles a Liu-Tarjan finish hook for one backend. The
-// compiled runner retains one EdgeRunner, so repeated solver runs reuse
-// the round closures, the next-array, and the alter double-buffers instead
-// of re-allocating them per run.
-func newLTRunner[G graph.Rep](cfg Config) *Runner[G] {
+// newLTFinish compiles a Liu-Tarjan finish hook. The hook retains one
+// EdgeRunner, so repeated solver runs reuse the round closures, the
+// next-array, and the alter double-buffers instead of re-allocating them
+// per run.
+func newLTFinish(cfg Config) FinishFunc {
 	er := liutarjan.NewEdgeRunner(cfg.Algorithm.LT, false)
-	return &Runner[G]{
-		Finish: func(g G, labels []uint32, skip []bool) []uint32 {
-			er.Run(liutarjan.CollectEdges(g, skip), labels, skip)
-			return labels
-		},
+	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+		er.Run(liutarjan.CollectEdges(g, skip), labels, skip)
+		return labels
 	}
 }
 
-// newStergiouRunner compiles the Stergiou finish hook for one backend.
-func newStergiouRunner[G graph.Rep](cfg Config) *Runner[G] {
-	return &Runner[G]{
-		Finish: func(g G, labels []uint32, skip []bool) []uint32 {
-			liutarjan.RunStergiou(g, labels, skip)
-			return labels
-		},
+// newStergiouFinish compiles the Stergiou finish hook.
+func newStergiouFinish(Config) FinishFunc {
+	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+		liutarjan.RunStergiou(g, labels, skip)
+		return labels
 	}
 }
 
-// newLPRunner compiles the Label-Propagation finish hook for one backend.
-func newLPRunner[G graph.Rep](cfg Config) *Runner[G] {
-	return &Runner[G]{
-		Finish: func(g G, labels []uint32, skip []bool) []uint32 {
-			labelprop.Run(g, labels, skip)
-			return labels
-		},
+// newLPFinish compiles the Label-Propagation finish hook.
+func newLPFinish(Config) FinishFunc {
+	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+		labelprop.Run(g, labels, skip)
+		return labels
 	}
 }
 
-// newUFRunner compiles the union-find finish hook for one backend. The
-// runner retains one DSU and Resets it each run, so repeated runs on
-// same-sized graphs reuse the auxiliary allocations (hooks, locks,
-// priorities) instead of paying New every time.
-func newUFRunner[G graph.Rep](cfg Config) *Runner[G] {
+// newUFFinish compiles the union-find finish hook. The hook retains one
+// DSU and Resets it each run, so repeated runs on same-sized graphs —
+// whatever their representation — reuse the auxiliary allocations (hooks,
+// locks, priorities) instead of paying New every time.
+func newUFFinish(cfg Config) FinishFunc {
 	d := unionfind.MustNew(0, ufOptions(cfg))
-	return &Runner[G]{
-		Finish: func(g G, labels []uint32, skip []bool) []uint32 {
-			d.Reset(labels)
-			unionFindFinish(g, d, skip)
-			return d.Labels()
-		},
+	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+		d.Reset(labels)
+		unionFindFinish(g, d, skip)
+		return d.Labels()
 	}
 }
 
@@ -315,7 +284,7 @@ func newUFForest(cfg Config) ForestFunc {
 // by degree instead cost two random offsets[] reads per directed edge, more
 // than the union it saved. A witness-recording DSU records each applied edge
 // as (v, u). Decode scratch is per pool worker, reused across its chunks.
-func unionFindFinish[G graph.Rep](g G, d *unionfind.DSU, skip []bool) {
+func unionFindFinish(g graph.Rep, d *unionfind.DSU, skip []bool) {
 	n := g.NumVertices()
 	const grain = 256
 	bufs := make([][]graph.Vertex, parallel.Width(n, grain))

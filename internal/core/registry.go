@@ -36,12 +36,10 @@ type Family struct {
 	// StreamSupport returns a's streaming classification (§3.5), or an
 	// error wrapping ErrUnsupported when a cannot run batch-incrementally.
 	StreamSupport func(a Algorithm) (StreamType, error)
-	// Runners is the per-backend constructor table: the same generic
-	// constructor instantiated once per registered graph representation,
-	// so every backend's finish loop monomorphizes over its representation.
-	// Each Compiled owns exactly one runner per backend; runners may retain
-	// scratch state across runs.
-	Runners Runners
+	// NewFinish compiles the finish hook. Each Compiled owns exactly one,
+	// which may retain scratch state across runs and runs on every graph
+	// representation.
+	NewFinish func(cfg Config) FinishFunc
 	// NewForest compiles the spanning-forest hook (CSR only — witness
 	// recording indexes the flat adjacency). nil when ForestSupport always
 	// fails.
@@ -51,30 +49,13 @@ type Family struct {
 	NewIncremental func(n int, cfg Config, st StreamType) *Incremental
 }
 
-// Runners is a family's backend-constructor table — the single mechanism
-// through which finish hooks reach a concrete representation. Go cannot
-// store an uninstantiated generic function, so each family fills the table
-// with its one generic constructor instantiated per backend; adding a
-// backend is one field here, one instantiation row per family, and one
-// dispatch case in ComponentsOn — nothing else in the registry changes.
-type Runners struct {
-	// CSR builds the flat-CSR runner.
-	CSR func(cfg Config) *Runner[*graph.Graph]
-	// Compressed builds the single-segment byte-compressed runner.
-	Compressed func(cfg Config) *Runner[*graph.CompressedGraph]
-	// Segmented builds the multi-segment byte-compressed runner.
-	Segmented func(cfg Config) *Runner[*graph.SegmentedGraph]
-}
-
-// Runner holds the compiled finish-phase hook of one algorithm
-// instantiation over one concrete graph representation. Finish refines a
-// star-form labeling (skip semantics per DESIGN.md §4) to full connectivity
-// in place and returns the final labeling. The type parameter keeps the
-// neighbor-iteration path free of interface dispatch: each backend gets its
-// own instantiation of the kernel.
-type Runner[G graph.Rep] struct {
-	Finish func(g G, labels []uint32, skip []bool) []uint32
-}
+// FinishFunc is the compiled finish-phase hook of one algorithm
+// instantiation: it refines a star-form labeling (skip semantics per
+// DESIGN.md §4) to full connectivity in place and returns the final
+// labeling. It reaches the graph only through graph.Rep — one indirect
+// NeighborsInto call per adjacency list, a plain slice range per neighbor
+// (DESIGN.md §10) — so any representation runs, with no per-backend table.
+type FinishFunc func(g graph.Rep, labels []uint32, skip []bool) []uint32
 
 // ForestFunc is the compiled spanning-forest hook: it records one witness
 // edge per hook and appends the finish-phase forest edges to acc. It is

@@ -68,10 +68,7 @@ func TestSweepUnionsEachEdgeOnce(t *testing.T) {
 			}
 			for backend, rep := range reps {
 				st.Reset()
-				labels, err := c.ComponentsOn(rep)
-				if err != nil {
-					t.Fatal(err)
-				}
+				labels := c.Components(rep)
 				id := fmt.Sprintf("%s/%s/%s", name, backend, alg.Name())
 				if got := st.Unions(); got != uint64(g.NumEdges()) {
 					t.Fatalf("%s: %d unions, want one per edge = %d", id, got, g.NumEdges())
@@ -149,10 +146,7 @@ func TestSweepAppliesEdgesIntoSkippedComponent(t *testing.T) {
 					t.Fatal(err)
 				}
 				for backend, rep := range reps {
-					labels, err := c.ComponentsOn(rep)
-					if err != nil {
-						t.Fatal(err)
-					}
+					labels := c.Components(rep)
 					testutil.CheckPartition(t, fmt.Sprintf("giantLow=%v/%s/%s/%s", giantLow, cfg.Sampling, backend, alg.Name()), labels, want)
 				}
 			}

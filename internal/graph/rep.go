@@ -1,15 +1,15 @@
 package graph
 
 // Rep is the pluggable graph-representation abstraction: the contract every
-// backend (flat CSR, byte-compressed CSR, and any future representation)
-// satisfies, and the constraint the algorithm kernels are generic over.
+// backend (flat CSR, byte-compressed CSR, segmented, and any user-defined
+// representation) satisfies, and the type every algorithm kernel takes.
 //
-// Kernels take a type parameter `[G Rep]` rather than an interface value, so
-// Go instantiates the hot loops per backend: the per-vertex NeighborsInto
-// call resolves through the generic dictionary once per vertex, and the
-// per-neighbor inner loop is a plain slice range with no dynamic dispatch.
-// Rep doubles as a runtime interface for code that holds "whichever
-// representation was loaded" (the CLI, the Solver's ComponentsOn dispatch).
+// Kernels take a plain Rep interface value: the per-vertex NeighborsInto
+// call is one indirect call per adjacency list, and the per-neighbor inner
+// loop is a plain slice range with no dynamic dispatch. A type parameter
+// constrained by Rep would compile to the same code — every backend is a
+// pointer, Go stencils generics per GC shape, so all of them share one body
+// that calls through a dictionary's itab (DESIGN.md §10).
 //
 // The iteration contract is a neighbor-slice/decoder pair: NeighborsInto
 // returns v's sorted adjacency list, reusing buf as decode scratch when the

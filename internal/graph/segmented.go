@@ -17,11 +17,11 @@ import (
 // The encoding inside a segment is exactly the CompressedGraph encoding
 // (difference-coded varints against global vertex ids), so the two backends
 // share the decode hot path; only where a vertex's bytes live differs.
-// SegmentedGraph is a first-class Rep backend: every kernel monomorphizes
-// over it, resolving the segment per source vertex with a cached-last-
-// segment fast path (kernels sweep vertices in order, so consecutive
-// lookups land in the same segment almost always) and a binary search over
-// the k+1 range boundaries on a miss.
+// SegmentedGraph is a first-class Rep backend: every kernel runs on it
+// through the interface, and NeighborsInto resolves the segment per source
+// vertex with a cached-last-segment fast path (kernels sweep vertices in
+// order, so consecutive lookups land in the same segment almost always) and
+// a binary search over the k+1 range boundaries on a miss.
 //
 // Loaded from a .cbin v2 file on unix, each segment is its own independent
 // read-only memory mapping: opening is O(index bytes) — the adjacency

@@ -106,8 +106,9 @@ type Options struct {
 const (
 	defaultEpochSize = 4096
 	// defaultCoalesceFactor bounds a round at 16 epochs of buffered
-	// updates. Multicore runs (-cpu 2,4; see BENCH_stream.json) measure
-	// 1.1–1.2 epochs/round: coalescing engages once producers and rounds
+	// updates. Multicore runs (-cpu 2,4; the ingest.epochs_per_round probe
+	// of `bash bench/run.sh --trace 1` re-measures it) saw 1.1–1.2
+	// epochs/round: coalescing engages once producers and rounds
 	// genuinely overlap, but the apply path drains faster than producers
 	// seal, so the bound is nowhere near saturated and raising it would
 	// only grow worst-case round latency without adding throughput.

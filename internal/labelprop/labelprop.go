@@ -20,9 +20,9 @@ import (
 // when non-nil, marks the vertices of the sampled most-frequent component:
 // their out-edges are not traversed and their IDs compare smaller than every
 // other label, so their labels can only spread inward via their neighbors'
-// own edge scans (Theorem 4). It is generic over the graph representation
+// own edge scans (Theorem 4). It takes any graph representation
 // (graph.Rep) and returns the number of rounds.
-func Run[G graph.Rep](g G, parent []uint32, favored []bool) int {
+func Run(g graph.Rep, parent []uint32, favored []bool) int {
 	n := g.NumVertices()
 	skip := favored
 	ord := minlabel.Order{Favored: favored}

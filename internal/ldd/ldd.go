@@ -51,10 +51,10 @@ type Result struct {
 	Rounds int
 }
 
-// Decompose partitions g into low-diameter clusters. It is generic over the
-// graph representation (graph.Rep), so cluster growth runs directly on
-// compressed encodings.
-func Decompose[G graph.Rep](g G, opt Options) *Result {
+// Decompose partitions g into low-diameter clusters. It takes any graph
+// representation (graph.Rep), so cluster growth runs directly on compressed
+// encodings.
+func Decompose(g graph.Rep, opt Options) *Result {
 	n := g.NumVertices()
 	beta := opt.Beta
 	if beta <= 0 || beta > 1 {

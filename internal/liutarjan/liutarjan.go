@@ -116,12 +116,12 @@ var ordNatural = minlabel.Order{}
 
 // CollectEdges gathers the undirected edges that the finish phase must
 // process: every edge with at least one unskipped endpoint, exactly once.
-// It is generic over the graph representation (graph.Rep): the edge-list
+// It takes any graph representation (graph.Rep): the edge-list
 // materialization the Liu-Tarjan framework needs decodes straight off
 // compressed encodings. Accumulation is worker-local (one growing buffer
 // and one decode scratch per pool worker, no mutex) with a final sized
 // concatenation.
-func CollectEdges[G graph.Rep](g G, skip []bool) []graph.Edge {
+func CollectEdges(g graph.Rep, skip []bool) []graph.Edge {
 	n := g.NumVertices()
 	const grain = 256
 	nw := parallel.Width(n, grain)
@@ -161,7 +161,7 @@ func CollectEdges[G graph.Rep](g G, skip []bool) []graph.Edge {
 // most-frequent component: their out-edges are skipped and their IDs compare
 // smaller than every other label (the paper's relabel-to-smallest-IDs
 // construction, Theorem 4). It returns the number of rounds.
-func Run[G graph.Rep](g G, parent []uint32, favored []bool, v Variant) int {
+func Run(g graph.Rep, parent []uint32, favored []bool, v Variant) int {
 	edges := CollectEdges(g, favored)
 	return RunEdges(edges, parent, favored, v)
 }
@@ -497,7 +497,7 @@ func storeParallel(dst, src []uint32) {
 // against a previous-round snapshot array, then a single shortcut, repeated
 // to fixpoint. favored has the same semantics as in Run. It returns the
 // number of rounds.
-func RunStergiou[G graph.Rep](g G, parent []uint32, favored []bool) int {
+func RunStergiou(g graph.Rep, parent []uint32, favored []bool) int {
 	edges := CollectEdges(g, favored)
 	return RunStergiouEdges(edges, parent, favored)
 }

@@ -67,9 +67,9 @@ func (v KOutVariant) String() string {
 // KOut runs k-out sampling: it selects up to k edges out of each vertex per
 // the variant, computes their connected components with a union-find
 // (Union-Rem-CAS with SplitAtomicOne, the paper's fastest), and fully
-// compresses the result into stars. It is generic over the graph
-// representation (graph.Rep).
-func KOut[G graph.Rep](g G, k int, variant KOutVariant, seed uint64, forest bool) *Result {
+// compresses the result into stars. It takes any graph representation
+// (graph.Rep).
+func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Result {
 	n := g.NumVertices()
 	if k < 1 {
 		k = 2
@@ -152,9 +152,9 @@ func KOut[G graph.Rep](g G, k int, variant KOutVariant, seed uint64, forest bool
 // BFS runs BFS sampling: up to c direction-optimizing BFS attempts from
 // random sources, stopping as soon as an attempt covers more than 10% of the
 // vertices (Algorithm 5). If no attempt does, the identity labeling is
-// returned, exactly as the paper specifies. It is generic over the graph
+// returned, exactly as the paper specifies. It takes any graph
 // representation (graph.Rep).
-func BFS[G graph.Rep](g G, c int, seed uint64, forest bool) *Result {
+func BFS(g graph.Rep, c int, seed uint64, forest bool) *Result {
 	n := g.NumVertices()
 	identity := func() *Result {
 		labels := make([]uint32, n)
@@ -204,8 +204,8 @@ func BFS[G graph.Rep](g G, c int, seed uint64, forest bool) *Result {
 // connectivity labeling (Algorithm 6). The decomposition's round budget is
 // capped at O(log n / beta): late-waking vertices are left as singletons,
 // which keeps the labeling valid (Definition 3.1) while bounding the
-// sampling cost. It is generic over the graph representation (graph.Rep).
-func LDD[G graph.Rep](g G, beta float64, permute bool, seed uint64, forest bool) *Result {
+// sampling cost. It takes any graph representation (graph.Rep).
+func LDD(g graph.Rep, beta float64, permute bool, seed uint64, forest bool) *Result {
 	if beta <= 0 || beta > 1 {
 		beta = 0.2
 	}
@@ -294,7 +294,7 @@ func Coverage(labels []uint32, label uint32) float64 {
 // InterComponentEdges counts the directed edges of g whose endpoints carry
 // different labels — the work remaining for the finish phase (the paper's
 // inter-component edge statistic, Tables 6-7 and Figures 20/23).
-func InterComponentEdges[G graph.Rep](g G, labels []uint32) uint64 {
+func InterComponentEdges(g graph.Rep, labels []uint32) uint64 {
 	n := g.NumVertices()
 	var total atomic.Uint64
 	parallel.ForGrained(n, 1024, func(lo, hi int) {

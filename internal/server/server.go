@@ -656,7 +656,6 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
-	n := uint32(s.st.Len())
 	edges := make([]graph.Edge, 0, len(req.Edges)+1)
 	if (req.U == nil) != (req.V == nil) {
 		httpError(w, http.StatusBadRequest, `"u" and "v" must be given together`)
@@ -672,6 +671,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, `provide "u"/"v" or a non-empty "edges" array`)
 		return
 	}
+	s.submitUpdate(w, edges, s.framesJSON)
+}
+
+// submitUpdate is the tail both update decoders share: endpoint range
+// check, group commit through the batcher, then the accepted/frame counters
+// and the {"accepted","durable","lsn"} reply.
+func (s *Server) submitUpdate(w http.ResponseWriter, edges []graph.Edge, frames *Counter) {
+	n := uint32(s.st.Len())
 	for _, e := range edges {
 		if e.U >= n || e.V >= n {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("edge {%d, %d} endpoint out of range [0, %d)", e.U, e.V, n))
@@ -684,7 +691,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.accepted.Add(uint64(len(edges)))
-	s.framesJSON.Inc()
+	frames.Inc()
 	resp := map[string]any{"accepted": len(edges), "durable": s.log != nil}
 	if s.log != nil {
 		resp["lsn"] = lsn
@@ -727,25 +734,7 @@ func (s *Server) handleUpdateBinary(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("block of %d edges exceeds the %d-edge bound", len(edges), maxRequestEdges))
 		return
 	}
-	nv := uint32(s.st.Len())
-	for _, e := range edges {
-		if e.U >= nv || e.V >= nv {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("edge {%d, %d} endpoint out of range [0, %d)", e.U, e.V, nv))
-			return
-		}
-	}
-	lsn, err := s.bat.Submit(edges)
-	if err != nil {
-		httpError(w, http.StatusServiceUnavailable, err.Error())
-		return
-	}
-	s.accepted.Add(uint64(len(edges)))
-	s.framesBinary.Inc()
-	resp := map[string]any{"accepted": len(edges), "durable": s.log != nil}
-	if s.log != nil {
-		resp["lsn"] = lsn
-	}
-	writeJSON(w, http.StatusOK, resp)
+	s.submitUpdate(w, edges, s.framesBinary)
 }
 
 // handleConnected is the analytical fast path: wait-free against the

@@ -19,10 +19,10 @@ import (
 // Run finishes connectivity over g starting from the labeling in parent
 // (identity for a full run, or a sampled labeling satisfying Definition
 // 3.1). Vertices with skip[v] true do not have their out-edges processed
-// (the sampled most-frequent component). skip may be nil. It is generic
-// over the graph representation (graph.Rep) and returns the number of
-// rounds executed.
-func Run[G graph.Rep](g G, parent []uint32, skip []bool) int {
+// (the sampled most-frequent component). skip may be nil. It takes any
+// graph representation (graph.Rep) and returns the number of rounds
+// executed.
+func Run(g graph.Rep, parent []uint32, skip []bool) int {
 	n := g.NumVertices()
 	rounds := 0
 	// The hook and compress bodies are built once, outside the round loop:

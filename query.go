@@ -1,8 +1,6 @@
 package connectit
 
 import (
-	"fmt"
-
 	"connectit/internal/query"
 )
 
@@ -39,21 +37,17 @@ type Histogram = query.Histogram
 var ErrNoForest = query.ErrNoForest
 
 // QueryLabels builds a label-backed Query over a connectivity labeling, as
-// returned by Solver.Components or Connectivity: labels[v] is v's component
+// returned by Solver.ComponentsOn or Connectivity: labels[v] is v's component
 // label in canonical star form (labels[labels[v]] == labels[v]).
 // Component, size, counting, and histogram queries work; PathBetween and
 // SpanningForest return ErrNoForest. The labels slice is copied.
-//
-// It subsumes the label-level helpers: NumComponents(labels) is
-// QueryLabels(labels).NumComponents(), LargestComponent(labels) is
-// QueryLabels(labels).LargestComponent().
 func QueryLabels(labels []uint32) *Query {
 	return query.NewLabelled(labels)
 }
 
 // Query computes connectivity of g with the compiled combination and wraps
-// the result in a Query handle — the one-stop surface replacing the
-// Components / NumComponents / LargestComponent call chains.
+// the result in a Query handle — the one-stop surface for counting,
+// histogram, and path queries.
 //
 // The handle's power is fixed at construction by what the combination and
 // representation support, mirroring Compile's capability gating:
@@ -64,10 +58,11 @@ func QueryLabels(labels []uint32) *Query {
 //     ComponentsOn + QueryLabels for a label-only view of those.
 //   - A *Graph yields a forest-backed handle: every query works, including
 //     PathBetween and SpanningForest (Algorithm 2).
-//   - A *CompressedGraph or *SegmentedGraph yields a label-backed handle
-//     (the compressed kernels compute labelings, not forests): counting and
-//     histogram queries work; PathBetween and SpanningForest return
-//     ErrNoForest.
+//   - Any other GraphRep (*CompressedGraph, *SegmentedGraph, or a
+//     user-defined representation) yields a label-backed handle — witness
+//     recording indexes the flat CSR, so only *Graph computes forests:
+//     counting and histogram queries work; PathBetween and SpanningForest
+//     return ErrNoForest. A nil GraphRep returns ErrUnsupported.
 //
 // The handle owns a snapshot of the result and stays valid after further
 // Solver runs.
@@ -75,19 +70,16 @@ func (s *Solver) Query(g GraphRep) (*Query, error) {
 	if err := s.c.ForestErr(); err != nil {
 		return nil, err
 	}
-	switch g := g.(type) {
-	case *Graph:
-		forest, err := s.SpanningForest(g)
+	if csr, ok := g.(*Graph); ok {
+		forest, err := s.SpanningForest(csr)
 		if err != nil {
 			return nil, err
 		}
-		return query.NewStatic(g.NumVertices(), forest), nil
-	case *CompressedGraph, *SegmentedGraph:
-		labels, err := s.ComponentsOn(g)
-		if err != nil {
-			return nil, err
-		}
-		return QueryLabels(labels), nil
+		return query.NewStatic(csr.NumVertices(), forest), nil
 	}
-	return nil, fmt.Errorf("%w: graph representation %T", ErrUnsupported, g)
+	labels, err := s.ComponentsOn(g)
+	if err != nil {
+		return nil, err
+	}
+	return QueryLabels(labels), nil
 }

@@ -11,6 +11,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"connectit/internal/testutil"
 )
 
 // queryTestEdges builds the shared edge stream and its normalized
@@ -356,8 +358,8 @@ func TestSolverQueryCompressed(t *testing.T) {
 	}
 }
 
-// TestQueryLabelsParity: QueryLabels subsumes the deprecated counting
-// helpers — identical answers on the same labeling.
+// TestQueryLabelsParity: QueryLabels answers the counting queries exactly
+// as a direct count over the same labeling does.
 func TestQueryLabelsParity(t *testing.T) {
 	g := NewWebLike(10, 3*(1<<10), 0.1, 11)
 	solver := MustCompile(DefaultConfig())
@@ -370,16 +372,24 @@ func TestQueryLabelsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := NumComponents(labels); nc != want {
-		t.Fatalf("QueryLabels NumComponents = %d, helper says %d", nc, want)
+	if want := testutil.NumComponents(labels); nc != want {
+		t.Fatalf("QueryLabels NumComponents = %d, direct count says %d", nc, want)
 	}
 	lbl, size, err := q.LargestComponent()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantLbl, wantSize := LargestComponent(labels)
-	if lbl != wantLbl || size != wantSize {
-		t.Fatalf("QueryLabels LargestComponent = (%d, %d), helper says (%d, %d)", lbl, size, wantLbl, wantSize)
+	sizes := make(map[uint32]int)
+	for _, l := range labels {
+		sizes[l]++
+	}
+	if sizes[lbl] != size {
+		t.Fatalf("QueryLabels LargestComponent = (%d, %d), direct count of that label is %d", lbl, size, sizes[lbl])
+	}
+	for l, c := range sizes {
+		if c > size {
+			t.Fatalf("QueryLabels LargestComponent = (%d, %d), but label %d has %d vertices", lbl, size, l, c)
+		}
 	}
 	got, err := q.Labels()
 	if err != nil {

@@ -1,6 +1,8 @@
 package connectit
 
 import (
+	"fmt"
+
 	"connectit/internal/core"
 )
 
@@ -50,37 +52,33 @@ func (s *Solver) Name() string { return s.c.Name() }
 // static connectivity, derived from the algorithm registry.
 func (s *Solver) Capabilities() Capabilities { return s.c.Capabilities() }
 
-// Components computes the connected components of g: the returned labeling
-// satisfies labels[u] == labels[v] iff u and v are connected. It cannot
-// fail — all validation happened at Compile time.
+// ComponentsOn computes the connected components of g: the returned
+// labeling satisfies labels[u] == labels[v] iff u and v are connected. g
+// is whichever representation was built or loaded — a *Graph, a
+// *CompressedGraph, a *SegmentedGraph (-format in the CLI, or a
+// LoadCBIN-mapped file), or any other GraphRep implementation. The kernels
+// reach g only through the interface (one NeighborsInto call per adjacency
+// list, DESIGN.md §10), so there is no per-representation dispatch, and all
+// validation happened at Compile time: the only rejected input is a nil
+// GraphRep, which returns ErrUnsupported.
 //
 // In the NoSampling configuration the returned slice is scratch owned by
 // the Solver and is overwritten by the next run; copy it if it must
 // outlive the next call. Sampled configurations return a fresh slice.
-//
-// Deprecated: use Solver.Query, which wraps the run in a Query handle
-// answering counting, histogram, and path queries (DESIGN.md §12), or
-// ComponentsOn when a raw labeling is genuinely what downstream code needs.
-func (s *Solver) Components(g *Graph) []uint32 { return s.c.Components(g) }
-
-// ComponentsCompressed is Components directly over the byte-compressed
-// backend: sampling and finish decode neighbors off the encoding without
-// materializing a flat CSR.
-//
-// Deprecated: use Solver.Query, which yields a label-backed Query handle
-// over the compressed run (DESIGN.md §12), or ComponentsOn when a raw
-// labeling is genuinely what downstream code needs.
-func (s *Solver) ComponentsCompressed(g *CompressedGraph) []uint32 {
-	return s.c.ComponentsCompressed(g)
+func (s *Solver) ComponentsOn(g GraphRep) ([]uint32, error) {
+	if g == nil {
+		return nil, fmt.Errorf("%w: nil graph representation", ErrUnsupported)
+	}
+	return s.c.Components(g), nil
 }
 
-// ComponentsOn runs the compiled combination on whichever representation g
-// holds — the path for graphs chosen at load time (-format in the CLI, or
-// a LoadCBIN-mapped file). The dispatch is a single type switch per run;
-// the kernels executed are the same monomorphized code each backend's
-// dedicated entry point runs. Representations other than *Graph,
-// *CompressedGraph, and *SegmentedGraph return ErrUnsupported.
-func (s *Solver) ComponentsOn(g GraphRep) ([]uint32, error) { return s.c.ComponentsOn(g) }
+// Components is ComponentsOn for a *Graph.
+//
+// Deprecated: use ComponentsOn, which takes any GraphRep, or Solver.Query
+// for a handle answering counting, histogram, and path queries (DESIGN.md
+// §12). This shim remains only because bench/layers.go — frozen by the
+// benchmark contract — is its last caller outside the tests.
+func (s *Solver) Components(g *Graph) []uint32 { return s.c.Components(g) }
 
 // SpanningForest computes a spanning forest of g. For combinations the
 // paper excludes (Rem+SpliceAtomic union-find, non-RootUp Liu-Tarjan,

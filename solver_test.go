@@ -55,7 +55,7 @@ func TestSolverForestAndComponentsInterleave(t *testing.T) {
 			raw[j] = [2]uint32{e.U, e.V}
 		}
 		testutil.CheckSpanningForest(t, "grid", g, raw)
-		if got := NumComponents(s.Components(g)); got != 1 {
+		if got := testutil.NumComponents(s.Components(g)); got != 1 {
 			t.Fatalf("run %d: components = %d, want 1", i, got)
 		}
 	}
