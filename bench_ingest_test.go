@@ -8,7 +8,9 @@ package connectit
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"connectit/internal/ingest"
@@ -104,6 +106,45 @@ func BenchmarkStreamMixedRatio(b *testing.B) {
 			b.ReportMetric(float64(queries)/secs, "queries/s")
 		})
 	}
+}
+
+// BenchmarkStreamUpdateParallel is Stream.Update alone on the default
+// (Type i) configuration, one goroutine per P over a shuffled RMAT edge
+// list: the per-call price of the ingest layer — gate, accounting, probe,
+// union. Run with -cpu 1,2: an accounting word shared between producers
+// costs nothing at -cpu 1 and most of the call at -cpu 2 (DESIGN.md §9
+// "Per-operation accounting"), a cliff no single-goroutine row can show.
+// Past the first len(edges) calls nearly every edge is intra-component, as
+// in the tail of any power-law stream, so the steady state is the
+// probe-and-drop path.
+func BenchmarkStreamUpdateParallel(b *testing.B) {
+	const scale = 18
+	edges := RMATEdges(scale, 1<<21, 41)
+	rand.New(rand.NewSource(41)).Shuffle(len(edges), func(i, j int) {
+		edges[i], edges[j] = edges[j], edges[i]
+	})
+	st, err := NewStream(1<<scale, DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	var starts atomic.Uint64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		// Each goroutine walks the list from its own offset.
+		i := int(starts.Add(1) * 0x9e3779b97f4a7c15 % uint64(len(edges)))
+		for pb.Next() {
+			e := edges[i]
+			if err := st.Update(e.U, e.V); err != nil {
+				b.Error(err)
+				return
+			}
+			if i++; i == len(edges) {
+				i = 0
+			}
+		}
+	})
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
 }
 
 // BenchmarkStreamPrefilter isolates the pre-filter's effect on the Type i

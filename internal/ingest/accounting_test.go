@@ -1,0 +1,227 @@
+package ingest
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"connectit/internal/graph"
+)
+
+// TestSlotIsWholeCacheLines pins the layout the accounting relies on: a
+// slot that is not a whole number of 64-byte lines shares one with its
+// neighbour, and two producers are back to bouncing it.
+func TestSlotIsWholeCacheLines(t *testing.T) {
+	if size := reflect.TypeOf(slot{}).Size(); size == 0 || size%64 != 0 {
+		t.Fatalf("slot is %d bytes, want a whole multiple of 64", size)
+	}
+}
+
+// TestStatsExactUnderConcurrency drives every stream type from more
+// goroutines than there are slots (Shards: 1 puts every token on one line;
+// 3 leaves some shared, some not) and checks the derived counters are
+// exact: slot choice is a cost matter only, never a correctness one.
+func TestStatsExactUnderConcurrency(t *testing.T) {
+	const (
+		n         = 1 << 10
+		producers = 6
+		batch     = 16
+	)
+	updates, queries := 2048, 512 // per producer; updates is a multiple of 2*batch
+	if testing.Short() {
+		updates, queries = 512, 128
+	}
+	for _, tc := range typeSpecs {
+		for _, shards := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.spec, shards), func(t *testing.T) {
+				t.Parallel()
+				s := mustStream(t, n, tc.spec, Options{EpochSize: 64, Shards: shards})
+				var wg sync.WaitGroup
+				for p := 0; p < producers; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						rng := uint64(p)*0x9e3779b97f4a7c15 + 3
+						next := func() uint32 {
+							rng = graph.Hash64(rng)
+							return uint32(rng % n)
+						}
+						// Half the updates go one at a time, half through
+						// UpdateBatch, with the queries spread between.
+						group := make([]graph.Edge, 0, batch)
+						for i := 0; i < updates/2; i++ {
+							if err := s.Update(next(), next()); err != nil {
+								t.Errorf("Update: %v", err)
+								return
+							}
+							group = append(group, graph.Edge{U: next(), V: next()})
+							if len(group) == batch {
+								if err := s.UpdateBatch(group); err != nil {
+									t.Errorf("UpdateBatch: %v", err)
+									return
+								}
+								group = group[:0]
+							}
+							if i < queries {
+								if _, err := s.Connected(next(), next()); err != nil {
+									t.Errorf("Connected: %v", err)
+									return
+								}
+							}
+						}
+					}(p)
+				}
+				wg.Wait()
+				s.Sync()
+				st := s.Stats()
+				if want := uint64(producers * updates); st.Updates != want {
+					t.Errorf("Updates = %d, want %d", st.Updates, want)
+				}
+				if want := uint64(producers * queries); st.Queries != want {
+					t.Errorf("Queries = %d, want %d", st.Queries, want)
+				}
+				if st.Filtered+st.Applied != st.Updates {
+					t.Errorf("Filtered %d + Applied %d != Updates %d", st.Filtered, st.Applied, st.Updates)
+				}
+				if got := s.tally().inFlight(); got != 0 {
+					t.Errorf("%d updates in flight on a quiescent stream", got)
+				}
+			})
+		}
+	}
+}
+
+// TestCloseGateRace races producers against Close on short-lived streams,
+// so that Close lands inside the gate's check / enter / re-check window as
+// often as possible. Every Update that returned nil must be in the final
+// labels, a producer that has seen ErrClosed must never be accepted again,
+// and the gate must be empty once the producers have stopped.
+func TestCloseGateRace(t *testing.T) {
+	const (
+		n         = 256
+		producers = 4
+	)
+	rounds := 60
+	if testing.Short() {
+		rounds = 15
+	}
+	for _, tc := range typeSpecs {
+		t.Run(tc.spec, func(t *testing.T) {
+			t.Parallel()
+			for round := 0; round < rounds; round++ {
+				s := mustStream(t, n, tc.spec, Options{EpochSize: 8, Shards: 2})
+				accepted := make([][]graph.Edge, producers)
+				var wg sync.WaitGroup
+				start := make(chan struct{})
+				for p := 0; p < producers; p++ {
+					wg.Add(1)
+					go func(p int) {
+						defer wg.Done()
+						rng := uint64(round*producers+p)*0x9e3779b97f4a7c15 + 11
+						refused := false
+						<-start
+						for i := 0; i < 400; i++ {
+							rng = graph.Hash64(rng)
+							e := graph.Edge{U: uint32(rng % n), V: uint32((rng >> 32) % n)}
+							var err error
+							if i%4 == 3 {
+								err = s.UpdateBatch([]graph.Edge{e})
+							} else {
+								err = s.Update(e.U, e.V)
+							}
+							switch {
+							case err == nil && refused:
+								t.Errorf("update accepted after an earlier one returned ErrClosed")
+								return
+							case err == nil:
+								accepted[p] = append(accepted[p], e)
+							case errors.Is(err, ErrClosed):
+								refused = true
+							default:
+								t.Errorf("unexpected error %v", err)
+								return
+							}
+						}
+					}(p)
+				}
+				close(start)
+				// A different point of the producers' run each round.
+				for i := 0; i < round%8; i++ {
+					runtime.Gosched()
+				}
+				if err := s.Close(); err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+				// Close has returned, so the labels are final: an update
+				// acknowledged from here on would be missing from them.
+				labels := s.Labels()
+				wg.Wait()
+				// Only now: a refused straggler is in the gate for the
+				// moment between its entry and its re-check.
+				if got := s.tally().inFlight(); got != 0 {
+					t.Fatalf("round %d: %d updates in flight after the producers stopped", round, got)
+				}
+				oracle := newDSU(n)
+				var total uint64
+				for _, edges := range accepted {
+					total += uint64(len(edges))
+					for _, e := range edges {
+						oracle.union(e.U, e.V)
+					}
+				}
+				if st := s.Stats(); st.Updates != total || st.Filtered+st.Applied != total {
+					t.Fatalf("round %d: %d updates acknowledged, Stats %+v", round, total, st)
+				}
+				for u := uint32(1); u < n; u++ {
+					want := oracle.find(u) == oracle.find(u-1)
+					if got := labels[u] == labels[u-1]; got != want {
+						t.Fatalf("round %d: %d~%d connected=%v in the labels Close left, acknowledged updates say %v",
+							round, u-1, u, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestClosePanickedUpdateDoesNotWedge: an Update that panics (a vertex out
+// of range on a Type i stream indexes past the parent array) has entered
+// the gate; it must still leave it, or Close would wait for ever.
+func TestClosePanickedUpdateDoesNotWedge(t *testing.T) {
+	const n = 64
+	s := mustStream(t, n, "uf;rem-cas;naive;split-one", Options{})
+	panicked := func(f func()) (did bool) {
+		defer func() { did = recover() != nil }()
+		f()
+		return false
+	}
+	if !panicked(func() { s.Update(1, n+7) }) {
+		t.Fatal("Update with a vertex out of range did not panic")
+	}
+	// Two edges of the batch land before the bad one; the fourth never runs.
+	batch := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 3}, {U: 4, V: n + 7}, {U: 5, V: 6}}
+	if !panicked(func() { s.UpdateBatch(batch) }) {
+		t.Fatal("UpdateBatch with a vertex out of range did not panic")
+	}
+	if got := s.tally().inFlight(); got != 0 {
+		t.Fatalf("%d updates still in the gate after their calls panicked", got)
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close wedged behind an Update that panicked")
+	}
+	st := s.Stats()
+	if st.Updates != 2 || st.Applied != 1 || st.Filtered != 1 {
+		t.Fatalf("Stats after the panics = %+v, want the batch's first two edges only", st)
+	}
+}

@@ -137,7 +137,9 @@ func (o Options) withDefaults() Options {
 
 // Stats is a point-in-time snapshot of a Stream's operation counters.
 type Stats struct {
-	// Updates is the number of accepted Update calls.
+	// Updates is the number of accepted updates (one per Update call, one
+	// per UpdateBatch edge), counted as each is buffered, applied in place
+	// or filtered.
 	Updates uint64
 	// Queries is the number of Connected calls.
 	Queries uint64
@@ -176,27 +178,58 @@ type shard struct {
 	_   [64 - 8]byte
 }
 
-// counterStripes is the stripe count of the hot-path counters; power of two.
-const counterStripes = 8
+// exit names the ways an update that passed the close gate leaves it.
+type exit uint8
 
-// counter is a cache-line-striped counter: the wait-free Update/Connected
-// hot paths would otherwise serialize all producers on one atomic cache
-// line. Add spreads by a caller-supplied hash; Load sums the stripes.
-type counter struct {
-	stripes [counterStripes]struct {
-		v atomic.Uint64
-		_ [56]byte
-	}
+const (
+	// exitAborted: the call mutated nothing it will be counted for — Close
+	// won the gate re-check, or the call panicked (a vertex out of range).
+	exitAborted exit = iota
+	// exitFiltered: a self-loop, or the Type i probe found the endpoints
+	// already joined.
+	exitFiltered
+	// exitApplied: a Type i union applied in place.
+	exitApplied
+	// exitBuffered: appended to an epoch buffer (Type ii/iii); the round
+	// that applies it counts it filtered or applied.
+	exitBuffered
+	numExits
+)
+
+// slot is one producer's accounting line: every word the Update and
+// Connected hot paths write, on one cache line. A caller borrows a slot
+// through Stream.tokens, and sync.Pool's per-P private entry hands a
+// goroutine back the token its P last used, so in steady state each line
+// has one writing core and an Update's two read-modify-writes (entered,
+// then one left word) never leave that core's cache. Choosing the line by
+// a hash of the edge instead sends every producer to every line; that
+// bouncing, not the union, was 70 % of the 90/10 mix (DESIGN.md §9
+// "Per-operation accounting").
+//
+// All words only grow. Updates past the gate and not yet out are
+// Σentered − Σleft over the slots; Stats.Updates is Σleft without the
+// aborted word. Neither is stored.
+type slot struct {
+	entered atomic.Uint64
+	left    [numExits]atomic.Uint64
+	queries atomic.Uint64
+	_       [64 - 8*(2+numExits)]byte
 }
 
-func (c *counter) Add(h uint32, n uint64) { c.stripes[h%counterStripes].v.Add(n) }
+// tally is the slot words summed.
+type tally struct {
+	entered uint64
+	left    [numExits]uint64
+	queries uint64
+}
 
-func (c *counter) Load() uint64 {
-	var total uint64
-	for i := range c.stripes {
-		total += c.stripes[i].v.Load()
+// inFlight is the number of updates past the close gate that have not left.
+func (t tally) inFlight() uint64 {
+	n := t.entered
+	for _, l := range t.left {
+		n -= l
 	}
-	return total
+	return n
 }
 
 // Stream is a concurrent streaming connectivity structure. All methods are
@@ -235,24 +268,31 @@ type Stream struct {
 	inflight atomic.Int64
 	quiet    *sync.Cond // broadcast when inflight drops to zero
 
-	// Close gate. closed flips once; active counts Update/UpdateBatch calls
-	// that passed the gate (striped like the op counters so producers don't
-	// share a cache line), so Close can wait out stragglers before the
-	// final Sync. closeDone is closed when Close's drain completes, making
-	// later Close calls idempotent waits.
+	// Close gate. closed flips once; Close then waits until the slots show
+	// no update past the gate and not yet out, before the final Sync.
+	// closeDone is closed when Close's drain completes, making later Close
+	// calls idempotent waits.
 	closed    atomic.Bool
-	active    counter
 	closeDone chan struct{}
 
-	updates  counter
-	queries  counter
-	filtered counter
-	applied  counter
+	// Per-operation accounting (see slot). tokens lends out pointers into
+	// slots; minted is the next slot a new token gets. Options.Shards sizes
+	// the array, so with the default there is a line per P. The pool mints
+	// a token only when every existing one is borrowed, which takes more
+	// callers mid-call at once than there are slots (see enter); two tokens
+	// on one slot still count exactly, only slower.
+	slots  []slot
+	tokens sync.Pool
+	minted atomic.Uint32
+
 	// Pipeline counters; bumped off the hot path (seal/round), so plain
-	// atomics suffice.
-	epochs    atomic.Uint64
-	rounds    atomic.Uint64
-	coalesced atomic.Uint64
+	// atomics suffice. roundFiltered and roundApplied are what apply rounds
+	// did with the updates that left as buffered.
+	epochs        atomic.Uint64
+	rounds        atomic.Uint64
+	coalesced     atomic.Uint64
+	roundFiltered atomic.Uint64
+	roundApplied  atomic.Uint64
 }
 
 // New wraps a core.Incremental in a Stream. The Incremental must not be
@@ -266,6 +306,10 @@ func New(inc *core.Incremental, opt Options) *Stream {
 	s := &Stream{inc: inc, stype: inc.Type(), opt: opt}
 	s.quiet = sync.NewCond(&s.qmu)
 	s.closeDone = make(chan struct{})
+	s.slots = make([]slot, opt.Shards)
+	s.tokens.New = func() any {
+		return &s.slots[(s.minted.Add(1)-1)%uint32(len(s.slots))]
+	}
 	if s.stype != core.TypeAsync {
 		s.shards = make([]shard, opt.Shards)
 		for i := range s.shards {
@@ -282,84 +326,146 @@ func (s *Stream) Type() core.StreamType { return s.stype }
 // Len returns the number of vertices.
 func (s *Stream) Len() int { return s.inc.Len() }
 
+// tally sums the slots, every left word before any entered word. Words
+// only grow and an update bumps entered before its left word, so at any
+// instant between the two passes Σleft(read) ≤ Σleft ≤ Σentered ≤
+// Σentered(read): a tally with inFlight() == 0 proves the gate was empty
+// at that instant.
+func (s *Stream) tally() (t tally) {
+	for i := range s.slots {
+		sl := &s.slots[i]
+		for k := range sl.left {
+			t.left[k] += sl.left[k].Load()
+		}
+		t.queries += sl.queries.Load()
+	}
+	for i := range s.slots {
+		t.entered += s.slots[i].entered.Load()
+	}
+	return t
+}
+
 // Stats returns a snapshot of the operation counters. Counters are read
-// individually, so a snapshot taken mid-traffic is approximate.
+// individually, so a snapshot taken mid-traffic is approximate; the round
+// counters are read first, so Filtered + Applied never exceeds Updates.
 func (s *Stream) Stats() Stats {
 	sorted, skipped := s.inc.DedupStats()
-	return Stats{
-		Updates:      s.updates.Load(),
-		Queries:      s.queries.Load(),
-		Filtered:     s.filtered.Load(),
-		Applied:      s.applied.Load(),
+	st := Stats{
+		Filtered:     s.roundFiltered.Load(),
+		Applied:      s.roundApplied.Load(),
 		Epochs:       s.epochs.Load(),
 		Rounds:       s.rounds.Load(),
 		Coalesced:    s.coalesced.Load(),
 		DedupSorted:  sorted,
 		DedupSkipped: skipped,
 	}
+	t := s.tally()
+	st.Updates = t.left[exitFiltered] + t.left[exitApplied] + t.left[exitBuffered]
+	st.Queries = t.queries
+	st.Filtered += t.left[exitFiltered]
+	st.Applied += t.left[exitApplied]
+	return st
+}
+
+// enter counts n updates into the close gate on a borrowed slot. A Type i
+// call keeps the slot until it leaves; it never parks in between. A
+// buffered call can park on the shard and round locks, and a token parked
+// with it is missing from its P's fast path, so the P's next callers take
+// the pool's slow path and mint tokens onto slots other Ps are using. Such
+// a call hands the token straight back (nil) and leaves on whichever slot
+// it borrows then: the sums do not care which slot a word was counted on.
+func (s *Stream) enter(n uint64) *slot {
+	sl := s.tokens.Get().(*slot)
+	sl.entered.Add(n)
+	if s.stype != core.TypeAsync {
+		s.tokens.Put(sl)
+		return nil
+	}
+	return sl
+}
+
+// held returns sl, or a freshly borrowed slot if enter handed sl back.
+func (s *Stream) held(sl *slot) *slot {
+	if sl == nil {
+		return s.tokens.Get().(*slot)
+	}
+	return sl
 }
 
 // Update accepts the edge insertion (u, v). Vertices must be < Len(). After
 // Close it returns ErrClosed instead of mutating sealed state.
 func (s *Stream) Update(u, v uint32) error {
-	h := u ^ v
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.active.Add(h, 1)
-	defer s.active.Add(h, ^uint64(0))
-	// Re-check after registering: a Close that ran between the first check
-	// and the increment observes the increment (sequentially consistent
-	// atomics) and waits us out; one that ran before the increment is
-	// caught here, so no update slips past a completed Close.
+	sl := s.enter(1)
+	// Deferred so that a call that panics still leaves the gate and Close
+	// cannot wedge behind it.
+	how := exitAborted
+	defer func() {
+		sl = s.held(sl)
+		sl.left[how].Add(1)
+		s.tokens.Put(sl)
+	}()
+	// Re-check after entering: a Close that ran between the first check and
+	// the entry observes the entry (sequentially consistent atomics) and
+	// waits us out; one that ran before the entry is caught here, so no
+	// update slips past a completed Close.
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.update(u, v)
+	how = s.update(u, v)
 	return nil
 }
 
 // UpdateBatch accepts a batch of edge insertions under one close-gate
-// entry: the serving path's amortized feed (one gate check per WAL record
-// instead of per edge). Vertices must be < Len().
+// entry: the serving path's amortized feed (one gate check and one
+// accounting publish per WAL record instead of per edge). Vertices must be
+// < Len().
 func (s *Stream) UpdateBatch(edges []graph.Edge) error {
 	if len(edges) == 0 {
 		return nil
 	}
-	h := edges[0].U ^ edges[0].V
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	s.active.Add(h, 1)
-	defer s.active.Add(h, ^uint64(0))
+	sl := s.enter(uint64(len(edges)))
+	var left [numExits]uint64
+	defer func() {
+		sl = s.held(sl)
+		left[exitAborted] = uint64(len(edges)) - left[exitFiltered] - left[exitApplied] - left[exitBuffered]
+		for how, n := range left {
+			if n > 0 {
+				sl.left[how].Add(n)
+			}
+		}
+		s.tokens.Put(sl)
+	}()
 	if s.closed.Load() {
 		return ErrClosed
 	}
 	for _, e := range edges {
-		s.update(e.U, e.V)
+		left[s.update(e.U, e.V)]++
 	}
 	return nil
 }
 
-// update is the gate-free insertion hot path shared by Update and
-// UpdateBatch.
-func (s *Stream) update(u, v uint32) {
-	s.updates.Add(u^v, 1)
+// update is the gate-free, accounting-free insertion hot path shared by
+// Update and UpdateBatch; it reports how the update left.
+func (s *Stream) update(u, v uint32) exit {
 	if u == v {
-		s.filtered.Add(u, 1)
-		return
+		return exitFiltered
 	}
 	if s.stype == core.TypeAsync {
 		// Fully concurrent: probe, then union in place.
 		if s.opt.ProbeBudget > 0 && s.inc.Probe(u, v, s.opt.ProbeBudget) {
-			s.filtered.Add(u^v, 1)
-			return
+			return exitFiltered
 		}
 		s.inc.Update(u, v)
-		s.applied.Add(u^v, 1)
-		return
+		return exitApplied
 	}
 	s.enqueue(graph.Edge{U: u, V: v})
+	return exitBuffered
 }
 
 // Connected answers a connectivity query against every applied round (and,
@@ -370,7 +476,9 @@ func (s *Stream) Connected(u, v uint32) (bool, error) {
 	if s.closed.Load() {
 		return false, ErrClosed
 	}
-	s.queries.Add(u^v, 1)
+	sl := s.tokens.Get().(*slot)
+	sl.queries.Add(1)
+	s.tokens.Put(sl)
 	if s.stype == core.TypePhased {
 		s.phase.RLock()
 		same := s.inc.Connected(u, v)
@@ -392,10 +500,10 @@ func (s *Stream) Close() error {
 		<-s.closeDone
 		return nil
 	}
-	// Wait for gate-passed updates to finish. Every such call's active
-	// increment is sequentially ordered before our Swap, so a zero sum
+	// Wait for gate-passed updates to finish. Every such call's entry is
+	// sequentially ordered before our Swap, so an empty gate (see tally)
 	// means every straggler has both finished its mutation and left.
-	for spins := 0; s.active.Load() != 0; spins++ {
+	for spins := 0; s.tally().inFlight() != 0; spins++ {
 		if spins < 64 {
 			runtime.Gosched()
 		} else {
@@ -415,9 +523,9 @@ func (s *Stream) PendingEpochs() int { return int(s.inflight.Load()) }
 // pick selects e's shard by a stateless multiplicative hash of the edge.
 // The previous design bumped one global round-robin cursor on every
 // buffered update, serializing all producers on a single contended cache
-// line — the exact pattern the striped counters exist to avoid. Hashing
-// needs no shared state at all and spreads any non-degenerate stream
-// evenly; it also keeps duplicate submissions of one edge in one shard.
+// line. Hashing needs no shared state at all and spreads any
+// non-degenerate stream evenly; it also keeps duplicate submissions of one
+// edge in one shard.
 func (s *Stream) pick(e graph.Edge) *shard {
 	h := (uint64(e.U)<<32 | uint64(e.V)) * 0x9e3779b97f4a7c15
 	return &s.shards[(h>>33)%uint64(len(s.shards))]
@@ -551,7 +659,7 @@ func (s *Stream) applyLocked(batch []graph.Edge) {
 		batch = s.prefilter(batch)
 	}
 	s.inc.ApplyBatch(batch)
-	s.applied.Add(0, uint64(len(batch)))
+	s.roundApplied.Add(uint64(len(batch)))
 }
 
 // prefilter drops edges whose endpoints already share a component,
@@ -574,7 +682,7 @@ func (s *Stream) prefilter(batch []graph.Edge) []graph.Edge {
 			w++
 		}
 	}
-	s.filtered.Add(0, uint64(len(batch)-w))
+	s.roundFiltered.Add(uint64(len(batch) - w))
 	return batch[:w]
 }
 

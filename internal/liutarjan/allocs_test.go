@@ -13,6 +13,13 @@ import (
 // batches perform zero heap allocations — the property the streaming apply
 // path's per-coalesced-group rounds rely on.
 func TestEdgeRunnerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		// The detector's own bookkeeping allocates when a round wakes pool
+		// workers, and instrumented rounds are too slow for the benchmark
+		// loop to amortize that below one per op; the guard is about this
+		// package's allocations, which the uninstrumented run measures.
+		t.Skip("allocs/op is not meaningful under the race detector")
+	}
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 

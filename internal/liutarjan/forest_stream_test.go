@@ -151,6 +151,9 @@ func TestForestEdgeRunnerInvariants(t *testing.T) {
 // work list, forest capacity), re-running already-connected batches
 // performs zero heap allocations.
 func TestForestEdgeRunnerSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocs/op is not meaningful under the race detector (see TestEdgeRunnerSteadyStateAllocs)")
+	}
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 
