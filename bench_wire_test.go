@@ -56,7 +56,6 @@ func benchWireServer(b *testing.B) *Server {
 		Addr:             "127.0.0.1:0",
 		IngestAddr:       "127.0.0.1:0",
 		NumVertices:      benchWireVerts,
-		FlushInterval:    time.Millisecond,
 		SnapshotInterval: -1,
 	})
 	if err != nil {

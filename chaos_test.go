@@ -33,7 +33,6 @@ func startChaosServer(t *testing.T, dir, faults string) *Server {
 		IngestAddr:       "127.0.0.1:0",
 		NumVertices:      256,
 		WALDir:           dir,
-		FlushInterval:    time.Millisecond,
 		SnapshotInterval: -1,
 		ProbeInterval:    10 * time.Millisecond,
 		FaultSpec:        faults,

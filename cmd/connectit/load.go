@@ -92,7 +92,7 @@ func runLoadTCP() error {
 const jsonRetryBudget = 2 * time.Minute
 
 // retryDelay turns a 429/503 response into a backoff: the server's
-// Retry-After header when it sends one (it knows its flush deadline and
+// Retry-After header when it sends one (it knows its flush time and
 // probe period), otherwise an exponential fallback from the attempt count.
 func retryDelay(resp *http.Response, attempt int) time.Duration {
 	if s := resp.Header.Get("Retry-After"); s != "" {

@@ -93,9 +93,8 @@ var (
 	ingestAddr    = flag.String("ingest-addr", "", "binary TCP ingest listen address for -serve (empty disables; see -load)")
 	walDir        = flag.String("wal-dir", "", "write-ahead log directory for -serve (empty = no durability)")
 	snapInterval  = flag.Duration("snapshot-interval", 5*time.Minute, "WAL compaction period for -serve, in [1s, 24h] (negative disables)")
-	flushInterval = flag.Duration("flush-interval", 2*time.Millisecond, "group-commit flush deadline for -serve, in [100µs, 10s]")
 	maxPending    = flag.Int("max-pending", 64, "backpressure bound for -serve: updates get 429 while more sealed epochs than this await apply")
-	walNoSync     = flag.Bool("wal-nosync", false, "skip the per-group fsync for -serve (risks the last flush interval on crash)")
+	walNoSync     = flag.Bool("wal-nosync", false, "skip the per-group fsync for -serve (risks groups not yet synced on crash)")
 	authToken     = flag.String("auth-token", "", "bearer token required on mutating endpoints for -serve (default $CONNECTIT_AUTH_TOKEN; empty leaves writes open)")
 	faultSpec     = flag.String("faults", "", "fault-injection schedule for -serve chaos runs, e.g. \"wal.sync:at=3:err=EIO;conn.write:at=10:reset\" (default $CONNECTIT_FAULTS; empty injects nothing)")
 	probeInterval = flag.Duration("probe-interval", time.Second, "degraded-mode recovery probe period for -serve, in [10ms, 10m]")
@@ -199,9 +198,6 @@ func validateFlags() error {
 		}
 		if *snapInterval >= 0 && (*snapInterval < time.Second || *snapInterval > 24*time.Hour) {
 			return fmt.Errorf("-snapshot-interval %v out of range [1s, 24h]", *snapInterval)
-		}
-		if *flushInterval < 100*time.Microsecond || *flushInterval > 10*time.Second {
-			return fmt.Errorf("-flush-interval %v out of range [100µs, 10s]", *flushInterval)
 		}
 		if *maxPending < 1 || *maxPending > 1<<20 {
 			return fmt.Errorf("-max-pending %d out of range [1, %d]", *maxPending, 1<<20)
@@ -480,7 +476,6 @@ func runServe() error {
 		},
 		WALDir:           *walDir,
 		SnapshotInterval: *snapInterval,
-		FlushInterval:    *flushInterval,
 		MaxPendingEpochs: *maxPending,
 		NoSync:           *walNoSync,
 		AuthToken:        token,

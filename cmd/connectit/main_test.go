@@ -16,17 +16,16 @@ func withServeFlags(t *testing.T, overrides func(), fn func() error) error {
 		addr     string
 		wal      string
 		snap     time.Duration
-		flush    time.Duration
 		pending  int
 		stream   bool
 		forest   bool
 		convert  string
 		probe    time.Duration
 		degraded string
-	}{*serve, *addr, *walDir, *snapInterval, *flushInterval, *maxPending, *stream, *forest, *convert, *probeInterval, *degradedMode}
+	}{*serve, *addr, *walDir, *snapInterval, *maxPending, *stream, *forest, *convert, *probeInterval, *degradedMode}
 	t.Cleanup(func() {
-		*serve, *addr, *walDir, *snapInterval, *flushInterval, *maxPending, *stream, *forest, *convert =
-			old.serve, old.addr, old.wal, old.snap, old.flush, old.pending, old.stream, old.forest, old.convert
+		*serve, *addr, *walDir, *snapInterval, *maxPending, *stream, *forest, *convert =
+			old.serve, old.addr, old.wal, old.snap, old.pending, old.stream, old.forest, old.convert
 		*probeInterval, *degradedMode = old.probe, old.degraded
 	})
 	*serve = true
@@ -48,8 +47,6 @@ func TestValidateServeFlags(t *testing.T) {
 		{"bad addr", func() { *addr = "not an address::::" }, "-addr"},
 		{"snapshot too small", func() { *snapInterval = 10 * time.Millisecond }, "-snapshot-interval"},
 		{"snapshot too large", func() { *snapInterval = 48 * time.Hour }, "-snapshot-interval"},
-		{"flush too small", func() { *flushInterval = time.Microsecond }, "-flush-interval"},
-		{"flush too large", func() { *flushInterval = time.Minute }, "-flush-interval"},
 		{"pending zero", func() { *maxPending = 0 }, "-max-pending"},
 		{"pending huge", func() { *maxPending = 1 << 24 }, "-max-pending"},
 		{"serve and stream", func() { *stream = true }, "mutually exclusive"},

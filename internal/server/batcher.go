@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"connectit/internal/graph"
@@ -14,15 +15,15 @@ import (
 // reachable during shutdown, and mapped to 503 by the handler.
 var errBatcherClosed = errors.New("server: batcher closed")
 
-// maxGroupEdges hard-caps a flush group. maxBatch only *triggers* a flush;
-// while one is in progress (flushMu held through the fsync) Submits keep
-// landing in the next group, and under sustained burst load an uncapped
-// group could outgrow the WAL's 16M-edge record bound, failing the whole
-// group and turning valid requests into 503s. At the cap, Submit waits for
-// the group to flush and retries into its successor. 4M edges leaves room
-// for one more submission on top — the JSON path is bounded by its 8 MiB
-// body limit and both binary paths by maxRequestEdges — keeping the
-// worst-case group (see maxRequestEdges) inside the WAL record bound.
+// maxGroupEdges hard-caps a flush group. While a flush is in progress
+// (flushMu held through the fsync) Submits keep landing in the next group,
+// and under sustained burst load an uncapped group could outgrow the WAL's
+// 16M-edge record bound, failing the whole group and turning valid requests
+// into 503s. At the cap, Submit waits for the group to flush and retries
+// into its successor. 4M edges leaves room for one more submission on top —
+// the JSON path is bounded by its 8 MiB body limit and both binary paths by
+// maxRequestEdges — keeping the worst-case group (see maxRequestEdges)
+// inside the WAL record bound.
 const maxGroupEdges = 1 << 22
 
 // maxRequestEdges caps the *decoded* edge count of one binary ingest unit
@@ -38,30 +39,43 @@ const maxRequestEdges = maxGroupEdges / 2
 // group is one flush generation: every Submit between two flushes lands in
 // the same group and shares one WAL record, one fsync, and one stream feed
 // (group commit). done closes when the group is durable and fed; err is the
-// shared outcome.
+// shared outcome and began the instant its flush started.
 type group struct {
 	edges []graph.Edge
 	done  chan struct{}
 	err   error
 	lsn   uint64
+	began time.Time
 }
 
-// batcher coalesces accepted updates into flush groups, bounded by a size
-// trigger and a flush deadline: a Submit that fills the group kicks an
-// immediate flush, and the ticker guarantees no accepted edge waits longer
-// than the flush interval for durability. Flushes serialize on flushMu —
-// the snapshot path takes the same mutex to fence an LSN at which
-// "appended to the log" and "fed to the stream" coincide.
+// batcher coalesces accepted updates into flush groups and clocks itself
+// off its own flushes: a group's flush starts as soon as the group is
+// non-empty and no flush is in flight, and Submits that arrive during a
+// flush form the next group, flushed the moment the current one completes.
+// Group size follows load, with no deadline and no size trigger, and no
+// accepted edge waits longer than one flush. Flushes serialize on flushMu —
+// the snapshot path takes the same mutex to fence an LSN at which "appended
+// to the log" and "fed to the stream" coincide.
+//
+// Liveness rests on the kick alone. No wakeup is lost: an append to cur
+// under mu is always followed by a send attempt on the 1-buffered kick; a
+// failed attempt means a kick is still pending, and the loop follows its
+// consumption with a swap under mu, which sees the append.
 type batcher struct {
 	st       *ingest.Stream
 	log      *wal.Log // nil: no durability, flush feeds the stream only
-	maxBatch int
-	capEdges int // admission cap per group; maxGroupEdges outside tests
+	capEdges int      // admission cap per group; maxGroupEdges outside tests
 
 	// onErr, when set, observes every failed flush (after the group's error
 	// is fixed, before waiters wake). The server hooks it to flip into
 	// degraded mode the moment a WAL append wedges.
 	onErr func(error)
+
+	// Commit-path stage histograms, set by the server before traffic (nil
+	// discards), and the latest flush's duration — the measurement the WAL
+	// and feed stages observe — kept for the Retry-After hint.
+	waitSec, walSec, feedSec, groupEdges *Histogram
+	flushNanos                           atomic.Int64
 
 	mu     sync.Mutex
 	cur    *group
@@ -74,18 +88,17 @@ type batcher struct {
 	wg   sync.WaitGroup
 }
 
-func newBatcher(st *ingest.Stream, log *wal.Log, maxBatch int, interval time.Duration) *batcher {
+func newBatcher(st *ingest.Stream, log *wal.Log) *batcher {
 	b := &batcher{
 		st:       st,
 		log:      log,
-		maxBatch: maxBatch,
 		capEdges: maxGroupEdges,
 		cur:      &group{done: make(chan struct{})},
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 	}
 	b.wg.Add(1)
-	go b.loop(interval)
+	go b.loop()
 	return b
 }
 
@@ -101,6 +114,7 @@ func (b *batcher) Submit(edges []graph.Edge) (uint64, error) {
 		// there is no LSN to report.
 		return 0, nil
 	}
+	start := time.Now()
 	for {
 		b.mu.Lock()
 		if b.closed {
@@ -108,22 +122,20 @@ func (b *batcher) Submit(edges []graph.Edge) (uint64, error) {
 			return 0, errBatcherClosed
 		}
 		g := b.cur
-		if len(g.edges) >= b.capEdges {
-			// Admission control: the group hit the hard cap (only possible
-			// while a flush is stalling the swap). Wait out this group and
-			// land in its successor.
-			b.mu.Unlock()
-			b.kickFlush()
-			<-g.done
+		// Admission control: a group at the hard cap (only possible while a
+		// flush is stalling the swap) admits nothing more. Wait it out and
+		// land in its successor.
+		capped := len(g.edges) >= b.capEdges
+		if !capped {
+			g.edges = append(g.edges, edges...)
+		}
+		b.mu.Unlock()
+		b.kickFlush()
+		<-g.done
+		if capped {
 			continue
 		}
-		g.edges = append(g.edges, edges...)
-		full := len(g.edges) >= b.maxBatch
-		b.mu.Unlock()
-		if full {
-			b.kickFlush()
-		}
-		<-g.done
+		b.waitSec.Observe(g.began.Sub(start).Seconds())
 		return g.lsn, g.err
 	}
 }
@@ -135,17 +147,13 @@ func (b *batcher) kickFlush() {
 	}
 }
 
-// loop drives deadline flushes. The ticker rather than an armed timer keeps
-// the logic race-free; an empty flush is a mutex acquisition and nothing
-// else, so idle ticks cost effectively zero.
-func (b *batcher) loop(interval time.Duration) {
+// loop flushes once per kick. A kick that finds cur already swapped out by
+// the previous flush costs two mutex acquisitions and nothing else.
+func (b *batcher) loop() {
 	defer b.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
 	for {
 		select {
 		case <-b.kick:
-		case <-t.C:
 		case <-b.stop:
 			b.flush()
 			return
@@ -170,12 +178,21 @@ func (b *batcher) flush() {
 	b.cur = &group{done: make(chan struct{})}
 	b.mu.Unlock()
 
+	g.began = time.Now()
+	b.groupEdges.Observe(float64(len(g.edges)))
+	appended := g.began
 	if b.log != nil {
 		g.lsn, g.err = b.log.Append(g.edges)
+		appended = time.Now()
+		b.walSec.Observe(appended.Sub(g.began).Seconds())
 	}
+	end := appended
 	if g.err == nil {
 		g.err = b.st.UpdateBatch(g.edges)
+		end = time.Now()
+		b.feedSec.Observe(end.Sub(appended).Seconds())
 	}
+	b.flushNanos.Store(int64(end.Sub(g.began)))
 	if g.err != nil && b.onErr != nil {
 		// Before waking waiters: a Submit caller that sees the error can
 		// then also see the state transition it caused.

@@ -16,9 +16,11 @@ import (
 )
 
 func TestRetryAfterDerivedFromPipelineDepth(t *testing.T) {
-	s, ts := testServer(t, 16, Options{MaxPendingEpochs: 4, FlushInterval: 250 * time.Millisecond})
+	s, ts := testServer(t, 16, Options{MaxPendingEpochs: 4})
 
-	// 12 excess epochs at 250ms each = 3s of drain.
+	// 12 excess epochs at one 250ms flush each = 3s of drain. Both requests
+	// are refused before Submit, so no real flush overwrites the injection.
+	s.bat.flushNanos.Store(int64(250 * time.Millisecond))
 	s.pending = func() int { return 16 }
 	resp, _ := postJSON(t, ts.URL+"/v1/update", `{"u":1,"v":2}`)
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -103,9 +105,6 @@ func startedServer(t *testing.T, n int, opt Options) *Server {
 	t.Helper()
 	opt.Addr = "127.0.0.1:0"
 	opt.IngestAddr = "127.0.0.1:0"
-	if opt.FlushInterval == 0 {
-		opt.FlushInterval = time.Millisecond
-	}
 	s, err := New(testStream(t, n), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -233,6 +232,20 @@ func TestMetricsIngestAndWALFamilies(t *testing.T) {
 	// One HELP/TYPE block per family, even with three label sets.
 	if got := strings.Count(text, "# TYPE connectit_ingest_frames_total"); got != 1 {
 		t.Errorf("%d TYPE lines for the frames family, want 1", got)
+	}
+	// The commit-path stage histograms saw both sequential requests: one
+	// wait per Submit, and one WAL append, feed and size sample per group.
+	for _, fam := range []string{"wait_seconds", "wal_seconds", "feed_seconds", "group_edges"} {
+		name := "connectit_commit_" + fam
+		if !strings.Contains(text, "# TYPE "+name+" histogram") {
+			t.Errorf("exposition missing the %s family", name)
+		}
+		if !strings.Contains(text, name+"_count 2\n") {
+			t.Errorf("%s_count is not 2 after two sequential updates", name)
+		}
+	}
+	if !strings.Contains(text, `connectit_commit_group_edges_bucket{le="1"} 2`) {
+		t.Error("group-size histogram did not file both one-edge groups under le=1")
 	}
 }
 

@@ -74,8 +74,11 @@ func (a *atomicFloat) Add(x float64) {
 
 func (a *atomicFloat) Load() float64 { return math.Float64frombits(a.bits.Load()) }
 
-// Observe records one sample.
+// Observe records one sample; a nil histogram discards it.
 func (h *Histogram) Observe(x float64) {
+	if h == nil {
+		return
+	}
 	for i, b := range h.bounds {
 		if x <= b {
 			h.counts[i].Add(1)

@@ -111,7 +111,7 @@ func TestServeForestQueriesUnsupported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(ingest.New(inc, ingest.Options{}), Options{FlushInterval: time.Millisecond})
+	s, err := New(ingest.New(inc, ingest.Options{}), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,7 +85,6 @@ func crash(s *Server) {
 func durableOptions(dir string) Options {
 	return Options{
 		WALDir:           dir,
-		FlushInterval:    time.Millisecond,
 		SnapshotInterval: -1, // no periodic snapshots; tests trigger their own
 		SegmentBytes:     1 << 12,
 	}

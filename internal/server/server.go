@@ -1,5 +1,5 @@
 // Package server wraps the ingest engine as a network service: an
-// HTTP+JSON surface over a Stream, a flush-deadline batcher that group-
+// HTTP+JSON surface over a Stream, a self-clocking batcher that group-
 // commits accepted updates through a write-ahead log before they enter the
 // epoch pipeline, snapshot-based log compaction, replay-on-boot recovery,
 // and a Prometheus-text metrics registry (DESIGN.md §11).
@@ -50,12 +50,6 @@ type Options struct {
 	// write-ahead log there before entering the pipeline, and boot replays
 	// snapshot+tail. Empty disables durability (a pure in-memory service).
 	WALDir string
-	// FlushInterval is the batcher's flush deadline: the longest an
-	// accepted update waits for its group commit. Default 2ms.
-	FlushInterval time.Duration
-	// MaxBatch is the group size that triggers an immediate flush.
-	// Default 8192 edges.
-	MaxBatch int
 	// MaxPendingEpochs is the backpressure bound: update requests are
 	// rejected with 429 while more sealed epochs than this await apply.
 	// Default 64.
@@ -102,12 +96,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Addr == "" {
 		o.Addr = ":8080"
-	}
-	if o.FlushInterval <= 0 {
-		o.FlushInterval = 2 * time.Millisecond
-	}
-	if o.MaxBatch <= 0 {
-		o.MaxBatch = 8192
 	}
 	if o.MaxPendingEpochs <= 0 {
 		o.MaxPendingEpochs = 64
@@ -237,7 +225,7 @@ func New(st *ingest.Stream, opt Options) (*Server, error) {
 		}
 		s.log = l
 	}
-	s.bat = newBatcher(st, s.log, opt.MaxBatch, opt.FlushInterval)
+	s.bat = newBatcher(st, s.log)
 	if s.log != nil {
 		// A flush whose WAL append wedged the log flips the server into
 		// degraded mode right away; the probe loop owns the way back.
@@ -495,6 +483,9 @@ func (s *Server) Close(ctx context.Context) error {
 // union and a backpressured group commit on slow disks.
 var latencyBuckets = []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10}
 
+// groupEdgeBuckets spans one edge to the maxGroupEdges cap in powers of four.
+var groupEdgeBuckets = []float64{1, 4, 16, 64, 256, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20, 1 << 22}
+
 // authorized checks the shared-token gate on mutating endpoints: with no
 // token configured every request passes; otherwise the request must carry
 // "Authorization: Bearer <token>". Constant-time compare — the token is a
@@ -575,14 +566,14 @@ type updateRequest struct {
 
 // retryAfter derives the 429 Retry-After hint from how far behind the
 // apply pipeline actually is: the excess epochs drain at roughly one per
-// flush interval, rounded up to the header's whole-second granularity and
-// never below 1 so clients always back off a little.
+// flush (timed by the batcher's latest), rounded up to the header's whole-
+// second granularity and never below 1 so clients always back off a little.
 func (s *Server) retryAfter(pending int) string {
 	excess := pending - s.opt.MaxPendingEpochs
 	if excess < 0 {
 		excess = 0
 	}
-	d := time.Duration(excess) * s.opt.FlushInterval
+	d := time.Duration(excess) * time.Duration(s.bat.flushNanos.Load())
 	secs := int64((d + time.Second - 1) / time.Second)
 	if secs < 1 {
 		secs = 1
@@ -939,6 +930,11 @@ func (s *Server) registerMetrics() {
 	s.reg.GaugeFunc("connectit_stream_pending_epochs", "", "Sealed epochs not yet fully applied (backpressure signal).", func() float64 { return float64(s.st.PendingEpochs()) })
 	s.reg.GaugeFunc("connectit_stream_vertices", "", "Vertex universe size.", func() float64 { return float64(s.st.Len()) })
 	s.reg.GaugeFunc("connectit_server_state", "", "Serving state: 0 serving, 1 degraded (reads only), 2 closing.", func() float64 { return float64(s.state.Load()) })
+
+	s.bat.waitSec = s.reg.Histogram("connectit_commit_wait_seconds", "", "Time from Submit entry until its group's flush begins.", latencyBuckets)
+	s.bat.walSec = s.reg.Histogram("connectit_commit_wal_seconds", "", "WAL append per flush group, fsync included.", latencyBuckets)
+	s.bat.feedSec = s.reg.Histogram("connectit_commit_feed_seconds", "", "Stream feed (UpdateBatch) per flush group.", latencyBuckets)
+	s.bat.groupEdges = s.reg.Histogram("connectit_commit_group_edges", "", "Edges per flush group (one WAL record, one fsync).", groupEdgeBuckets)
 
 	if s.q != nil {
 		s.reg.GaugeFunc("connectit_query_forest_edges", "", "Spanning-forest edges captured by the stream (witness log length).", func() float64 { return float64(s.st.ForestLen()) })

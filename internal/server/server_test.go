@@ -31,13 +31,9 @@ func testStream(t *testing.T, n int) *ingest.Stream {
 	return ingest.New(inc, ingest.Options{})
 }
 
-// testServer boots an in-memory service with a fast flush deadline and a
-// shutdown hook.
+// testServer boots an in-memory service with a shutdown hook.
 func testServer(t *testing.T, n int, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
-	if opt.FlushInterval == 0 {
-		opt.FlushInterval = time.Millisecond
-	}
 	s, err := New(testStream(t, n), opt)
 	if err != nil {
 		t.Fatal(err)
@@ -255,7 +251,7 @@ func TestServeGracefulClose(t *testing.T) {
 // on s.closed let two callers both take the default branch and double-close
 // the channel (panic). All calls must return cleanly.
 func TestServerCloseConcurrent(t *testing.T) {
-	s, err := New(testStream(t, 16), Options{FlushInterval: time.Millisecond})
+	s, err := New(testStream(t, 16), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +278,7 @@ func TestServerCloseConcurrent(t *testing.T) {
 func TestBatcherCapsGroupDuringStalledFlush(t *testing.T) {
 	st := testStream(t, 16)
 	defer st.Close()
-	b := newBatcher(st, nil, 1<<30 /* size trigger off */, time.Millisecond)
+	b := newBatcher(st, nil)
 	defer b.Close()
 	b.capEdges = 64
 
@@ -335,7 +331,7 @@ sample:
 }
 
 func TestStartAddrAndRealListener(t *testing.T) {
-	s, err := New(testStream(t, 16), Options{Addr: "127.0.0.1:0", FlushInterval: time.Millisecond})
+	s, err := New(testStream(t, 16), Options{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

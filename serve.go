@@ -37,18 +37,13 @@ type ServerOptions struct {
 	// SnapshotInterval is the WAL compaction period (default 5m; negative
 	// disables periodic snapshots).
 	SnapshotInterval time.Duration
-	// FlushInterval is the group-commit flush deadline (default 2ms).
-	FlushInterval time.Duration
-	// MaxBatch is the group size that triggers an immediate flush
-	// (default 8192 edges).
-	MaxBatch int
 	// MaxPendingEpochs is the backpressure bound: updates receive 429
 	// while more sealed epochs than this await apply (default 64).
 	MaxPendingEpochs int
 	// SegmentBytes is the WAL segment rotation threshold.
 	SegmentBytes int
-	// NoSync skips the per-group fsync, trading the durability of the last
-	// flush interval for throughput on slow disks.
+	// NoSync skips the per-group fsync, trading the durability of groups
+	// not yet synced for throughput on slow disks.
 	NoSync bool
 	// AuthToken, when non-empty, gates every mutating HTTP endpoint behind
 	// `Authorization: Bearer <token>`; reads, health, and metrics stay
@@ -113,8 +108,6 @@ func NewServer(opts ServerOptions) (*Server, error) {
 		Addr:              opts.Addr,
 		IngestAddr:        opts.IngestAddr,
 		WALDir:            opts.WALDir,
-		FlushInterval:     opts.FlushInterval,
-		MaxBatch:          opts.MaxBatch,
 		MaxPendingEpochs:  opts.MaxPendingEpochs,
 		SnapshotInterval:  opts.SnapshotInterval,
 		SegmentBytes:      opts.SegmentBytes,
