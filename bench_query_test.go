@@ -3,8 +3,10 @@ package connectit
 // Benchmarks for the forest-backed query engine (DESIGN.md §12). The
 // engine retains BFS scratch and the histogram cache across calls, so the
 // steady-state numbers here are the serving-path cost of GET /v1/path and
-// the histogram mode of /v1/components. The bench-smoke CI job runs these
-// at -benchtime=1x alongside the stream benches.
+// the histogram mode of /v1/components. BenchmarkQueryLabelsBuild is the
+// other end: constructing the label-backed engine, the step every static
+// run pays after its solve. The bench-smoke CI job runs these at
+// -benchtime=1x alongside the stream benches.
 
 import (
 	"math/rand"
@@ -85,5 +87,46 @@ func BenchmarkQueryHistogram(b *testing.B) {
 		if _, err := q.ComponentHistogram(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkQueryLabelsBuild measures QueryLabels — labels in, every counting
+// answer ready — over the labelling shapes that stress its size
+// accumulation differently: one run per chunk (one-giant), a giant with a
+// scattered singleton fringe (the RMAT shape), two giants alternating vertex
+// by vertex (a new run, and a shared counter, at every vertex), and no two
+// vertices sharing a label. Compare -cpu 1 with -cpu 2: no shape may get
+// slower with a second worker.
+func BenchmarkQueryLabelsBuild(b *testing.B) {
+	const n = 2_000_000
+	shapes := []struct {
+		name  string
+		label func(i uint32) uint32
+	}{
+		{"one-giant", func(uint32) uint32 { return 0 }},
+		{"giant+singletons", func(i uint32) uint32 {
+			if i == 0 || (i*0x9e3779b1>>16)%100 < 57 {
+				return 0
+			}
+			return i
+		}},
+		{"interleaved-2", func(i uint32) uint32 { return i & 1 }},
+		{"all-singletons", func(i uint32) uint32 { return i }},
+	}
+	for _, sh := range shapes {
+		labels := make([]uint32, n)
+		for i := range labels {
+			labels[i] = sh.label(uint32(i))
+		}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(4 * n)
+			for i := 0; i < b.N; i++ {
+				q := QueryLabels(labels)
+				if _, size, err := q.LargestComponent(); err != nil || size == 0 {
+					b.Fatal(size, err)
+				}
+			}
+		})
 	}
 }

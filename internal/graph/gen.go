@@ -6,6 +6,8 @@ package graph
 // grid for the road_usa high-diameter network, Erdős–Rényi for uniform
 // random graphs, and small fixture graphs for tests.
 
+import "connectit/internal/parallel"
+
 // RMAT generates an RMAT (recursive matrix) power-law graph with n = 2^scale
 // vertices and approximately m undirected edges, using partition
 // probabilities (a, b, c) as in the paper's streaming experiments
@@ -17,28 +19,37 @@ func RMAT(scale int, m int, a, b, c float64, seed uint64) *Graph {
 
 // RMATEdges generates the raw RMAT edge stream without building a graph.
 // It is used directly by the streaming experiments, which ingest COO batches.
+//
+// The stream is defined by one rng drawing scale numbers per edge in edge
+// order. Every edge consumes exactly scale draws and the rng is seekable
+// (rng.skip), so chunks of edges are generated in parallel, each from an rng
+// positioned at its first edge: the output is the sequential stream, bit for
+// bit, whatever the worker count.
 func RMATEdges(scale int, m int, a, b, c float64, seed uint64) []Edge {
 	n := uint64(1) << scale
-	r := newRNG(seed)
 	edges := make([]Edge, m)
-	for i := range edges {
-		var u, v uint64
-		for bit := n >> 1; bit > 0; bit >>= 1 {
-			p := r.float()
-			switch {
-			case p < a:
-				// top-left quadrant: no bits set
-			case p < a+b:
-				v |= bit
-			case p < a+b+c:
-				u |= bit
-			default:
-				u |= bit
-				v |= bit
+	parallel.ForGrained(m, 4096, func(lo, hi int) {
+		r := newRNG(seed)
+		r.skip(uint64(scale) * uint64(lo))
+		for i := lo; i < hi; i++ {
+			var u, v uint64
+			for bit := n >> 1; bit > 0; bit >>= 1 {
+				p := r.float()
+				switch {
+				case p < a:
+					// top-left quadrant: no bits set
+				case p < a+b:
+					v |= bit
+				case p < a+b+c:
+					u |= bit
+				default:
+					u |= bit
+					v |= bit
+				}
 			}
+			edges[i] = Edge{Vertex(u), Vertex(v)}
 		}
-		edges[i] = Edge{Vertex(u), Vertex(v)}
-	}
+	})
 	return edges
 }
 

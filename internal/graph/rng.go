@@ -6,10 +6,17 @@ package graph
 // experiment harness deterministic.
 type rng struct{ state uint64 }
 
-func newRNG(seed uint64) *rng { return &rng{state: seed + 0x9e3779b97f4a7c15} }
+// gamma is splitmix64's increment: the state after k draws is
+// seed + gamma·(k+1), which is what makes the generator seekable.
+const gamma = 0x9e3779b97f4a7c15
+
+func newRNG(seed uint64) *rng { return &rng{state: seed + gamma} }
+
+// skip advances r past the next k draws without making them.
+func (r *rng) skip(k uint64) { r.state += k * gamma }
 
 func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += gamma
 	z := r.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -20,8 +20,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"connectit/internal/graph"
+	"connectit/internal/parallel"
 )
 
 // ErrNoForest is returned by path and forest queries on engines built from
@@ -70,7 +72,10 @@ const noHalf = int32(-1)
 
 // Engine answers connectivity queries over an incrementally maintained
 // spanning forest (see the package comment). Construct with New (live
-// source), NewStatic (offline forest), or NewLabelled (labeling only).
+// source), NewStatic (offline forest), or NewLabelled (labeling only). A
+// label-backed engine holds parent and size alone: the forest, half-edge
+// and BFS fields below stay nil, and every method that would read them
+// returns pathErr first.
 type Engine struct {
 	mu  sync.Mutex
 	src Source
@@ -133,29 +138,120 @@ func NewStatic(n int, forest []graph.Edge) *Engine {
 // v's component label, with labels[labels[v]] == labels[v] (the canonical
 // star form every solver returns). Component, size, and histogram queries
 // work; PathBetween and SpanningForest return ErrNoForest — there is no
-// forest to walk. The labels slice is copied.
+// forest to walk. The labels slice is copied. A label outside [0, n)
+// panics on the calling goroutine.
+//
+// A label-backed engine owns only what it answers from — parent (the copy)
+// and size — and never allocates the forest adjacency or the BFS scratch.
+// Both arrays are built in parallel and everything is ready on return
+// (DESIGN.md §12 "Building from labels").
 func NewLabelled(labels []uint32) *Engine {
-	e := newEngine(len(labels))
-	e.pathErr = ErrNoForest
-	copy(e.parent, labels)
-	e.components = 0
-	for i := range e.size {
-		e.size[i] = 0
+	n := len(labels)
+	e := &Engine{
+		n:       n,
+		pathErr: ErrNoForest,
+		parent:  make([]uint32, n),
+		size:    make([]uint32, n),
+		histAt:  -1,
 	}
-	for i, l := range labels {
-		e.size[l]++ // flat star form: l is i's root
-		if l == uint32(i) {
-			e.components++
+	parent, size := e.parent, e.size
+
+	// Pass 1: copy, and count every non-root vertex into its root's size.
+	// Chunks share roots, so the adds are atomic — but a chunk batches them:
+	// a run of equal labels is counted in a register, and finished runs wait
+	// in a small direct-mapped table that is published once per eviction
+	// and once at chunk end. A lone "current run" is not enough: two giant
+	// components interleaved vertex by vertex would end a run, and issue a
+	// contended add, at every vertex. The pool's workers have no recover, so
+	// a bad label is recorded here and reported after the loop.
+	var bad atomic.Int64
+	bad.Store(-1)
+	parallel.ForGrained(n, labelGrain, func(lo, hi int) {
+		var keys, counts [pendingSlots]uint32
+		run, runLen := uint32(lo), uint32(0)
+		for i := lo; i < hi; i++ {
+			l := labels[i]
+			parent[i] = l
+			if l == uint32(i) {
+				continue // a root counts itself in pass 2, with a plain store
+			}
+			if l == run {
+				runLen++
+				continue
+			}
+			if uint(l) >= uint(n) {
+				bad.Store(int64(i))
+				return
+			}
+			s := pendingSlot(run)
+			if keys[s] != run && counts[s] != 0 {
+				atomic.AddUint32(&size[keys[s]], counts[s])
+				counts[s] = 0
+			}
+			keys[s], counts[s] = run, counts[s]+runLen
+			run, runLen = l, 1
 		}
+		if runLen != 0 {
+			atomic.AddUint32(&size[run], runLen)
+		}
+		for s, c := range counts {
+			if c != 0 {
+				atomic.AddUint32(&size[keys[s]], c)
+			}
+		}
+	})
+	if i := bad.Load(); i >= 0 {
+		panic(fmt.Sprintf("query: NewLabelled: labels[%d] = %d is out of range [0, %d)", i, labels[i], n))
 	}
-	e.maxSize = 0
-	for i := range e.size {
-		if e.parent[i] == uint32(i) && e.size[i] > e.maxSize {
-			e.maxSize, e.maxRoot = e.size[i], uint32(i)
+
+	// Pass 2, after the barrier: every root adds itself, and the largest
+	// wins. Packing (size, ^root) makes the maximum the largest size and,
+	// among equals, the smallest root, whatever the chunking.
+	var roots atomic.Int64
+	var best atomic.Uint64
+	parallel.ForGrained(n, labelGrain, func(lo, hi int) {
+		var count int64
+		var local uint64
+		for i := lo; i < hi; i++ {
+			if parent[i] != uint32(i) {
+				continue
+			}
+			count++
+			size[i]++
+			if p := uint64(size[i])<<32 | uint64(^uint32(i)); p > local {
+				local = p
+			}
 		}
+		roots.Add(count)
+		for {
+			cur := best.Load()
+			if local <= cur || best.CompareAndSwap(cur, local) {
+				break
+			}
+		}
+	})
+	e.components = int(roots.Load())
+	if p := best.Load(); p != 0 {
+		e.maxSize, e.maxRoot = uint32(p>>32), ^uint32(p)
 	}
 	return e
 }
+
+const (
+	// labelGrain is the chunk of NewLabelled's passes: large enough that
+	// publishing a chunk's pending table (at most pendingSlots+1 adds) is
+	// noise, small enough to balance a few hundred chunks over the workers.
+	labelGrain = 1 << 13
+	// pendingSlots (2^pendingBits) is the size of a chunk's pending-count
+	// table: 512 bytes of stack, enough that a handful of interleaved large
+	// components each keep a slot.
+	pendingBits  = 6
+	pendingSlots = 1 << pendingBits
+)
+
+// pendingSlot maps a label to its pending-table slot (Fibonacci hashing, so
+// roots that differ only in high or only in low bits still spread).
+func pendingSlot(l uint32) uint32 { return l * 0x9e3779b1 >> (32 - pendingBits) }
 
 func newEngine(n int) *Engine {
 	e := &Engine{
@@ -312,7 +408,9 @@ func (e *Engine) NumComponents() (int, error) {
 }
 
 // LargestComponent returns the canonical label and size of the largest
-// component (ties broken by earliest to reach the size).
+// component. Among components of equal largest size a label-backed engine
+// reports the one with the smallest root; a forest-backed engine reports
+// the one whose forest edges reached that size first.
 func (e *Engine) LargestComponent() (uint32, int, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
