@@ -177,14 +177,16 @@ func BenchmarkStreamPrefilter(b *testing.B) {
 }
 
 // BenchmarkStreamEpochSize sweeps the epoch size of a buffered (Type ii)
-// stream: small epochs pay per-round overhead (softened by coalescing),
-// large epochs batch better but delay visibility.
+// stream: small epochs pay per-round overhead (softened by coalescing,
+// which epochs/round reports), large epochs batch better but delay
+// visibility.
 func BenchmarkStreamEpochSize(b *testing.B) {
 	n := 1 << 15
 	edges := BarabasiAlbertEdges(n, 8, 23)
 	solver := MustCompile(Config{Algorithm: MustParseAlgorithm("sv")})
 	for _, size := range []int{64, 256, 4096, 65536} {
 		b.Run(fmt.Sprintf("epoch=%d", size), func(b *testing.B) {
+			var epochs, rounds uint64
 			for i := 0; i < b.N; i++ {
 				st, err := solver.Stream(n, StreamOptions{EpochSize: size})
 				if err != nil {
@@ -192,50 +194,15 @@ func BenchmarkStreamEpochSize(b *testing.B) {
 				}
 				driveStream(st, edges, n, 0.1)
 				st.Sync()
+				stats := st.Stats()
+				epochs += stats.Epochs
+				rounds += stats.Rounds
 			}
 			secs := b.Elapsed().Seconds()
 			b.ReportMetric(float64(b.N)*float64(len(edges))/secs, "updates/s")
+			if rounds > 0 {
+				b.ReportMetric(float64(epochs)/float64(rounds), "epochs/round")
+			}
 		})
-	}
-}
-
-// BenchmarkStreamCoalesce isolates the coalescing pipeline's Type ii win:
-// the same concurrent 90/10 workload at small epoch sizes with the
-// coalesce bound at its default (queued epochs fold into shared O(n)
-// synchronous rounds) versus 1 (every epoch pays its own round, the
-// pre-pipeline behavior).
-func BenchmarkStreamCoalesce(b *testing.B) {
-	n := 1 << 15
-	edges := BarabasiAlbertEdges(n, 8, 29)
-	solver := MustCompile(Config{Algorithm: MustParseAlgorithm("sv")})
-	for _, size := range []int{64, 512} {
-		for _, tc := range []struct {
-			name  string
-			bound int
-		}{
-			{"coalesce-on", 0},
-			{"coalesce-off", 1},
-		} {
-			b.Run(fmt.Sprintf("epoch=%d/%s", size, tc.name), func(b *testing.B) {
-				var epochs, rounds uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st, err := solver.Stream(n, StreamOptions{EpochSize: size, CoalesceBound: tc.bound})
-					if err != nil {
-						b.Fatal(err)
-					}
-					driveStream(st, edges, n, 0.1)
-					st.Sync()
-					stats := st.Stats()
-					epochs += stats.Epochs
-					rounds += stats.Rounds
-				}
-				secs := b.Elapsed().Seconds()
-				b.ReportMetric(float64(b.N)*float64(len(edges))/secs, "updates/s")
-				if rounds > 0 {
-					b.ReportMetric(float64(epochs)/float64(rounds), "epochs/round")
-				}
-			})
-		}
 	}
 }

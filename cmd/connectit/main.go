@@ -40,7 +40,7 @@
 // capabilities; each printed name is a valid -algo value. -stream drives
 // the concurrent ingest engine with -workers goroutines issuing a -qmix
 // query/update mix and reports edges/sec, queries/sec, and the coalescing
-// pipeline's epochs-per-round; -epoch and -coalesce tune the pipeline
+// pipeline's epochs-per-round; -epoch and -no-prefilter tune the pipeline
 // (DESIGN.md §9).
 //
 // Invalid flags, spec strings, or malformed input files produce a one-line
@@ -109,7 +109,6 @@ var (
 	workers  = flag.Int("workers", 8, "concurrent producer goroutines for -stream")
 	qmix     = flag.Float64("qmix", 0.1, "fraction of stream operations that are queries, in [0, 1)")
 	epoch    = flag.Int("epoch", 0, "ingest epoch size for -stream (0 = default)")
-	coalesce = flag.Int("coalesce", 0, "max buffered updates per coalesced apply round for -stream (0 = default, 1 = no coalescing)")
 	noFilter = flag.Bool("no-prefilter", false, "disable the ingest intra-component pre-filter")
 )
 
@@ -163,9 +162,6 @@ func validateFlags() error {
 	}
 	if *epoch < 0 || *epoch > 1<<24 {
 		return fmt.Errorf("-epoch %d out of range [0, %d]", *epoch, 1<<24)
-	}
-	if *coalesce < 0 || *coalesce > 1<<28 {
-		return fmt.Errorf("-coalesce %d out of range [0, %d]", *coalesce, 1<<28)
 	}
 	if *stream && *forest {
 		return errors.New("-stream and -forest are mutually exclusive")
@@ -477,7 +473,6 @@ func runServe() error {
 		Spec:        *samplingName + ";" + *algo,
 		Stream: connectit.StreamOptions{
 			EpochSize:        *epoch,
-			CoalesceBound:    *coalesce,
 			DisablePrefilter: *noFilter,
 		},
 		WALDir:           *walDir,
@@ -497,7 +492,6 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	}
 	st, err := solver.Stream(g.NumVertices(), connectit.StreamOptions{
 		EpochSize:        *epoch,
-		CoalesceBound:    *coalesce,
 		DisablePrefilter: *noFilter,
 	})
 	if err != nil {
@@ -522,9 +516,6 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	if s.Rounds > 0 {
 		fmt.Printf("apply pipeline: %d epochs in %d rounds (%d coalesced, %.2f epochs/round)\n",
 			s.Epochs, s.Rounds, s.Coalesced, float64(s.Epochs)/float64(s.Rounds))
-	}
-	if s.DedupSorted+s.DedupSkipped > 0 {
-		fmt.Printf("dedup: %d batches sorted, %d skipped\n", s.DedupSorted, s.DedupSkipped)
 	}
 	fmt.Printf("components: %d\n", st.NumComponents())
 	printPoolStats()

@@ -733,35 +733,26 @@ func ingestMixed() {
 			float64(len(edges))/elapsed.Seconds(), float64(q)/elapsed.Seconds(), "-")
 	}
 
-	// The Type ii coalescing sweep: at small epochs each sealed epoch used
-	// to pay its own O(n) synchronous round; the coalescing pipeline folds
-	// queued epochs into shared rounds, which is where the small-epoch
-	// throughput comes back (DESIGN.md §9).
-	fmt.Printf("\nType ii (sv) epoch-size sweep, 90/10 mix, coalescing on vs off:\n")
-	fmt.Printf("%-10s %14s %14s %12s\n", "epoch", "on upd/s", "off upd/s", "epochs/round")
+	// The Type ii epoch-size sweep: each synchronous round costs O(n), so
+	// small epochs are affordable only as far as queued epochs coalesce
+	// into shared rounds (DESIGN.md §9).
+	fmt.Printf("\nType ii (sv) epoch-size sweep, 90/10 mix:\n")
+	fmt.Printf("%-10s %14s %12s\n", "epoch", "updates/s", "epochs/round")
 	solver := connectit.MustCompile(connectit.Config{Algorithm: connectit.MustParseAlgorithm("sv")})
 	for _, epoch := range []int{64, 256, 1024, 4096} {
-		var onRate, offRate float64
-		var perRound string
-		for _, bound := range []int{0, 1} { // 0 = default bound, 1 = off
-			st, err := solver.Stream(n, connectit.StreamOptions{EpochSize: epoch, CoalesceBound: bound})
-			if err != nil {
-				log.Fatal(err)
-			}
-			start := time.Now()
-			ingest.DriveStream(st, edges, n, producers, 0.1)
-			st.Sync()
-			rate := float64(len(edges)) / time.Since(start).Seconds()
-			if bound == 0 {
-				onRate = rate
-				if stats := st.Stats(); stats.Rounds > 0 {
-					perRound = fmt.Sprintf("%.2f", float64(stats.Epochs)/float64(stats.Rounds))
-				}
-			} else {
-				offRate = rate
-			}
+		st, err := solver.Stream(n, connectit.StreamOptions{EpochSize: epoch})
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Printf("%-10d %14.3g %14.3g %12s\n", epoch, onRate, offRate, perRound)
+		start := time.Now()
+		ingest.DriveStream(st, edges, n, producers, 0.1)
+		st.Sync()
+		rate := float64(len(edges)) / time.Since(start).Seconds()
+		perRound := "-"
+		if stats := st.Stats(); stats.Rounds > 0 {
+			perRound = fmt.Sprintf("%.2f", float64(stats.Epochs)/float64(stats.Rounds))
+		}
+		fmt.Printf("%-10d %14.3g %12s\n", epoch, rate, perRound)
 	}
 }
 

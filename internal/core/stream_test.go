@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -155,6 +157,65 @@ func TestStreamingBatchPartitionInvariance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestApplyBatchDuplicatesMatchOracle pushes one batch that holds every
+// edge three times, alternating orientation, plus self-loops, through each
+// stream type's apply path, with forest capture off and (where the
+// algorithm supports it) on. ApplyBatch does no deduplication, so the
+// partition and the captured forest must come out right from idempotent
+// unions alone, and the batch must come back unmodified.
+func TestApplyBatchDuplicatesMatchOracle(t *testing.T) {
+	const n = 1 << 11
+	edges := graph.RMATEdges(11, 3*n, 0.5, 0.1, 0.1, 7)
+	var batch []graph.Edge
+	for rep := 0; rep < 3; rep++ {
+		for i, e := range edges {
+			if rep%2 == 1 {
+				e.U, e.V = e.V, e.U
+			}
+			batch = append(batch, e)
+			if rep == 0 && i%64 == 0 {
+				batch = append(batch, graph.Edge{U: e.U, V: e.U})
+			}
+		}
+	}
+	input := append([]graph.Edge(nil), batch...)
+	g := graph.Build(n, edges)
+	want := testutil.Components(g)
+	crfa := liutarjan.Variant{Connect: liutarjan.Connect, Update: liutarjan.RootUpdate, Shortcut: liutarjan.FullShortcut, Alter: liutarjan.Alter}
+	for _, alg := range []Algorithm{
+		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemCAS, Splice: unionfind.SplitAtomicOne}}, // Type i
+		{Kind: FinishShiloachVishkin},     // Type ii
+		{Kind: FinishLiuTarjan, LT: crfa}, // Type ii
+		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemCAS, Splice: unionfind.SpliceAtomic}}, // Type iii
+	} {
+		for _, capture := range []bool{false, true} {
+			inc, err := NewIncremental(n, Config{Algorithm: alg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !capture {
+				inc.DisableForestCapture()
+			} else if inc.ForestErr() != nil {
+				continue // Type iii: no forest to capture
+			}
+			name := fmt.Sprintf("%s/capture=%v", alg.Name(), capture)
+			inc.ApplyBatch(batch)
+			testutil.CheckPartition(t, name, inc.Labels(), want)
+			if capture {
+				_, got := inc.ForestPull(0, nil)
+				forest := make([][2]uint32, len(got))
+				for i, e := range got {
+					forest[i] = [2]uint32{e.U, e.V}
+				}
+				testutil.CheckSpanningForest(t, name, g, forest)
+			}
+			if !slices.Equal(batch, input) {
+				t.Fatalf("%s: ApplyBatch modified its input", name)
+			}
+		}
 	}
 }
 

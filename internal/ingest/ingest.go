@@ -80,23 +80,9 @@ type Options struct {
 	// its epoch and queues it for apply. Default 4096. Type i streams
 	// never buffer and ignore it.
 	EpochSize int
-	// CoalesceBound caps the number of buffered updates one apply round
-	// may drain off the sealed-epoch queue. A round always takes at least
-	// one epoch, so setting CoalesceBound to 1 applies every epoch as its
-	// own round (coalescing off). Default 16 × EpochSize.
-	CoalesceBound int
-	// ProbeBudget bounds the read-only parent-chain probe of the
-	// intra-component pre-filter, in chase steps. Default 32.
-	ProbeBudget int
 	// DisablePrefilter turns the pre-filter off (every accepted update
 	// reaches the union hot path).
 	DisablePrefilter bool
-	// DedupHint sets the Algorithm 3 batch-preprocessing policy: the
-	// default (core.DedupAuto) samples each large coalesced batch and
-	// semisort-dedups only when the estimated duplicate rate clears the
-	// cost-model threshold; DedupAlways/DedupNever override per stream.
-	// Stats.DedupSorted/DedupSkipped record the decisions.
-	DedupHint core.DedupHint
 	// DisableForestCapture turns off the live spanning forest that
 	// forest-capable algorithms maintain by default (DESIGN.md §12).
 	// Query then fails with ErrUnsupported; Connected is unaffected.
@@ -105,15 +91,18 @@ type Options struct {
 
 const (
 	defaultEpochSize = 4096
-	// defaultCoalesceFactor bounds a round at 16 epochs of buffered
-	// updates. Multicore runs (-cpu 2,4; the ingest.epochs_per_round probe
-	// of `bash bench/run.sh --trace 1` re-measures it) saw 1.1–1.2
-	// epochs/round: coalescing engages once producers and rounds
-	// genuinely overlap, but the apply path drains faster than producers
-	// seal, so the bound is nowhere near saturated and raising it would
-	// only grow worst-case round latency without adding throughput.
-	defaultCoalesceFactor = 16
-	defaultProbeBudget    = 32
+	// coalesceFactor bounds a round at 16 epochs of buffered updates. The
+	// bound never binds on any stream measured: a producer that seals
+	// drains the queue before it returns, so the queue holds at most one
+	// epoch per producer waiting on the round mutex plus Sync's residual
+	// epochs (one per shard). Shuffled RMAT(19) streams coalesced 1.00
+	// epochs per round at 2 producers and 2.9–3.7 at 8 (Type ii), and as
+	// many with the bound raised to 2³⁰. It stays as a cap on worst-case
+	// round latency.
+	coalesceFactor = 16
+	// probeBudget bounds the pre-filter's read-only parent-chain probe, in
+	// chase steps.
+	probeBudget = 32
 )
 
 func (o Options) withDefaults() Options {
@@ -122,15 +111,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EpochSize <= 0 {
 		o.EpochSize = defaultEpochSize
-	}
-	if o.CoalesceBound <= 0 {
-		o.CoalesceBound = defaultCoalesceFactor * o.EpochSize
-	}
-	if o.ProbeBudget <= 0 {
-		o.ProbeBudget = defaultProbeBudget
-	}
-	if o.DisablePrefilter {
-		o.ProbeBudget = 0
 	}
 	return o
 }
@@ -147,9 +127,7 @@ type Stats struct {
 	// (self-loops and probed intra-component edges).
 	Filtered uint64
 	// Applied is the number of updates handed to the apply path after the
-	// pre-filter (for Type i, unions applied in place). Batch-internal
-	// duplicates that core.Incremental.ApplyBatch's Algorithm 3 dedup
-	// later removes are still counted.
+	// pre-filter (for Type i, unions applied in place).
 	Applied uint64
 	// Epochs is the number of sealed epochs pushed onto the apply queue
 	// (Type ii/iii), including partial epochs drained by Sync.
@@ -162,12 +140,6 @@ type Stats struct {
 	// one other epoch instead of paying their own: Epochs − Rounds at
 	// quiescence.
 	Coalesced uint64
-	// DedupSorted counts large batches the Algorithm 3 preprocessing
-	// semisort-deduplicated; DedupSkipped counts large batches it decided
-	// to apply unsorted (DedupAuto's estimator, or a DedupNever hint).
-	DedupSorted uint64
-	// DedupSkipped is DedupSorted's complement; see above.
-	DedupSkipped uint64
 }
 
 // shard is one epoch buffer. The pad keeps neighboring shards' mutexes off
@@ -235,9 +207,13 @@ func (t tally) inFlight() uint64 {
 // Stream is a concurrent streaming connectivity structure. All methods are
 // safe for concurrent use by any number of goroutines.
 type Stream struct {
-	inc    *core.Incremental
-	stype  core.StreamType
-	opt    Options
+	inc   *core.Incremental
+	stype core.StreamType
+	opt   Options
+	// probe is the pre-filter's chase budget, 0 when DisablePrefilter is
+	// set: the one word the Type i hot path reads to decide whether to
+	// probe.
+	probe  int
 	shards []shard
 	spare  sync.Pool // recycled epoch buffers
 
@@ -299,11 +275,13 @@ type Stream struct {
 // used directly while the Stream is live.
 func New(inc *core.Incremental, opt Options) *Stream {
 	opt = opt.withDefaults()
-	inc.SetDedupHint(opt.DedupHint)
 	if opt.DisableForestCapture {
 		inc.DisableForestCapture()
 	}
-	s := &Stream{inc: inc, stype: inc.Type(), opt: opt}
+	s := &Stream{inc: inc, stype: inc.Type(), opt: opt, probe: probeBudget}
+	if opt.DisablePrefilter {
+		s.probe = 0
+	}
 	s.quiet = sync.NewCond(&s.qmu)
 	s.closeDone = make(chan struct{})
 	s.slots = make([]slot, opt.Shards)
@@ -349,15 +327,12 @@ func (s *Stream) tally() (t tally) {
 // individually, so a snapshot taken mid-traffic is approximate; the round
 // counters are read first, so Filtered + Applied never exceeds Updates.
 func (s *Stream) Stats() Stats {
-	sorted, skipped := s.inc.DedupStats()
 	st := Stats{
-		Filtered:     s.roundFiltered.Load(),
-		Applied:      s.roundApplied.Load(),
-		Epochs:       s.epochs.Load(),
-		Rounds:       s.rounds.Load(),
-		Coalesced:    s.coalesced.Load(),
-		DedupSorted:  sorted,
-		DedupSkipped: skipped,
+		Filtered:  s.roundFiltered.Load(),
+		Applied:   s.roundApplied.Load(),
+		Epochs:    s.epochs.Load(),
+		Rounds:    s.rounds.Load(),
+		Coalesced: s.coalesced.Load(),
 	}
 	t := s.tally()
 	st.Updates = t.left[exitFiltered] + t.left[exitApplied] + t.left[exitBuffered]
@@ -458,7 +433,7 @@ func (s *Stream) update(u, v uint32) exit {
 	}
 	if s.stype == core.TypeAsync {
 		// Fully concurrent: probe, then union in place.
-		if s.opt.ProbeBudget > 0 && s.inc.Probe(u, v, s.opt.ProbeBudget) {
+		if s.probe > 0 && s.inc.Probe(u, v, s.probe) {
 			return exitFiltered
 		}
 		s.inc.Update(u, v)
@@ -565,14 +540,15 @@ func (s *Stream) seal(batch []graph.Edge) {
 }
 
 // pop removes the next coalesced group from the apply queue: queued epochs
-// in seal order, stopping before the group would exceed the coalesce bound
-// (but always taking at least one epoch).
+// in seal order, stopping before the group would exceed coalesceFactor
+// epochs' worth of updates (but always taking at least one epoch).
 func (s *Stream) pop() (group [][]graph.Edge, total int) {
+	bound := coalesceFactor * s.opt.EpochSize
 	s.qmu.Lock()
 	n := len(s.queue)
 	i := 0
 	for i < n {
-		if i > 0 && total+len(s.queue[i]) > s.opt.CoalesceBound {
+		if i > 0 && total+len(s.queue[i]) > bound {
 			break
 		}
 		total += len(s.queue[i])
@@ -655,7 +631,7 @@ func (s *Stream) coalesce(group [][]graph.Edge, total int) []graph.Edge {
 // applyLocked pre-filters and applies one coalesced batch; the caller
 // holds roundMu (and, for Type iii, the phase write lock).
 func (s *Stream) applyLocked(batch []graph.Edge) {
-	if s.opt.ProbeBudget > 0 {
+	if s.probe > 0 {
 		batch = s.prefilter(batch)
 	}
 	s.inc.ApplyBatch(batch)
@@ -666,7 +642,7 @@ func (s *Stream) applyLocked(batch []graph.Edge) {
 // compacting batch in place. Probes are read-only and run in parallel;
 // dropped slots are marked as self-loops and squeezed out sequentially.
 func (s *Stream) prefilter(batch []graph.Edge) []graph.Edge {
-	budget := s.opt.ProbeBudget
+	budget := s.probe
 	parallel.ForGrained(len(batch), 512, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := batch[i]
@@ -803,6 +779,6 @@ func (s *Stream) ForestLen() int { return s.inc.ForestLen() }
 
 // String describes the stream's configuration.
 func (s *Stream) String() string {
-	return fmt.Sprintf("ingest.Stream{n=%d %v shards=%d epoch=%d coalesce=%d probe=%d}",
-		s.inc.Len(), s.stype, s.opt.Shards, s.opt.EpochSize, s.opt.CoalesceBound, s.opt.ProbeBudget)
+	return fmt.Sprintf("ingest.Stream{n=%d %v shards=%d epoch=%d probe=%d}",
+		s.inc.Len(), s.stype, s.opt.Shards, s.opt.EpochSize, s.probe)
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"connectit/internal/core"
+	"connectit/internal/graph"
+	"connectit/internal/testutil"
 )
 
 // conn is Connected with the close error discarded: the tests below own
@@ -151,20 +153,14 @@ func TestStreamQueriesSeeOnlyAcceptedUpdates(t *testing.T) {
 // TestSyncCoalescesResidualEpochs drives the pipeline deterministically:
 // with epochs too large to self-seal, Sync seals one residual epoch per
 // non-empty shard, and a single drain coalesces them into one apply round.
-// With the bound at 1, every epoch pays its own round.
 func TestSyncCoalescesResidualEpochs(t *testing.T) {
 	const n = 1 << 12
-	mk := func(bound int) *Stream {
-		s := mustStream(t, n, "sv", Options{EpochSize: 1 << 16, Shards: 4, CoalesceBound: bound})
-		for i := 0; i < 2000; i++ {
-			u := uint32(i) % (n - 1)
-			s.Update(u, u+1)
-		}
-		s.Sync()
-		return s
+	s := mustStream(t, n, "sv", Options{EpochSize: 1 << 16, Shards: 4})
+	for i := 0; i < 2000; i++ {
+		u := uint32(i) % (n - 1)
+		s.Update(u, u+1)
 	}
-
-	s := mk(0) // default bound: plenty of room to coalesce
+	s.Sync()
 	st := s.Stats()
 	if st.Epochs < 2 {
 		t.Fatalf("expected residual epochs on >= 2 shards, got %d", st.Epochs)
@@ -175,20 +171,49 @@ func TestSyncCoalescesResidualEpochs(t *testing.T) {
 	if st.Coalesced != st.Epochs-st.Rounds {
 		t.Fatalf("coalesced = %d, want epochs %d - rounds %d", st.Coalesced, st.Epochs, st.Rounds)
 	}
-
-	s1 := mk(1) // coalescing off: one round per epoch
-	st1 := s1.Stats()
-	if st1.Rounds != st1.Epochs {
-		t.Fatalf("bound=1: rounds = %d, want one per epoch (%d)", st1.Rounds, st1.Epochs)
-	}
-	if st1.Coalesced != 0 {
-		t.Fatalf("bound=1: coalesced = %d, want 0", st1.Coalesced)
-	}
-
-	// Both pipelines must agree on the result.
-	if !conn(s, 0, 2000) || !conn(s1, 0, 2000) {
+	if !conn(s, 0, 2000) {
 		t.Fatal("path endpoints not connected after Sync")
 	}
+}
+
+// TestRoundRespectsCoalesceBound fills every shard to one edge short of
+// sealing, so that Sync seals more residual updates than one round may take
+// (coalesceFactor epochs' worth) and has to split them over several rounds.
+func TestRoundRespectsCoalesceBound(t *testing.T) {
+	const (
+		n      = 1 << 13
+		shards = 32
+		epoch  = 64
+	)
+	s := mustStream(t, n, "sv", Options{Shards: shards, EpochSize: epoch})
+	// Distinct path edges, kept only while their shard has room, so no
+	// shard seals before Sync.
+	fill := map[*shard]int{}
+	var accepted []graph.Edge
+	for v := uint32(0); v < n-1 && len(accepted) < shards*(epoch-1); v++ {
+		e := graph.Edge{U: v, V: v + 1}
+		if sh := s.pick(e); fill[sh] < epoch-1 {
+			fill[sh]++
+			accepted = append(accepted, e)
+			s.Update(e.U, e.V)
+		}
+	}
+	if len(accepted) <= coalesceFactor*epoch {
+		t.Fatalf("only %d residual updates, need more than the bound %d", len(accepted), coalesceFactor*epoch)
+	}
+	s.Sync()
+	st := s.Stats()
+	if st.Epochs != shards {
+		t.Fatalf("epochs = %d, want one residual epoch per shard (%d)", st.Epochs, shards)
+	}
+	if st.Rounds < 2 {
+		t.Fatalf("rounds = %d, want >= 2: %d residual updates exceed the bound %d", st.Rounds, len(accepted), coalesceFactor*epoch)
+	}
+	if st.Coalesced != st.Epochs-st.Rounds {
+		t.Fatalf("coalesced = %d, want epochs %d - rounds %d", st.Coalesced, st.Epochs, st.Rounds)
+	}
+	want := testutil.Components(graph.Build(n, accepted))
+	testutil.CheckPartition(t, "sv", s.Labels(), want)
 }
 
 func TestStreamingAlgorithmsEnumerates(t *testing.T) {
@@ -199,43 +224,5 @@ func TestStreamingAlgorithmsEnumerates(t *testing.T) {
 	// 34 async UF variants + 2 Rem+SpliceAtomic phased + SV + 8 RootUp LT.
 	if seen[core.TypeAsync] == 0 || seen[core.TypeSynchronous] == 0 || seen[core.TypePhased] == 0 {
 		t.Fatalf("StreamingAlgorithms missing a discipline: %v", seen)
-	}
-}
-
-// TestDedupHintPlumbsThroughOptions drives a Type ii stream with a
-// duplicate-heavy update set large enough that Sync's coalesced batch
-// clears the preprocessing size floor, and checks that the hint reaches
-// the Incremental and the decision lands in Stats.
-func TestDedupHintPlumbsThroughOptions(t *testing.T) {
-	const n = 1 << 13
-	drive := func(hint core.DedupHint) Stats {
-		// One producer, epoch sized so all updates coalesce into one big
-		// batch at Sync; prefilter off so duplicates survive to ApplyBatch.
-		st := mustStream(t, n, "sv", Options{
-			EpochSize:        1 << 20,
-			DisablePrefilter: true,
-			DedupHint:        hint,
-		})
-		for rep := 0; rep < 3; rep++ {
-			for i := 0; i < n-1; i++ {
-				st.Update(uint32(i), uint32(i+1))
-			}
-		}
-		st.Sync()
-		return st.Stats()
-	}
-
-	s := drive(core.DedupAlways)
-	if s.DedupSorted == 0 || s.DedupSkipped != 0 {
-		t.Fatalf("DedupAlways: sorted=%d skipped=%d, want >0/0", s.DedupSorted, s.DedupSkipped)
-	}
-	s = drive(core.DedupNever)
-	if s.DedupSorted != 0 || s.DedupSkipped == 0 {
-		t.Fatalf("DedupNever: sorted=%d skipped=%d, want 0/>0", s.DedupSorted, s.DedupSkipped)
-	}
-	// Auto on a 3x-duplicated batch: the estimator must choose to sort.
-	s = drive(core.DedupAuto)
-	if s.DedupSorted == 0 {
-		t.Fatalf("DedupAuto on duplicate-heavy batch: sorted=%d skipped=%d, want sorted>0", s.DedupSorted, s.DedupSkipped)
 	}
 }

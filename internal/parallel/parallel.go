@@ -38,22 +38,13 @@ func ForGrained(n, grain int, body func(lo, hi int)) {
 	forGrained(n, grain, 0, body, nil, nil)
 }
 
-// ForWorker is ForGrained with worker identity: body receives the
-// claiming Worker, whose ID is a dense index below Width(n, grain) and
-// whose Scratch persists across calls. One worker executes its chunks
-// sequentially, so per-worker state needs no synchronization within a
-// call. Callers that size arrays by a prior Width call should use
-// ForWorkerSized instead: the job width is re-derived from GOMAXPROCS at
-// dispatch, so a concurrent GOMAXPROCS raise could otherwise admit IDs
-// the caller never sized for.
-func ForWorker(n, grain int, body func(w *Worker, lo, hi int)) {
-	forGrained(n, grain, 0, nil, nil, body)
-}
-
-// ForWorkerSized is ForWorker with an explicit participant bound: the job
-// uses at most maxID workers, so body only ever observes Worker.ID() <
-// maxID — whatever happens to GOMAXPROCS between the caller's Width-based
-// sizing and the dispatch. maxID < 1 is treated as 1 (sequential).
+// ForWorkerSized is ForGrained with worker identity: body receives the
+// claiming Worker, whose ID is a dense index below maxID. One worker
+// executes its chunks sequentially, so per-worker state in arrays indexed
+// by Worker.ID needs no synchronization within a call. Size those arrays
+// with Width(n, grain) and pass the same value as maxID: the job uses at
+// most maxID workers whatever happens to GOMAXPROCS between the sizing and
+// the dispatch. maxID < 1 is treated as 1 (sequential).
 func ForWorkerSized(n, grain, maxID int, body func(w *Worker, lo, hi int)) {
 	if maxID < 1 {
 		maxID = 1
@@ -118,7 +109,7 @@ func Count(n int, pred func(i int) bool) uint64 {
 }
 
 // scanScratch recycles the block-sum arrays of ScanExclusive so the
-// steady-state scan (graph builds, semisorts, filters) does not allocate.
+// steady-state scan (graph builds, filters) does not allocate.
 var scanScratch = sync.Pool{New: func() any { return new([]uint64) }}
 
 // ScanExclusive replaces data with its exclusive prefix sum and returns the

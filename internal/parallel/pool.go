@@ -24,9 +24,9 @@ package parallel
 //     therefore share no cache line until load imbalance actually occurs,
 //     unlike the old single shared counter that serialized every fine-grain
 //     claim.
-//   - Per-worker scratch (Scratch) and worker-identity loops (ForWorker,
-//     Run) so kernels can keep buffers and RNG state per worker across
-//     calls instead of re-allocating per chunk or serializing on a mutex.
+//   - Worker-identity loops (ForWorkerSized, Run) so kernels can keep
+//     worker-local accumulators in arrays indexed by Worker.ID instead of
+//     serializing on a mutex.
 //
 // Memory-model notes (these orderings are what make the pool race-free):
 //
@@ -73,55 +73,14 @@ var spinIters = func() int {
 	return 2048
 }()
 
-// Scratch is per-worker state that survives across parallel calls: grown
-// buffers and a private RNG. Kernels that need richer worker-local scratch
-// (edge buffers, histograms) should keep their own arrays indexed by
-// Worker.ID — see ForWorker.
-type Scratch struct {
-	// U64 and U32 are kernel-reusable buffers; resize with GrowU64/GrowU32,
-	// which keep capacity across calls.
-	U64 []uint64
-	U32 []uint32
-
-	rng uint64
-}
-
-// GrowU64 returns s.U64 resized to length n, reusing capacity.
-func (s *Scratch) GrowU64(n int) []uint64 {
-	if cap(s.U64) < n {
-		s.U64 = make([]uint64, n)
-	}
-	s.U64 = s.U64[:n]
-	return s.U64
-}
-
-// GrowU32 returns s.U32 resized to length n, reusing capacity.
-func (s *Scratch) GrowU32(n int) []uint32 {
-	if cap(s.U32) < n {
-		s.U32 = make([]uint32, n)
-	}
-	s.U32 = s.U32[:n]
-	return s.U32
-}
-
-// Rand returns the next value of the worker-private xorshift RNG. It must
-// only be called from the worker that owns the Scratch.
-func (s *Scratch) Rand() uint64 {
-	x := s.rng
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	s.rng = x
-	return x
-}
-
 // Worker is one participant of the persistent pool. Participant 0 is
 // whichever goroutine issued the parallel call; participants 1..P-1 are the
-// pool's long-lived goroutines. A Worker's fields other than Scratch are
-// owned by the pool.
+// pool's long-lived goroutines. A Worker's fields are owned by the pool.
 type Worker struct {
-	id      int
-	Scratch Scratch
+	id int
+	// rng is the steal loop's victim-picking xorshift state, touched only
+	// by the goroutine running as this worker.
+	rng uint64
 
 	// cur/end delimit this participant's chunk range for the current job.
 	// cur sits alone on its cache line: the owner claims from it on every
@@ -146,10 +105,20 @@ type Worker struct {
 // width (see Width).
 func (w *Worker) ID() int { return w.id }
 
+// rand advances the worker's xorshift state and returns it.
+func (w *Worker) rand() uint64 {
+	x := w.rng
+	x ^= x << 13
+	x ^= x >> 7
+	x ^= x << 17
+	w.rng = x
+	return x
+}
+
 type jobMode int
 
 const (
-	modeRange jobMode = iota // chunked index range (For/ForGrained/ForWorker)
+	modeRange jobMode = iota // chunked index range (For/ForGrained/ForWorkerSized)
 	modeEvery                // every participant runs the body once (Run)
 )
 
@@ -209,19 +178,16 @@ var (
 )
 
 // seqWorkers recycles Worker stand-ins for sequential fallbacks of
-// ForWorker/Run (nested or contended calls, GOMAXPROCS=1), so the fallback
-// path stays allocation-free in steady state too.
+// ForWorkerSized/Run (nested or contended calls, GOMAXPROCS=1), so the
+// fallback path stays allocation-free in steady state too.
 var seqWorkers = sync.Pool{New: func() any {
-	return &Worker{Scratch: Scratch{rng: 0x9e3779b97f4a7c15}}
+	return &Worker{rng: 0x9e3779b97f4a7c15}
 }}
 
 func getPool() *pool {
 	poolOnce.Do(func() {
 		global = &pool{doneCh: make(chan struct{}, 1)}
-		global.workers = append(global.workers, &Worker{
-			id:      0,
-			Scratch: Scratch{rng: 0x2545f4914f6cdd1d},
-		})
+		global.workers = append(global.workers, &Worker{id: 0, rng: 0x2545f4914f6cdd1d})
 	})
 	return global
 }
@@ -251,7 +217,7 @@ func jobWidth(chunks int) int {
 	return w
 }
 
-// Width returns the maximum number of distinct Worker IDs a ForWorker call
+// Width returns the maximum number of distinct Worker IDs a ForWorkerSized call
 // over n iterations at the given grain can use right now — the size to give
 // arrays indexed by Worker.ID. It is at least 1.
 func Width(n, grain int) int {
@@ -275,9 +241,9 @@ func Width(n, grain int) int {
 func (p *pool) ensureWorkers(width int) {
 	for len(p.workers) < width {
 		w := &Worker{
-			id:      len(p.workers),
-			wake:    make(chan struct{}, 1),
-			Scratch: Scratch{rng: 0x9e3779b97f4a7c15 * uint64(len(p.workers)+1)},
+			id:   len(p.workers),
+			wake: make(chan struct{}, 1),
+			rng:  0x9e3779b97f4a7c15 * uint64(len(p.workers)+1),
 		}
 		p.workers = append(p.workers, w)
 		go p.workerLoop(w, p.epoch.Load())
@@ -350,7 +316,7 @@ func (p *pool) work(w *Worker) {
 	if width > 1 {
 		for p.outstanding.Load() > 0 {
 			found := false
-			off := int(w.Scratch.Rand() % uint64(width))
+			off := int(w.rand() % uint64(width))
 			for i := 0; i < width; i++ {
 				v := p.workers[(off+i)%width]
 				if v == w || v.cur.Load() >= v.end {
@@ -484,7 +450,7 @@ func (p *pool) waitEpoch(w *Worker, seen uint64) uint64 {
 	return p.epoch.Load()
 }
 
-// forGrained is the shared dispatcher behind For/ForGrained/ForWorker.
+// forGrained is the shared dispatcher behind For/ForGrained/ForWorkerSized.
 // Exactly one of body/bodyI/bodyW is non-nil. widthCap, when positive,
 // bounds the participant count (ForWorkerSized's worker-ID guarantee).
 func forGrained(n, grain, widthCap int, body func(lo, hi int), bodyI func(i int), bodyW func(w *Worker, lo, hi int)) {

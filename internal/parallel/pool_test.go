@@ -90,11 +90,11 @@ func TestPoolNestedParallelism(t *testing.T) {
 		if total.Load() != outer*inner {
 			t.Fatalf("total = %d, want %d", total.Load(), outer*inner)
 		}
-		// Nested Run and ForWorker must not deadlock either.
+		// Nested Run and ForWorkerSized must not deadlock either.
 		var viaRun atomic.Int64
 		ForGrained(outer, 16, func(lo, hi int) {
 			Run(func(w *Worker) { viaRun.Add(int64(hi - lo)) })
-			ForWorker(4, 1, func(w *Worker, lo, hi int) {})
+			ForWorkerSized(4, 1, Width(4, 1), func(w *Worker, lo, hi int) {})
 		})
 	})
 }
@@ -110,7 +110,7 @@ func TestForWorkerIdentity(t *testing.T) {
 		// Each worker counts its own iterations in a private padded slot;
 		// the slots must sum to n and only IDs < width may appear.
 		counts := make([]int64, MaxWorkers*16)
-		ForWorker(n, grain, func(w *Worker, lo, hi int) {
+		ForWorkerSized(n, grain, width, func(w *Worker, lo, hi int) {
 			if w.ID() >= width {
 				t.Errorf("worker ID %d >= width %d", w.ID(), width)
 			}
@@ -136,30 +136,6 @@ func TestForWorkerIdentity(t *testing.T) {
 		if covered.Load() != n {
 			t.Fatalf("ForWorkerSized covered %d of %d", covered.Load(), n)
 		}
-	})
-}
-
-// TestForWorkerScratchPersists checks the Scratch reuse contract: buffers
-// grown in one call are still there on the next call that runs on the same
-// worker. (A worker that executes no chunk in a call — everything claimed
-// or stolen by others — grows nothing, so only workers seen in the first
-// call are checked.)
-func TestForWorkerScratchPersists(t *testing.T) {
-	withProcs(t, 4, func() {
-		var grew [MaxWorkers]atomic.Bool
-		ForWorker(1<<14, 256, func(w *Worker, lo, hi int) {
-			buf := w.Scratch.GrowU64(128)
-			buf[0] = uint64(w.ID()) + 1
-			grew[w.ID()].Store(true)
-		})
-		ForWorker(1<<14, 256, func(w *Worker, lo, hi int) {
-			if grew[w.ID()].Load() && cap(w.Scratch.U64) < 128 {
-				t.Errorf("worker %d scratch not retained (cap %d)", w.ID(), cap(w.Scratch.U64))
-			}
-			if grew[w.ID()].Load() && w.Scratch.U64[0] != uint64(w.ID())+1 {
-				t.Errorf("worker %d scratch content lost", w.ID())
-			}
-		})
 	})
 }
 
@@ -237,11 +213,11 @@ func TestPoolStressMixed(t *testing.T) {
 						}
 					case 3:
 						var sum atomic.Int64
-						ForWorker(8192, 128, func(w *Worker, lo, hi int) {
+						ForWorkerSized(8192, 128, Width(8192, 128), func(w *Worker, lo, hi int) {
 							sum.Add(int64(hi - lo))
 						})
 						if sum.Load() != 8192 {
-							t.Errorf("ForWorker covered %d", sum.Load())
+							t.Errorf("ForWorkerSized covered %d", sum.Load())
 						}
 					}
 				}

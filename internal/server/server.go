@@ -925,8 +925,6 @@ func (s *Server) registerMetrics() {
 	s.reg.CounterFunc("connectit_stream_epochs_total", "", "Sealed epochs queued for apply.", stream(func(st ingest.Stats) uint64 { return st.Epochs }))
 	s.reg.CounterFunc("connectit_stream_rounds_total", "", "Apply rounds run (epochs/rounds is the coalescing win).", stream(func(st ingest.Stats) uint64 { return st.Rounds }))
 	s.reg.CounterFunc("connectit_stream_coalesced_total", "", "Epochs that shared an apply round.", stream(func(st ingest.Stats) uint64 { return st.Coalesced }))
-	s.reg.CounterFunc("connectit_stream_dedup_sorted_total", "", "Batches semisort-deduplicated by Algorithm 3.", stream(func(st ingest.Stats) uint64 { return st.DedupSorted }))
-	s.reg.CounterFunc("connectit_stream_dedup_skipped_total", "", "Batches applied unsorted by the dedup estimator.", stream(func(st ingest.Stats) uint64 { return st.DedupSkipped }))
 	s.reg.GaugeFunc("connectit_stream_pending_epochs", "", "Sealed epochs not yet fully applied (backpressure signal).", func() float64 { return float64(s.st.PendingEpochs()) })
 	s.reg.GaugeFunc("connectit_stream_vertices", "", "Vertex universe size.", func() float64 { return float64(s.st.Len()) })
 	s.reg.GaugeFunc("connectit_server_state", "", "Serving state: 0 serving, 1 degraded (reads only), 2 closing.", func() float64 { return float64(s.state.Load()) })

@@ -22,8 +22,8 @@ import (
 // (DESIGN.md §12).
 type Stream = ingest.Stream
 
-// StreamOptions tunes a Stream's sharding, epoch size, coalesce bound, and
-// pre-filter; the zero value selects the defaults.
+// StreamOptions tunes a Stream's sharding, epoch size, pre-filter and
+// forest capture; the zero value selects the defaults.
 type StreamOptions = ingest.Options
 
 // ErrStreamClosed is the closed-stream error. This is the canonical
@@ -40,23 +40,8 @@ var ErrStreamClosed = ingest.ErrClosed
 
 // StreamStats is a snapshot of a Stream's operation counters, including
 // the apply pipeline's Epochs/Rounds/Coalesced trio (epochs-per-round is
-// the coalescing win) and the Algorithm 3 dedup decisions
-// (DedupSorted/DedupSkipped).
+// the coalescing win).
 type StreamStats = ingest.Stats
-
-// DedupHint selects the Algorithm 3 batch-preprocessing policy of a Stream
-// (StreamOptions.DedupHint): DedupAuto samples each large batch and sorts
-// only when the estimated duplicate rate justifies it; DedupAlways and
-// DedupNever override the estimator for streams whose producers know their
-// duplication profile.
-type DedupHint = core.DedupHint
-
-// The batch-preprocessing policies.
-const (
-	DedupAuto   = core.DedupAuto
-	DedupAlways = core.DedupAlways
-	DedupNever  = core.DedupNever
-)
 
 // NewStream compiles cfg and opens a concurrent ingest stream over n
 // initially isolated vertices. Algorithms that cannot stream return the
