@@ -2,13 +2,15 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // generatorPanel instantiates every synthetic generator in gen.go at test
-// scale, alongside raw-edge-stream builds that stress the parallel scatter
-// with duplicates and self loops.
+// scale, alongside raw-edge-stream builds with duplicates and self loops.
 func generatorPanel() map[string]*Graph {
 	return map[string]*Graph{
 		"rmat":       RMAT(11, 12000, 0.57, 0.19, 0.19, 3),
@@ -69,33 +71,181 @@ func TestBuildInvariants(t *testing.T) {
 	}
 }
 
-// TestBuildMatchesSequential cross-checks the parallel pipeline against a
-// trivially correct sequential construction.
-func TestBuildMatchesSequential(t *testing.T) {
-	edges := RMATEdges(10, 9000, 0.57, 0.19, 0.19, 11)
-	n := 1 << 10
-	g := Build(n, edges)
-	adj := make(map[Vertex]map[Vertex]bool)
+// referenceBuild is the definition of Build: every directed entry of every
+// non-loop edge, packed as source<<32 | destination, sorted, deduplicated.
+func referenceBuild(n int, edges []Edge) *Graph {
+	var keys []uint64
 	for _, e := range edges {
-		if e.U == e.V {
-			continue
-		}
-		for _, p := range [][2]Vertex{{e.U, e.V}, {e.V, e.U}} {
-			if adj[p[0]] == nil {
-				adj[p[0]] = make(map[Vertex]bool)
-			}
-			adj[p[0]][p[1]] = true
+		if e.U != e.V {
+			keys = append(keys, uint64(e.U)<<32|uint64(e.V), uint64(e.V)<<32|uint64(e.U))
 		}
 	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	g := &Graph{Offsets: make([]uint64, n+1), Adj: make([]Vertex, len(keys))}
+	for i, k := range keys {
+		g.Offsets[k>>32+1]++
+		g.Adj[i] = Vertex(k)
+	}
 	for v := 0; v < n; v++ {
-		nbrs := g.Neighbors(Vertex(v))
-		if len(nbrs) != len(adj[Vertex(v)]) {
-			t.Fatalf("vertex %d: degree %d, want %d", v, len(nbrs), len(adj[Vertex(v)]))
+		g.Offsets[v+1] += g.Offsets[v]
+	}
+	return g
+}
+
+// buildInput is one edge list for Build.
+type buildInput struct {
+	n     int
+	edges []Edge
+}
+
+// buildInputs returns the inputs Build is checked on: every panel graph's
+// edges fed back duplicated in both orientations and in reverse order, raw
+// generator streams, and cases at the edges of the bucket logic.
+func buildInputs() map[string]buildInput {
+	in := make(map[string]buildInput)
+	for name, g := range generatorPanel() {
+		fwd := g.Edges()
+		e := slices.Clone(fwd)
+		for _, x := range slices.Backward(fwd) {
+			e = append(e, Edge{x.V, x.U}, x)
 		}
-		for _, u := range nbrs {
-			if !adj[Vertex(v)][u] {
-				t.Fatalf("vertex %d: spurious neighbor %d", v, u)
+		in["panel-"+name] = buildInput{g.NumVertices(), e}
+	}
+	in["rmat-raw"] = buildInput{1 << 10, RMATEdges(10, 9000, 0.57, 0.19, 0.19, 11)}
+	in["rmat-raw-blocks"] = buildInput{1 << 12, RMATEdges(12, 100_000, 0.5, 0.1, 0.1, 7)}
+	in["ba-raw"] = buildInput{3000, BarabasiAlbertEdges(3000, 4, 1)}
+
+	random := func(n, m int, seed uint64) []Edge {
+		r := newRNG(seed)
+		e := make([]Edge, m)
+		for i := range e {
+			e[i] = Edge{Vertex(r.intn(uint64(n))), Vertex(r.intn(uint64(n)))}
+		}
+		return e
+	}
+	in["below-one-bucket"] = buildInput{1<<minBucketBits - 1, random(1<<minBucketBits-1, 500, 1)}
+	// n = k·2^s - 1, k·2^s, k·2^s + 1 for the width this pool picks, with
+	// edges at the last vertex and across a bucket boundary.
+	const base = 40_000
+	s := buildShape(base, base).bits
+	for _, d := range []int{-1, 0, 1} {
+		n := base>>s<<s + d
+		e := random(n, n, uint64(n))
+		last, edge := Vertex(n-1), Vertex((base>>s-1)<<s-1)
+		e = append(e, Edge{last, 0}, Edge{edge, last}, Edge{last, edge - 1}, Edge{edge, edge + 1}, Edge{last, last})
+		in[fmt.Sprintf("boundary%+d", d)] = buildInput{n, e}
+	}
+	// Wide enough (2^21 + 1 vertices) that buckets widen past 2^bucketBits
+	// to keep the fan-out.
+	wide := 1<<21 + 1
+	in["wide-buckets"] = buildInput{wide, append(random(wide, 20_000, 3), Edge{Vertex(wide - 1), 1<<21 - 1})}
+	star := make([]Edge, 0, 5000)
+	for i := 1; i < 5000; i++ {
+		star = append(star, Edge{0, Vertex(i)})
+	}
+	// The hub's bucket holds over half the entries, more than any worker
+	// may sort in scratch, so it is grouped in place.
+	in["star"] = buildInput{5000, star}
+	loops := make([]Edge, 1000)
+	for i := range loops {
+		loops[i] = Edge{Vertex(i), Vertex(i)}
+	}
+	in["only-self-loops"] = buildInput{1000, loops}
+	both := random(700, 4000, 5)
+	for i := range 4000 {
+		both = append(both, Edge{both[i].V, both[i].U}, both[i])
+	}
+	in["both-orientations-duplicated"] = buildInput{700, both}
+	return in
+}
+
+// TestBuildMatchesSequential: Build's Offsets and Adj equal the sequential
+// reference exactly, at the shape this pool derives and at forced shapes
+// (buckets of 1, 64 and 2^16 vertices, one or seven blocks, packed entries
+// or a side array of source indices). CI runs it at -cpu 1,4.
+func TestBuildMatchesSequential(t *testing.T) {
+	for name, in := range buildInputs() {
+		want := referenceBuild(in.n, in.edges)
+		check := func(how string, g *Graph, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, how, err)
 			}
+			if !slices.Equal(g.Offsets, want.Offsets) || !slices.Equal(g.Adj, want.Adj) {
+				t.Fatalf("%s %s: CSR differs from the sequential reference", name, how)
+			}
+		}
+		g, err := TryBuild(in.n, in.edges)
+		check("TryBuild", g, err)
+		dstBits := uint(bits.Len(uint(max(in.n-1, 0))))
+		for _, s := range []uint{0, 6, 16} {
+			for _, blocks := range []int{1, 7} {
+				for _, packed := range []bool{false, true} {
+					if packed && s+dstBits > 32 || (in.n>>s+1)*blocks > maxCounts {
+						continue
+					}
+					sh := shape{bits: s, blocks: blocks, packed: packed}
+					g, err := build(in.n, in.edges, sh)
+					check(fmt.Sprintf("%+v", sh), g, err)
+				}
+			}
+		}
+	}
+}
+
+// TestBuildAllocBound: one Build allocates at most 1.75x the graph it
+// returns — Adj is the partition array, the source indices ride in its
+// entries, and the scratch is capped.
+func TestBuildAllocBound(t *testing.T) {
+	edges := RMATEdges(16, 1<<20, 0.57, 0.19, 0.19, 2)
+	Build(1<<16, edges) // start the pool's workers
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := Build(1<<16, edges)
+	runtime.ReadMemStats(&after)
+	alloc := after.TotalAlloc - before.TotalAlloc
+	if limit := 1.75 * float64(g.SizeBytes()); float64(alloc) > limit {
+		t.Fatalf("Build allocated %d bytes, over 1.75 x %d", alloc, g.SizeBytes())
+	}
+}
+
+// TestTryBuildFirstBadEdge: with several out-of-range edges in different
+// blocks, the error names the first, every time.
+func TestTryBuildFirstBadEdge(t *testing.T) {
+	edges := RMATEdges(10, 200_000, 0.57, 0.19, 0.19, 3)
+	edges[10] = Edge{0, 1_000_003}
+	edges[150_000] = Edge{2_000_007, 1}
+	for range 20 {
+		for _, blocks := range []int{0, 2, 16} {
+			var err error
+			if blocks == 0 {
+				_, err = TryBuild(1<<10, edges)
+			} else {
+				_, err = build(1<<10, edges, shape{bits: 9, blocks: blocks, packed: true})
+			}
+			if err == nil || !strings.Contains(err.Error(), "{0, 1000003}") {
+				t.Fatalf("blocks %d: error %v, want the edge at index 10", blocks, err)
+			}
+		}
+	}
+}
+
+// TestEdgesMatchesSequential: the two-pass parallel Edges lists the same
+// edges in the same order as one sequential sweep.
+func TestEdgesMatchesSequential(t *testing.T) {
+	for name, g := range generatorPanel() {
+		var want []Edge
+		for u := 0; u < g.NumVertices(); u++ {
+			for _, v := range g.Neighbors(Vertex(u)) {
+				if Vertex(u) < v {
+					want = append(want, Edge{Vertex(u), v})
+				}
+			}
+		}
+		if got := g.Edges(); !slices.Equal(got, want) {
+			t.Fatalf("%s: Edges differs from the sequential sweep", name)
 		}
 	}
 }
@@ -160,20 +310,24 @@ func TestReadEdgeListParallelChunks(t *testing.T) {
 	}
 }
 
+// errorLineCases are malformed edge lists and the 1-based line each must
+// report; they also seed the fuzz targets.
+var errorLineCases = []struct {
+	in   string
+	line int
+}{
+	{"0 1\nbogus\n2 3\n", 2},
+	{"0\n", 1},
+	{"# c\n\n0 1\n1 x\n", 4},
+	{"5000000000 1\n", 1}, // endpoint beyond uint32
+	{"0 1\n1 -2\n", 2},
+}
+
 // TestReadEdgeListErrorLines checks that malformed lines report their exact
 // 1-based line number, including when the bad line lands beyond the first
 // parallel chunk.
 func TestReadEdgeListErrorLines(t *testing.T) {
-	cases := []struct {
-		in   string
-		line int
-	}{
-		{"0 1\nbogus\n2 3\n", 2},
-		{"0\n", 1},
-		{"# c\n\n0 1\n1 x\n", 4},
-		{"5000000000 1\n", 1}, // endpoint beyond uint32
-		{"0 1\n1 -2\n", 2},
-	}
+	cases := slices.Clone(errorLineCases)
 	// A bad line far past the 64 KiB minimum chunk size: the second chunk
 	// must still report the global line number.
 	var sb strings.Builder
@@ -216,11 +370,20 @@ func BenchmarkReadEdgeList(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild builds RMAT in generator order (raw), which the RMAT
+// set-ups pay, and in the sorted order of Graph.Edges, which loading a
+// saved edge list pays; the second groups lists that arrive already sorted.
 func BenchmarkBuild(b *testing.B) {
-	edges := RMATEdges(16, 16*(1<<16), 0.57, 0.19, 0.19, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(1<<16, edges)
+	raw := RMATEdges(16, 16*(1<<16), 0.57, 0.19, 0.19, 2)
+	for _, c := range []struct {
+		name  string
+		edges []Edge
+	}{{"raw", raw}, {"sorted", Build(1<<16, raw).Edges()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				Build(1<<16, c.edges)
+			}
+		})
 	}
 }

@@ -6,7 +6,11 @@ package graph
 // grid for the road_usa high-diameter network, Erdős–Rényi for uniform
 // random graphs, and small fixture graphs for tests.
 
-import "connectit/internal/parallel"
+import (
+	"math"
+
+	"connectit/internal/parallel"
+)
 
 // RMAT generates an RMAT (recursive matrix) power-law graph with n = 2^scale
 // vertices and approximately m undirected edges, using partition
@@ -27,6 +31,7 @@ func RMAT(scale int, m int, a, b, c float64, seed uint64) *Graph {
 // bit, whatever the worker count.
 func RMATEdges(scale int, m int, a, b, c float64, seed uint64) []Edge {
 	n := uint64(1) << scale
+	ta, tb, tc := drawBelow(a), drawBelow(a+b), drawBelow(a+b+c)
 	edges := make([]Edge, m)
 	parallel.ForGrained(m, 4096, func(lo, hi int) {
 		r := newRNG(seed)
@@ -34,13 +39,13 @@ func RMATEdges(scale int, m int, a, b, c float64, seed uint64) []Edge {
 		for i := lo; i < hi; i++ {
 			var u, v uint64
 			for bit := n >> 1; bit > 0; bit >>= 1 {
-				p := r.float()
+				x := r.next() >> 11
 				switch {
-				case p < a:
+				case x < ta:
 					// top-left quadrant: no bits set
-				case p < a+b:
+				case x < tb:
 					v |= bit
-				case p < a+b+c:
+				case x < tc:
 					u |= bit
 				default:
 					u |= bit
@@ -51,6 +56,19 @@ func RMATEdges(scale int, m int, a, b, c float64, seed uint64) []Edge {
 		}
 	})
 	return edges
+}
+
+// drawBelow returns the integer threshold t for which a 53-bit draw x has
+// x < t exactly when r.float() = x/2⁵³ < p: x/2⁵³ and p·2⁵³ are exact, so
+// the float compare is x < ceil(p·2⁵³).
+func drawBelow(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN, which no draw is below
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // BarabasiAlbert generates a preferential-attachment graph with n vertices

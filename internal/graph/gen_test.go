@@ -34,12 +34,13 @@ func rmatEdgesSequential(scale int, m int, a, b, c float64, seed uint64) []Edge 
 
 // TestRMATEdgesMatchesSequentialReference: the parallel generator emits the
 // sequential stream bit for bit, at edge counts that are not a multiple of
-// its chunk, for both parameter sets the repo uses. CI runs it at -cpu 1,4.
+// its chunk, for both parameter sets the repo uses and for probabilities of
+// 0 and 1. CI runs it at -cpu 1,4.
 func TestRMATEdgesMatchesSequentialReference(t *testing.T) {
 	for _, scale := range []int{1, 12, 19} {
 		for _, seed := range []uint64{0, 42, 1<<63 + 12345} {
 			for _, m := range []int{0, 1, 4095, 4097, 3*4096 + 1234, 100_003} {
-				for _, abc := range [][3]float64{{0.57, 0.19, 0.19}, {0.5, 0.1, 0.1}} {
+				for _, abc := range [][3]float64{{0.57, 0.19, 0.19}, {0.5, 0.1, 0.1}, {0, 0, 1}, {1, 0, 0}} {
 					got := RMATEdges(scale, m, abc[0], abc[1], abc[2], seed)
 					want := rmatEdgesSequential(scale, m, abc[0], abc[1], abc[2], seed)
 					if !slices.Equal(got, want) {

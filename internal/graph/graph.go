@@ -6,7 +6,11 @@
 // Erdős–Rényi, grids, and fixture graphs).
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"connectit/internal/parallel"
+)
 
 // Vertex identifies a vertex. Vertices are indexed from 0 to n-1.
 type Vertex = uint32
@@ -55,16 +59,40 @@ func (g *Graph) String() string {
 
 // Edges materializes the undirected edge list (u < v once per edge) in COO
 // format. It is used by the streaming experiments, which ingest graphs as
-// COO batches (§4.4).
+// COO batches (§4.4). The order is that of one sweep over the vertices and
+// their lists; it is built in two parallel passes over chunks of vertices,
+// one counting each chunk's edges and one filling them in after a scan.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, g.NumEdges())
-	n := g.NumVertices()
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(Vertex(u)) {
-			if Vertex(u) < v {
-				out = append(out, Edge{Vertex(u), v})
+	const grain = 2048
+	n := max(g.NumVertices(), 0)
+	chunks := (n + grain - 1) / grain
+	starts := make([]uint64, chunks)
+	parallel.ForGrained(chunks, 1, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			var k uint64
+			for u := c * grain; u < min((c+1)*grain, n); u++ {
+				for _, v := range g.Neighbors(Vertex(u)) {
+					if Vertex(u) < v {
+						k++
+					}
+				}
+			}
+			starts[c] = k
+		}
+	})
+	out := make([]Edge, parallel.ScanExclusive(starts))
+	parallel.ForGrained(chunks, 1, func(lo, hi int) {
+		for c := lo; c < hi; c++ {
+			i := starts[c]
+			for u := c * grain; u < min((c+1)*grain, n); u++ {
+				for _, v := range g.Neighbors(Vertex(u)) {
+					if Vertex(u) < v {
+						out[i] = Edge{Vertex(u), v}
+						i++
+					}
+				}
 			}
 		}
-	}
+	})
 	return out
 }
