@@ -110,13 +110,12 @@ func BenchmarkStreamMixedRatio(b *testing.B) {
 
 // BenchmarkStreamUpdateParallel is Stream.Update alone on the default
 // (Type i) configuration, one goroutine per P over a shuffled RMAT edge
-// list: the per-call price of the ingest layer — gate, accounting, probe,
-// union. Run with -cpu 1,2: an accounting word shared between producers
+// list: the per-call price of the ingest layer — gate, accounting, union. Run with -cpu 1,2: an accounting word shared between producers
 // costs nothing at -cpu 1 and most of the call at -cpu 2 (DESIGN.md §9
 // "Per-operation accounting"), a cliff no single-goroutine row can show.
 // Past the first len(edges) calls nearly every edge is intra-component, as
-// in the tail of any power-law stream, so the steady state is the
-// probe-and-drop path.
+// in the tail of any power-law stream, so the steady state is the union's
+// read-only early exit.
 func BenchmarkStreamUpdateParallel(b *testing.B) {
 	const scale = 18
 	edges := RMATEdges(scale, 1<<21, 41)
@@ -145,35 +144,6 @@ func BenchmarkStreamUpdateParallel(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "updates/s")
-}
-
-// BenchmarkStreamPrefilter isolates the pre-filter's effect on the Type i
-// hot path: the same concurrent 90/10 workload with and without the
-// root-probe filter.
-func BenchmarkStreamPrefilter(b *testing.B) {
-	n := 1 << 15
-	edges := BarabasiAlbertEdges(n, 8, 19)
-	solver := MustCompile(Config{Algorithm: MustParseAlgorithm("uf;rem-cas;naive;split-one")})
-	for _, tc := range []struct {
-		name string
-		opt  StreamOptions
-	}{
-		{"prefilter-on", StreamOptions{}},
-		{"prefilter-off", StreamOptions{DisablePrefilter: true}},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				st, err := solver.Stream(n, tc.opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				driveStream(st, edges, n, 0.1)
-				st.Sync()
-			}
-			secs := b.Elapsed().Seconds()
-			b.ReportMetric(float64(b.N)*float64(len(edges))/secs, "updates/s")
-		})
-	}
 }
 
 // BenchmarkStreamEpochSize sweeps the epoch size of a buffered (Type ii)

@@ -40,8 +40,7 @@
 // capabilities; each printed name is a valid -algo value. -stream drives
 // the concurrent ingest engine with -workers goroutines issuing a -qmix
 // query/update mix and reports edges/sec, queries/sec, and the coalescing
-// pipeline's epochs-per-round; -epoch and -no-prefilter tune the pipeline
-// (DESIGN.md §9).
+// pipeline's epochs-per-round; -epoch tunes the pipeline (DESIGN.md §9).
 //
 // Invalid flags, spec strings, or malformed input files produce a one-line
 // error and exit status 1.
@@ -105,11 +104,10 @@ var (
 	loadEdges = flag.Int("load-edges", 1<<20, "edges to send in -load / -load-http mode")
 	loadBatch = flag.Int("load-batch", 4096, "edges per frame/request in -load / -load-http mode")
 
-	stream   = flag.Bool("stream", false, "drive the concurrent ingest engine instead of a static run")
-	workers  = flag.Int("workers", 8, "concurrent producer goroutines for -stream")
-	qmix     = flag.Float64("qmix", 0.1, "fraction of stream operations that are queries, in [0, 1)")
-	epoch    = flag.Int("epoch", 0, "ingest epoch size for -stream (0 = default)")
-	noFilter = flag.Bool("no-prefilter", false, "disable the ingest intra-component pre-filter")
+	stream  = flag.Bool("stream", false, "drive the concurrent ingest engine instead of a static run")
+	workers = flag.Int("workers", 8, "concurrent producer goroutines for -stream")
+	qmix    = flag.Float64("qmix", 0.1, "fraction of stream operations that are queries, in [0, 1)")
+	epoch   = flag.Int("epoch", 0, "ingest epoch size for -stream (0 = default)")
 )
 
 func main() {
@@ -467,14 +465,11 @@ func runServe() error {
 		fmt.Printf("fault injection armed: %s\n", faults)
 	}
 	return connectit.Serve(ctx, connectit.ServerOptions{
-		Addr:        *addr,
-		IngestAddr:  *ingestAddr,
-		NumVertices: *n,
-		Spec:        *samplingName + ";" + *algo,
-		Stream: connectit.StreamOptions{
-			EpochSize:        *epoch,
-			DisablePrefilter: *noFilter,
-		},
+		Addr:             *addr,
+		IngestAddr:       *ingestAddr,
+		NumVertices:      *n,
+		Spec:             *samplingName + ";" + *algo,
+		Stream:           connectit.StreamOptions{EpochSize: *epoch},
 		WALDir:           *walDir,
 		SnapshotInterval: *snapInterval,
 		MaxPendingEpochs: *maxPending,
@@ -490,10 +485,7 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	if caps := solver.Capabilities(); !caps.Streaming {
 		return fmt.Errorf("algorithm %s does not stream", solver.Name())
 	}
-	st, err := solver.Stream(g.NumVertices(), connectit.StreamOptions{
-		EpochSize:        *epoch,
-		DisablePrefilter: *noFilter,
-	})
+	st, err := solver.Stream(g.NumVertices(), connectit.StreamOptions{EpochSize: *epoch})
 	if err != nil {
 		return err
 	}
@@ -512,7 +504,7 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	if s.Updates > 0 {
 		droppedPct = 100 * float64(s.Filtered) / float64(s.Updates)
 	}
-	fmt.Printf("pre-filter: dropped %d of %d (%.1f%%)\n", s.Filtered, s.Updates, droppedPct)
+	fmt.Printf("joined nothing: %d of %d updates (%.1f%%)\n", s.Filtered, s.Updates, droppedPct)
 	if s.Rounds > 0 {
 		fmt.Printf("apply pipeline: %d epochs in %d rounds (%d coalesced, %.2f epochs/round)\n",
 			s.Epochs, s.Rounds, s.Coalesced, float64(s.Epochs)/float64(s.Rounds))

@@ -85,8 +85,8 @@ func main() {
 	stats := st.Stats()
 	fmt.Printf("ingested %d updates in %v (%.1fM updates/sec across %d producers)\n",
 		stats.Updates, elapsed, float64(stats.Updates)/elapsed.Seconds()/1e6, producers)
-	fmt.Printf("pre-filter dropped %d intra-component updates (%.1f%%)\n",
-		stats.Filtered, 100*float64(stats.Filtered)/float64(stats.Updates))
+	fmt.Printf("%d updates merged two components; %d joined nothing (%.1f%%)\n",
+		stats.Applied, stats.Filtered, 100*float64(stats.Filtered)/float64(stats.Updates))
 	if connectedAt > 0 {
 		fmt.Printf("vertices %d and %d connected after %v of stream time\n", target[0], target[1], connectedAt)
 	}

@@ -86,19 +86,6 @@ func RegisterFamily(f *Family) {
 	families = append(families, f)
 }
 
-// Families returns the registered finish families in registration order.
-func Families() []*Family {
-	out := make([]*Family, len(families))
-	copy(out, families)
-	return out
-}
-
-// FamilyOf returns the registered family implementing kind.
-func FamilyOf(kind FinishKind) (*Family, bool) {
-	f, ok := familiesByKind[kind]
-	return f, ok
-}
-
 // Algorithms enumerates every finish algorithm in the framework in registry
 // order: the 36 union-find variants, Shiloach-Vishkin, the sixteen
 // Liu-Tarjan variants, Stergiou, and Label-Propagation (55 in total).

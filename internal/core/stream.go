@@ -230,31 +230,37 @@ func (inc *Incremental) applyCaptured(updates []graph.Edge) {
 	}
 }
 
-// Update applies a single edge insertion. For TypeAsync and TypePhased it
-// is one concurrent union (for TypePhased the caller owns the phase
-// barrier); TypeSynchronous callers should batch instead — a single-edge
-// synchronous round costs O(n) — so Update falls back to ApplyBatch of one.
-func (inc *Incremental) Update(u, v uint32) {
+// Update applies a single edge insertion and reports whether it merged two
+// components; false means u and v were already connected. For TypeAsync and
+// TypePhased it is one concurrent union, whose early exit is the answer (for
+// TypePhased the caller owns the phase barrier). TypeSynchronous callers
+// should batch instead — a single-edge synchronous round costs O(n) — so
+// Update answers with a Connected check and runs ApplyBatch of one only for
+// an edge that joins two components.
+func (inc *Incremental) Update(u, v uint32) bool {
 	if inc.dsu != nil {
 		if inc.capture {
-			inc.dsu.UnionWitness(u, v, u, v)
-			return
+			return inc.dsu.UnionWitness(u, v, u, v)
 		}
-		inc.dsu.Union(u, v)
-		return
+		return inc.dsu.Union(u, v)
+	}
+	if inc.Connected(u, v) {
+		return false
 	}
 	inc.ApplyBatch([]graph.Edge{{U: u, V: v}})
+	return true
 }
 
 // Probe is a read-only bounded connectivity probe (unionfind.ProbeSame):
 // true means u and v are definitely connected, false carries no guarantee.
 // It is safe concurrently with updates of every stream type and is the
-// sampling probe behind the ingest engine's intra-component pre-filter.
+// sampling probe behind the ingest engine's pre-filter of buffered rounds.
 func (inc *Incremental) Probe(u, v uint32, budget int) bool {
+	parent := inc.parent
 	if inc.dsu != nil {
-		return inc.dsu.ProbeSame(u, v, budget)
+		parent = inc.dsu.Parents()
 	}
-	return unionfind.ProbeSame(inc.parent, u, v, budget)
+	return unionfind.ProbeSame(parent, u, v, budget)
 }
 
 // Connected answers a single connectivity query. It is wait-free for Type

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"connectit/internal/core"
 	"connectit/internal/graph"
 )
 
@@ -92,6 +93,63 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStatsTypeIAppliedIsMerges: a Type i update is one union whose early
+// exit is its filter, so Applied counts exactly the unions that merged two
+// components. The re-sent edge below closes a 255-hop chain that a bounded
+// probe in front of the union would not see across, counting it applied.
+// Buffered types count the edges a round hands to the apply path, which
+// bounds the merges from above.
+func TestStatsTypeIAppliedIsMerges(t *testing.T) {
+	const n = 256
+	s := mustStream(t, n, "uf;async;naive;split-one", Options{})
+	for v := n - 2; v >= 0; v-- {
+		s.Update(uint32(v), uint32(v+1))
+	}
+	s.Update(n-1, 0)
+	if st, merges := s.Stats(), uint64(n-s.NumComponents()); st.Applied != merges || st.Filtered != 1 {
+		t.Fatalf("chain: Stats %+v, want Applied = n − #components = %d and the re-sent edge filtered", st, merges)
+	}
+
+	const (
+		m         = 1 << 10
+		producers = 4
+		updates   = 1024 // per producer
+	)
+	for _, tc := range typeSpecs {
+		t.Run(tc.spec, func(t *testing.T) {
+			t.Parallel()
+			s := mustStream(t, m, tc.spec, Options{EpochSize: 64})
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					rng := uint64(p)*0x9e3779b97f4a7c15 + 5
+					for i := 0; i < updates; i++ {
+						rng = graph.Hash64(rng)
+						if err := s.Update(uint32(rng%m), uint32((rng>>32)%m)); err != nil {
+							t.Errorf("Update: %v", err)
+							return
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			merges := uint64(m - s.NumComponents())
+			st := s.Stats()
+			if tc.want != core.TypeAsync {
+				if st.Applied < merges {
+					t.Errorf("Applied %d < n − #components = %d", st.Applied, merges)
+				}
+				return
+			}
+			if st.Applied != merges || uint64(s.ForestLen()) != merges {
+				t.Errorf("Applied %d, ForestLen %d, want both n − #components = %d", st.Applied, s.ForestLen(), merges)
+			}
+		})
 	}
 }
 

@@ -35,11 +35,14 @@
 //     holds, realizing Theorem 3's update/query phase separation — held
 //     once per coalesced group, not once per epoch.
 //
-// Before a batch reaches the atomic union hot path, a sampling-based
-// pre-filter probes both endpoints' parent chains (read-only, bounded) and
-// drops edges whose endpoints are already in the same component; on
-// power-law streams the bulk of late updates are intra-component, so this
-// replaces contended CASes with a few cache-friendly loads.
+// Intra-component edges are filtered before they link anything. A Type i
+// union is its own filter: its walk stops where the endpoints' paths meet,
+// so Update makes one walk and counts such an edge filtered. Before a
+// buffered round reaches the union loop, a sampling-based pre-filter probes
+// both endpoints' parent chains in parallel (read-only, bounded) and drops
+// the edges whose chains meet; on power-law streams the bulk of late
+// updates are intra-component, so this replaces most of the round's unions
+// with a few cache-friendly loads.
 //
 // Visibility semantics: a Type i update is visible to every query that
 // starts after Update returns. A buffered (Type ii/iii) update becomes
@@ -80,9 +83,6 @@ type Options struct {
 	// its epoch and queues it for apply. Default 4096. Type i streams
 	// never buffer and ignore it.
 	EpochSize int
-	// DisablePrefilter turns the pre-filter off (every accepted update
-	// reaches the union hot path).
-	DisablePrefilter bool
 	// DisableForestCapture turns off the live spanning forest that
 	// forest-capable algorithms maintain by default (DESIGN.md §12).
 	// Query then fails with ErrUnsupported; Connected is unaffected.
@@ -100,8 +100,8 @@ const (
 	// many with the bound raised to 2³⁰. It stays as a cap on worst-case
 	// round latency.
 	coalesceFactor = 16
-	// probeBudget bounds the pre-filter's read-only parent-chain probe, in
-	// chase steps.
+	// probeBudget bounds the buffered rounds' read-only parent-chain
+	// probe, in chase steps.
 	probeBudget = 32
 )
 
@@ -123,11 +123,14 @@ type Stats struct {
 	Updates uint64
 	// Queries is the number of Connected calls.
 	Queries uint64
-	// Filtered is the number of updates dropped by the pre-filter
-	// (self-loops and probed intra-component edges).
+	// Filtered is the number of updates that joined nothing: self-loops,
+	// Type i unions that found both endpoints in one set, and edges a
+	// buffered round's pre-filter probe found intra-component.
 	Filtered uint64
-	// Applied is the number of updates handed to the apply path after the
-	// pre-filter (for Type i, unions applied in place).
+	// Applied is the number of updates that got past the filter. For Type
+	// i it counts the unions that merged two components, so Applied equals
+	// Len() − NumComponents() at quiescence; for buffered types it counts
+	// the edges handed to the apply path, an upper bound on the merges.
 	Applied uint64
 	// Epochs is the number of sealed epochs pushed onto the apply queue
 	// (Type ii/iii), including partial epochs drained by Sync.
@@ -157,10 +160,10 @@ const (
 	// exitAborted: the call mutated nothing it will be counted for — Close
 	// won the gate re-check, or the call panicked (a vertex out of range).
 	exitAborted exit = iota
-	// exitFiltered: a self-loop, or the Type i probe found the endpoints
-	// already joined.
+	// exitFiltered: a self-loop, or a Type i union that found the
+	// endpoints already joined.
 	exitFiltered
-	// exitApplied: a Type i union applied in place.
+	// exitApplied: a Type i union that merged two components.
 	exitApplied
 	// exitBuffered: appended to an epoch buffer (Type ii/iii); the round
 	// that applies it counts it filtered or applied.
@@ -207,13 +210,9 @@ func (t tally) inFlight() uint64 {
 // Stream is a concurrent streaming connectivity structure. All methods are
 // safe for concurrent use by any number of goroutines.
 type Stream struct {
-	inc   *core.Incremental
-	stype core.StreamType
-	opt   Options
-	// probe is the pre-filter's chase budget, 0 when DisablePrefilter is
-	// set: the one word the Type i hot path reads to decide whether to
-	// probe.
-	probe  int
+	inc    *core.Incremental
+	stype  core.StreamType
+	opt    Options
 	shards []shard
 	spare  sync.Pool // recycled epoch buffers
 
@@ -278,10 +277,7 @@ func New(inc *core.Incremental, opt Options) *Stream {
 	if opt.DisableForestCapture {
 		inc.DisableForestCapture()
 	}
-	s := &Stream{inc: inc, stype: inc.Type(), opt: opt, probe: probeBudget}
-	if opt.DisablePrefilter {
-		s.probe = 0
-	}
+	s := &Stream{inc: inc, stype: inc.Type(), opt: opt}
 	s.quiet = sync.NewCond(&s.qmu)
 	s.closeDone = make(chan struct{})
 	s.slots = make([]slot, opt.Shards)
@@ -432,12 +428,12 @@ func (s *Stream) update(u, v uint32) exit {
 		return exitFiltered
 	}
 	if s.stype == core.TypeAsync {
-		// Fully concurrent: probe, then union in place.
-		if s.probe > 0 && s.inc.Probe(u, v, s.probe) {
-			return exitFiltered
+		// Fully concurrent: one union in place, which reports whether it
+		// merged anything.
+		if s.inc.Update(u, v) {
+			return exitApplied
 		}
-		s.inc.Update(u, v)
-		return exitApplied
+		return exitFiltered
 	}
 	s.enqueue(graph.Edge{U: u, V: v})
 	return exitBuffered
@@ -631,9 +627,7 @@ func (s *Stream) coalesce(group [][]graph.Edge, total int) []graph.Edge {
 // applyLocked pre-filters and applies one coalesced batch; the caller
 // holds roundMu (and, for Type iii, the phase write lock).
 func (s *Stream) applyLocked(batch []graph.Edge) {
-	if s.probe > 0 {
-		batch = s.prefilter(batch)
-	}
+	batch = s.prefilter(batch)
 	s.inc.ApplyBatch(batch)
 	s.roundApplied.Add(uint64(len(batch)))
 }
@@ -642,11 +636,10 @@ func (s *Stream) applyLocked(batch []graph.Edge) {
 // compacting batch in place. Probes are read-only and run in parallel;
 // dropped slots are marked as self-loops and squeezed out sequentially.
 func (s *Stream) prefilter(batch []graph.Edge) []graph.Edge {
-	budget := s.probe
 	parallel.ForGrained(len(batch), 512, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			e := batch[i]
-			if s.inc.Probe(e.U, e.V, budget) {
+			if s.inc.Probe(e.U, e.V, probeBudget) {
 				batch[i].V = batch[i].U
 			}
 		}
@@ -779,6 +772,6 @@ func (s *Stream) ForestLen() int { return s.inc.ForestLen() }
 
 // String describes the stream's configuration.
 func (s *Stream) String() string {
-	return fmt.Sprintf("ingest.Stream{n=%d %v shards=%d epoch=%d probe=%d}",
-		s.inc.Len(), s.stype, s.opt.Shards, s.opt.EpochSize, s.probe)
+	return fmt.Sprintf("ingest.Stream{n=%d %v shards=%d epoch=%d}",
+		s.inc.Len(), s.stype, s.opt.Shards, s.opt.EpochSize)
 }

@@ -119,17 +119,14 @@ func TestStreamPrefilterDropsIntraComponent(t *testing.T) {
 	}
 }
 
-func TestStreamSelfLoopsAndDisable(t *testing.T) {
-	s := mustStream(t, 16, "uf;async;naive;split-one", Options{DisablePrefilter: true})
+func TestStreamSelfLoopsAndRedundantEdges(t *testing.T) {
+	s := mustStream(t, 16, "uf;async;naive;split-one", Options{})
 	s.Update(3, 3)
 	s.Update(0, 1)
-	s.Update(0, 1) // redundant, but pre-filter disabled: must still apply
+	s.Update(1, 0) // redundant: the union finds one root and joins nothing
 	st := s.Stats()
-	if st.Filtered != 1 {
-		t.Fatalf("self-loop not filtered: %+v", st)
-	}
-	if st.Applied != 2 {
-		t.Fatalf("disabled pre-filter still dropped updates: %+v", st)
+	if st.Filtered != 2 || st.Applied != 1 {
+		t.Fatalf("want the self-loop and the redundant edge filtered, one applied: %+v", st)
 	}
 	if !conn(s, 0, 1) || conn(s, 0, 3) {
 		t.Fatal("connectivity wrong")

@@ -167,21 +167,12 @@ func Run(g graph.Rep, parent []uint32, favored []bool, v Variant) int {
 }
 
 // RunEdges is Run over an explicit edge list (batches in COO form). It
-// publishes round results with plain stores; use RunEdgesAtomic when
-// concurrent readers chase parent while a batch applies. Repeated callers
-// (the streaming apply path) should hold a NewEdgeRunner instead: this
+// publishes round results with plain stores, so no reader may chase parent
+// while it runs. Repeated callers should hold a NewEdgeRunner instead: this
 // wrapper constructs a fresh runner — and pays its scratch allocations —
 // per call.
 func RunEdges(edges []graph.Edge, parent []uint32, favored []bool, v Variant) int {
 	return NewEdgeRunner(v, false).Run(edges, parent, favored)
-}
-
-// RunEdgesAtomic is RunEdges with the round-end copy-back published via
-// atomic stores, for the streaming layer's §3.5 Type ii wait-free queries,
-// which load parent atomically while a batch is mid-apply. The static path
-// keeps RunEdges' vectorized copy — it has no concurrent readers.
-func RunEdgesAtomic(edges []graph.Edge, parent []uint32, favored []bool, v Variant) int {
-	return NewEdgeRunner(v, true).Run(edges, parent, favored)
 }
 
 // altGrain is the edge-block size of the alter compaction passes.

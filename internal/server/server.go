@@ -920,8 +920,8 @@ func (s *Server) registerMetrics() {
 	}
 	s.reg.CounterFunc("connectit_stream_updates_total", "", "Accepted Update calls.", stream(func(st ingest.Stats) uint64 { return st.Updates }))
 	s.reg.CounterFunc("connectit_stream_queries_total", "", "Connected calls.", stream(func(st ingest.Stats) uint64 { return st.Queries }))
-	s.reg.CounterFunc("connectit_stream_filtered_total", "", "Updates dropped by the intra-component pre-filter.", stream(func(st ingest.Stats) uint64 { return st.Filtered }))
-	s.reg.CounterFunc("connectit_stream_applied_total", "", "Updates handed to the apply path.", stream(func(st ingest.Stats) uint64 { return st.Applied }))
+	s.reg.CounterFunc("connectit_stream_filtered_total", "", "Updates that joined nothing: self-loops, Type i unions inside one component, and edges the buffered pre-filter dropped.", stream(func(st ingest.Stats) uint64 { return st.Filtered }))
+	s.reg.CounterFunc("connectit_stream_applied_total", "", "Updates past the filter: Type i unions that merged two components, or edges handed to a buffered apply round.", stream(func(st ingest.Stats) uint64 { return st.Applied }))
 	s.reg.CounterFunc("connectit_stream_epochs_total", "", "Sealed epochs queued for apply.", stream(func(st ingest.Stats) uint64 { return st.Epochs }))
 	s.reg.CounterFunc("connectit_stream_rounds_total", "", "Apply rounds run (epochs/rounds is the coalescing win).", stream(func(st ingest.Stats) uint64 { return st.Rounds }))
 	s.reg.CounterFunc("connectit_stream_coalesced_total", "", "Epochs that shared an apply round.", stream(func(st ingest.Stats) uint64 { return st.Coalesced }))

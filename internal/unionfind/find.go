@@ -98,7 +98,7 @@ func (d *DSU) findHalve(u uint32) uint32 {
 // concurrently with unions and finds of every variant — including Rem +
 // SpliceAtomic, whose phase-concurrency restriction applies to finds that
 // compress, not to read-only chases — and is the pre-filter probe of the
-// streaming ingest engine (internal/ingest).
+// streaming ingest engine's buffered rounds (internal/ingest).
 func ProbeSame(parent []uint32, u, v uint32, budget int) bool {
 	if u == v {
 		return true
@@ -117,11 +117,6 @@ func ProbeSame(parent []uint32, u, v uint32, budget int) bool {
 		u, v = pu, pv
 	}
 	return false
-}
-
-// ProbeSame is the bounded read-only probe over this DSU's parent array.
-func (d *DSU) ProbeSame(u, v uint32, budget int) bool {
-	return ProbeSame(d.parent, u, v, budget)
 }
 
 // findTwoTrySplit is the find of Union-JTB [59]: at each step it attempts

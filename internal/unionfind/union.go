@@ -12,41 +12,47 @@ import (
 // to a smaller value (smaller ID, or higher JTB priority), so the forest
 // stays acyclic and label changes are exactly unions of trees — the
 // linearizable-monotonicity property of Definition 3.3.
+//
+// Every rule reports whether it linked two roots. A vertex stops being a
+// root only through such a link, and at most once, so at quiescence the
+// true results number exactly n minus the components; false means the rule
+// found both endpoints in one set.
 
-func (d *DSU) unite(u, v uint32, w uint64) {
+func (d *DSU) unite(u, v uint32, w uint64) bool {
 	d.stats.addUnion(int(u))
 	switch d.opt.Union {
 	case UnionAsync:
-		d.uniteAsync(u, v, w)
+		return d.uniteAsync(u, v, w)
 	case UnionHooks:
-		d.uniteHooks(u, v, w)
+		return d.uniteHooks(u, v, w)
 	case UnionEarly:
-		d.uniteEarly(u, v, w)
+		return d.uniteEarly(u, v, w)
 	case UnionRemCAS:
-		d.uniteRemCAS(u, v, w)
+		return d.uniteRemCAS(u, v, w)
 	case UnionRemLock:
-		d.uniteRemLock(u, v, w)
+		return d.uniteRemLock(u, v, w)
 	case UnionJTB:
-		d.uniteJTB(u, v, w)
+		return d.uniteJTB(u, v, w)
 	}
+	return false
 }
 
 // uniteAsync repeatedly finds both roots and CASes the larger-ID root to
 // point at the smaller, retrying on contention (Jayanti-Tarjan linking by
 // ID, adapted to the asynchronous shared-memory setting).
-func (d *DSU) uniteAsync(u, v uint32, w uint64) {
+func (d *DSU) uniteAsync(u, v uint32, w uint64) bool {
 	for {
 		ru := d.Find(u)
 		rv := d.Find(v)
 		if ru == rv {
-			return
+			return false
 		}
 		if ru < rv {
 			ru, rv = rv, ru
 		}
 		if atomic.CompareAndSwapUint32(&d.parent[ru], ru, rv) {
 			d.recordWitness(ru, w)
-			return
+			return true
 		}
 	}
 }
@@ -54,12 +60,12 @@ func (d *DSU) uniteAsync(u, v uint32, w uint64) {
 // uniteHooks is uniteAsync with the contended CAS moved to the auxiliary
 // hooks array; the parents write is then uncontended because each vertex is
 // hooked at most once over the whole execution.
-func (d *DSU) uniteHooks(u, v uint32, w uint64) {
+func (d *DSU) uniteHooks(u, v uint32, w uint64) bool {
 	for {
 		ru := d.Find(u)
 		rv := d.Find(v)
 		if ru == rv {
-			return
+			return false
 		}
 		if ru < rv {
 			ru, rv = rv, ru
@@ -68,7 +74,7 @@ func (d *DSU) uniteHooks(u, v uint32, w uint64) {
 			atomic.CompareAndSwapUint32(&d.hooks[ru], noVertex, rv) {
 			atomic.StoreUint32(&d.parent[ru], rv)
 			d.recordWitness(ru, w)
-			return
+			return true
 		}
 	}
 }
@@ -77,9 +83,10 @@ func (d *DSU) uniteHooks(u, v uint32, w uint64) {
 // it is observed to be a root with a larger ID (GBBS unite_early). When a
 // non-naive find rule is configured, the endpoints are compressed after the
 // union completes, as the paper describes.
-func (d *DSU) uniteEarly(u, v uint32, w uint64) {
+func (d *DSU) uniteEarly(u, v uint32, w uint64) bool {
 	ou, ov := u, v
 	steps := 0
+	linked := false
 	for u != v {
 		if u > v {
 			u, v = v, u
@@ -88,6 +95,7 @@ func (d *DSU) uniteEarly(u, v uint32, w uint64) {
 		if atomic.LoadUint32(&d.parent[v]) == v &&
 			atomic.CompareAndSwapUint32(&d.parent[v], v, u) {
 			d.recordWitness(v, w)
+			linked = true
 			break
 		}
 		v = atomic.LoadUint32(&d.parent[v])
@@ -98,12 +106,13 @@ func (d *DSU) uniteEarly(u, v uint32, w uint64) {
 		d.Find(ou)
 		d.Find(ov)
 	}
+	return linked
 }
 
 // uniteRemCAS is the lock-free Rem's algorithm (Algorithm 14): it ascends
 // both paths keeping the invariant parent(rx) > parent(ry), links when rx is
 // a root, and otherwise applies the configured splice rule at rx.
-func (d *DSU) uniteRemCAS(u, v uint32, w uint64) {
+func (d *DSU) uniteRemCAS(u, v uint32, w uint64) bool {
 	rx, ry := u, v
 	steps := 0
 	px := atomic.LoadUint32(&d.parent[rx])
@@ -123,7 +132,7 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) {
 					d.Find(u)
 					d.Find(v)
 				}
-				return
+				return true
 			}
 		} else {
 			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
@@ -133,6 +142,7 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) {
 		steps++
 	}
 	d.stats.observe(int(u), steps)
+	return false
 }
 
 // spliceAt applies a splice rule (Algorithm 9) at a non-root vertex rx whose
@@ -215,7 +225,7 @@ func (d *DSU) UnionNeighbors(v uint32, nbrs []uint32, from uint32, skip []bool) 
 // uniteRemLock is the lock-based Rem's algorithm of Patwary et al.: the same
 // ascent as uniteRemCAS, but the root link (and splice, for SpliceAtomic) is
 // installed under the vertex's spinlock after re-validating rootness.
-func (d *DSU) uniteRemLock(u, v uint32, w uint64) {
+func (d *DSU) uniteRemLock(u, v uint32, w uint64) bool {
 	rx, ry := u, v
 	steps := 0
 	px := atomic.LoadUint32(&d.parent[rx])
@@ -238,7 +248,7 @@ func (d *DSU) uniteRemLock(u, v uint32, w uint64) {
 					d.Find(u)
 					d.Find(v)
 				}
-				return
+				return true
 			}
 			d.locks[rx].Unlock()
 		} else {
@@ -249,17 +259,18 @@ func (d *DSU) uniteRemLock(u, v uint32, w uint64) {
 		steps++
 	}
 	d.stats.observe(int(u), steps)
+	return false
 }
 
 // uniteJTB links roots ordered by random priority (Jayanti, Tarjan,
 // Boix-Adserà): the lower-priority root is hooked below the higher-priority
 // one, giving the randomized work bounds of Corollary 1.
-func (d *DSU) uniteJTB(u, v uint32, w uint64) {
+func (d *DSU) uniteJTB(u, v uint32, w uint64) bool {
 	for {
 		ru := d.Find(u)
 		rv := d.Find(v)
 		if ru == rv {
-			return
+			return false
 		}
 		if d.jtbLess(rv, ru) {
 			ru, rv = rv, ru
@@ -267,7 +278,7 @@ func (d *DSU) uniteJTB(u, v uint32, w uint64) {
 		// ru has lower (priority, id): hook it below rv.
 		if atomic.CompareAndSwapUint32(&d.parent[ru], ru, rv) {
 			d.recordWitness(ru, w)
-			return
+			return true
 		}
 	}
 }

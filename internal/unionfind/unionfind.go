@@ -299,13 +299,14 @@ func (d *DSU) Options() Options { return d.opt }
 // operations if the DSU is in concurrent use.
 func (d *DSU) Parents() []uint32 { return d.parent }
 
-// Union merges the sets containing u and v.
-func (d *DSU) Union(u, v uint32) { d.unite(u, v, NoWitness) }
+// Union merges the sets containing u and v. It reports whether this call
+// linked two roots; false means u and v were already in one set.
+func (d *DSU) Union(u, v uint32) bool { return d.unite(u, v, NoWitness) }
 
-// UnionWitness merges the sets containing u and v, attributing the winning
-// hook to edge (eu, ev) when witness recording is enabled.
-func (d *DSU) UnionWitness(u, v, eu, ev uint32) {
-	d.unite(u, v, concurrent.Pack(eu, ev))
+// UnionWitness is Union attributing the winning hook to edge (eu, ev) when
+// witness recording is enabled: a true result is one witness recorded.
+func (d *DSU) UnionWitness(u, v, eu, ev uint32) bool {
+	return d.unite(u, v, concurrent.Pack(eu, ev))
 }
 
 // Find returns the current label (root) of u, applying the configured

@@ -3,6 +3,7 @@ package unionfind
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -467,5 +468,78 @@ func TestUnionNeighborsSkipAndWitness(t *testing.T) {
 				t.Fatalf("%s: witness (%d,%d) is not an applied edge of 3", v.Name(), w[0], w[1])
 			}
 		}
+	}
+}
+
+// TestUnionReportsLink: Union and UnionWitness return true exactly when the
+// call linked two roots. Over an edge list with duplicates, reversed copies
+// and self-loops, applied from one goroutine or four, the true results
+// therefore number n − #components, and with a witness log each true
+// result is one log entry.
+func TestUnionReportsLink(t *testing.T) {
+	const n = 1000
+	base := testEdges(n, 1500, 7)
+	edges := append([][2]uint32(nil), base...)
+	for i, e := range base {
+		edges = append(edges, [2]uint32{e[1], e[0]})
+		if i%3 == 0 {
+			edges = append(edges, e)
+		}
+		if i%5 == 0 {
+			edges = append(edges, [2]uint32{e[0], e[0]})
+		}
+	}
+	oracle := newSeqDSU(n)
+	for _, e := range edges {
+		oracle.union(int(e[0]), int(e[1]))
+	}
+	comps := 0
+	for v, r := range oracle.roots() {
+		if v == r {
+			comps++
+		}
+	}
+	want := n - comps
+
+	// links applies every edge through unite from workers goroutines and
+	// counts the true results.
+	links := func(workers int, unite func(u, v uint32) bool) int {
+		var linked atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < len(edges); i += workers {
+					if unite(edges[i][0], edges[i][1]) {
+						linked.Add(1)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		return int(linked.Load())
+	}
+	for _, v := range Variants() {
+		t.Run(v.Name(), func(t *testing.T) {
+			t.Parallel()
+			for _, workers := range []int{1, 4} {
+				d := MustNew(n, v.Options())
+				if got := links(workers, d.Union); got != want {
+					t.Errorf("%d workers: Union returned true %d times, want n − #components = %d", workers, got, want)
+				}
+				opt := v.Options()
+				opt.WitnessLog = true
+				if Validate(opt) != nil {
+					continue
+				}
+				d = MustNew(n, opt)
+				got := links(workers, func(u, v uint32) bool { return d.UnionWitness(u, v, u, v) })
+				if got != want || d.WitnessLogLen() != got {
+					t.Errorf("%d workers: UnionWitness returned true %d times with %d log entries, want %d of each",
+						workers, got, d.WitnessLogLen(), want)
+				}
+			}
+		})
 	}
 }

@@ -9,10 +9,10 @@ import (
 // Update(u, v) and Connected(u, v) calls from arbitrarily many goroutines,
 // internally sharding updates into epochs that flow through a coalescing
 // apply pipeline (seal → queue → coalesce → round) scheduled per the
-// compiled algorithm's StreamType (§3.5; DESIGN.md §9), with a
-// sampling-based pre-filter that drops intra-component edges before they
-// reach the atomic union hot path. Build one with NewStream or
-// Solver.Stream.
+// compiled algorithm's StreamType (§3.5; DESIGN.md §9). Intra-component
+// edges are filtered: a Type i union stops where its two walks meet, and a
+// sampling-based pre-filter drops them from buffered rounds before the
+// union loop. Build one with NewStream or Solver.Stream.
 //
 // Unlike Incremental's synchronous call-per-batch ProcessBatch, a Stream is
 // the serving-path surface: producers and queriers drive it concurrently
@@ -22,8 +22,8 @@ import (
 // (DESIGN.md §12).
 type Stream = ingest.Stream
 
-// StreamOptions tunes a Stream's sharding, epoch size, pre-filter and
-// forest capture; the zero value selects the defaults.
+// StreamOptions tunes a Stream's sharding, epoch size and forest capture;
+// the zero value selects the defaults.
 type StreamOptions = ingest.Options
 
 // ErrStreamClosed is the closed-stream error. This is the canonical
