@@ -9,7 +9,6 @@ package connectit
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -36,18 +35,9 @@ func driveStream(st *Stream, edges []Edge, n int, mix float64) uint64 {
 // 90/10, 50/50, and 10/90 update:query mixes, one algorithm per stream
 // type plus the coarse-locked STINGER baseline. Metrics: updates/s and
 // queries/s (wall-clock, 8 producers).
-//
-// Setting CONNECTIT_NO_WITNESS=1 runs every stream with spanning-forest
-// capture disabled; CI diffs the two runs with benchstat to bound the
-// witness-capture overhead on the ingest hot path (acceptance: ≤5% on the
-// 90/10 mix).
 func BenchmarkStreamMixedRatio(b *testing.B) {
 	n := 1 << 15
 	edges := BarabasiAlbertEdges(n, 8, 17)
-	var opts []StreamOptions
-	if os.Getenv("CONNECTIT_NO_WITNESS") != "" {
-		opts = append(opts, StreamOptions{DisableForestCapture: true})
-	}
 	mixes := []struct {
 		name string
 		q    float64
@@ -72,7 +62,7 @@ func BenchmarkStreamMixedRatio(b *testing.B) {
 				var updates, queries, epochs, rounds uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st, err := solver.Stream(n, opts...)
+					st, err := solver.Stream(n)
 					if err != nil {
 						b.Fatal(err)
 					}

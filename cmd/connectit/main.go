@@ -492,14 +492,14 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	edges := g.Edges()
 	fmt.Printf("stream: %v, %d workers, %.0f%% queries\n", st.Type(), *workers, *qmix*100)
 	start := time.Now()
-	ingest.DriveStream(st, edges, g.NumVertices(), *workers, *qmix)
+	queries := ingest.DriveStream(st, edges, g.NumVertices(), *workers, *qmix)
 	st.Sync()
 	elapsed := time.Since(start)
 
 	s := st.Stats()
-	fmt.Printf("ingested %d updates, answered %d queries in %v\n", s.Updates, s.Queries, elapsed)
+	fmt.Printf("ingested %d updates, answered %d queries in %v\n", s.Updates, queries, elapsed)
 	fmt.Printf("throughput: %.2fM updates/s, %.2fM queries/s\n",
-		float64(s.Updates)/elapsed.Seconds()/1e6, float64(s.Queries)/elapsed.Seconds()/1e6)
+		float64(s.Updates)/elapsed.Seconds()/1e6, float64(queries)/elapsed.Seconds()/1e6)
 	droppedPct := 0.0
 	if s.Updates > 0 {
 		droppedPct = 100 * float64(s.Filtered) / float64(s.Updates)

@@ -713,7 +713,7 @@ func ingestMixed() {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			ingest.DriveStream(st, edges, n, producers, mix)
+			queries := ingest.DriveStream(st, edges, n, producers, mix)
 			st.Sync()
 			elapsed := time.Since(start)
 			stats := st.Stats()
@@ -722,7 +722,7 @@ func ingestMixed() {
 				perRound = fmt.Sprintf("%.2f", float64(stats.Epochs)/float64(stats.Rounds))
 			}
 			fmt.Printf("%-36s %.0f/%.0f %14.3g %14.3g %12s\n", alg.Name(), 100*(1-mix), 100*mix,
-				float64(stats.Updates)/elapsed.Seconds(), float64(stats.Queries)/elapsed.Seconds(), perRound)
+				float64(stats.Updates)/elapsed.Seconds(), float64(queries)/elapsed.Seconds(), perRound)
 		}
 		// Coarse-locked STINGER: concurrent producers serialize on one lock.
 		sti := stinger.NewCoarse(n)

@@ -173,20 +173,16 @@ func (c *Compiled) SpanningForest(g *graph.Graph) ([][2]uint32, error) {
 // algorithm. Combinations that cannot stream return the ErrUnsupported
 // error captured at compile time.
 //
-// When the combination also supports spanning forest, witness capture is
-// enabled by default: every accepted union deposits its witness edge
-// (DESIGN.md §12), feeding the live forest behind the query layer.
-// Incremental.DisableForestCapture opts out; combinations without forest
-// support carry the compile-time verdict, surfaced by Incremental.ForestErr.
+// Witness capture follows the stream type (DESIGN.md §12): Type (i) and
+// Type (ii) structures deposit every accepted union's witness edge, feeding
+// the live forest behind the query layer, and Type (iii) — the one
+// streaming combination without forest support — carries the compile-time
+// verdict, surfaced by Incremental.ForestErr.
 func (c *Compiled) NewIncremental(n int) (*Incremental, error) {
 	if c.streamErr != nil {
 		return nil, c.streamErr
 	}
 	inc := c.family.NewIncremental(n, c.cfg, c.streamType)
-	if c.forestErr == nil {
-		inc.enableForestCapture()
-	} else {
-		inc.forestErr = c.forestErr
-	}
+	inc.forestErr = c.forestErr
 	return inc, nil
 }

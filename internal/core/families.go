@@ -80,10 +80,14 @@ func init() {
 		NewFinish: newUFFinish,
 		NewForest: newUFForest,
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
+			// Type (i) logs every union's witness edge; the Type (iii)
+			// combination cannot (Validate rejects it with a log).
+			opt := ufOptions(cfg)
+			opt.WitnessLog = st == TypeAsync
 			return &Incremental{
 				kind:  FinishUnionFind,
 				stype: st,
-				dsu:   unionfind.MustNew(n, ufOptions(cfg)),
+				dsu:   unionfind.MustNew(n, opt),
 				n:     n,
 			}
 		},
@@ -109,7 +113,8 @@ func init() {
 			}
 		},
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
-			return &Incremental{kind: FinishShiloachVishkin, stype: st, parent: Identity(n), n: n}
+			return &Incremental{kind: FinishShiloachVishkin, stype: st, parent: Identity(n), n: n,
+				svForest: shiloachvishkin.NewEdgeForestRunner(n)}
 		},
 	})
 
@@ -154,7 +159,11 @@ func init() {
 			}
 		},
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
-			return &Incremental{kind: FinishLiuTarjan, stype: st, lt: cfg.Algorithm.LT, parent: Identity(n), n: n}
+			r, err := liutarjan.NewForestEdgeRunner(cfg.Algorithm.LT)
+			if err != nil {
+				panic(err) // unreachable: StreamSupport admits only RootUp variants
+			}
+			return &Incremental{kind: FinishLiuTarjan, stype: st, parent: Identity(n), n: n, ltForest: r}
 		},
 	})
 
@@ -222,7 +231,7 @@ func newSVFinish(Config) FinishFunc {
 // next-array, and the alter double-buffers instead of re-allocating them
 // per run.
 func newLTFinish(cfg Config) FinishFunc {
-	er := liutarjan.NewEdgeRunner(cfg.Algorithm.LT, false)
+	er := liutarjan.NewEdgeRunner(cfg.Algorithm.LT)
 	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
 		er.Run(liutarjan.CollectEdges(g, skip), labels, skip)
 		return labels

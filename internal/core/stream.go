@@ -49,23 +49,16 @@ type Incremental struct {
 	kind   FinishKind
 	stype  StreamType
 	dsu    *unionfind.DSU
-	lt     liutarjan.Variant
 	parent []uint32
 	n      int
 
-	// ltRunner is the reusable Liu-Tarjan edge runner for the Type ii
-	// apply path: round closures and scratch survive across batches, so a
-	// steady-state apply round allocates nothing in the kernel.
-	ltRunner *liutarjan.EdgeRunner
-
-	// Streaming spanning-forest capture (DESIGN.md §12). When capture is
-	// on, every accepted union deposits its witness edge: Type (i) appends
-	// to the union-find witness log under the existing atomic discipline;
-	// Type (ii) runs the witness-capturing edge runners and merges each
-	// round's edges into fbuf at the round barrier. forestErr carries the
-	// construction-time verdict when capture is off (the compile-time
-	// ForestSupport error, or the capture-disabled sentinel).
-	capture   bool
+	// Streaming spanning-forest capture (DESIGN.md §12), decided by the
+	// stream type. Type (i) unions append their witness edges to the
+	// union-find witness log under the existing atomic discipline; Type (ii)
+	// applies every batch with the witness-capturing edge runners, whose
+	// round-reused closures and scratch survive across batches, and merges
+	// each batch's edges into fbuf at the round barrier. Type (iii) never
+	// captures: forestErr is the compile-time ForestSupport verdict.
 	forestErr error
 	fmu       sync.Mutex
 	fbuf      []graph.Edge // merged Type (ii) forest, guarded by fmu
@@ -107,16 +100,10 @@ func (inc *Incremental) ProcessBatch(updates []graph.Edge, queries [][2]uint32) 
 	switch inc.stype {
 	case TypeAsync:
 		total := len(updates) + len(queries)
-		capture := inc.capture
 		parallel.ForGrained(total, 256, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				if i < len(updates) {
-					if capture {
-						e := updates[i]
-						inc.dsu.UnionWitness(e.U, e.V, e.U, e.V)
-					} else {
-						inc.dsu.Union(updates[i].U, updates[i].V)
-					}
+					inc.dsu.Union(updates[i].U, updates[i].V)
 				} else {
 					q := queries[i-len(updates)]
 					results[i-len(updates)] = inc.dsu.SameSet(q[0], q[1])
@@ -163,63 +150,29 @@ func (inc *Incremental) ApplyBatch(updates []graph.Edge) {
 	}
 	switch inc.stype {
 	case TypeAsync, TypePhased:
-		// The capture branch is hoisted out of the loop; Type (iii) never
-		// captures (ForestSupport excludes Rem+SpliceAtomic).
-		capture := inc.capture
+		// A Type (i) DSU logs each union's witness; the Type (iii) DSU has
+		// no log, so the same call records nothing.
 		parallel.ForGrained(len(updates), 256, func(lo, hi int) {
-			if capture {
-				for i := lo; i < hi; i++ {
-					e := updates[i]
-					inc.dsu.UnionWitness(e.U, e.V, e.U, e.V)
-				}
-				return
-			}
 			for i := lo; i < hi; i++ {
 				inc.dsu.Union(updates[i].U, updates[i].V)
 			}
 		})
 	case TypeSynchronous:
-		if inc.capture {
-			inc.applyCaptured(updates)
-			return
-		}
-		if inc.kind == FinishShiloachVishkin {
-			shiloachvishkin.RunEdges(updates, inc.parent)
-		} else {
-			// Atomic publication: Type ii queries chase parent wait-free
-			// while the batch applies. The runner is retained so repeated
-			// apply rounds reuse its round closures and buffers.
-			if inc.ltRunner == nil {
-				inc.ltRunner = liutarjan.NewEdgeRunner(inc.lt, true)
-			}
-			inc.ltRunner.Run(updates, inc.parent, nil)
-		}
+		inc.applySynchronous(updates)
 	}
 }
 
-// applyCaptured is the Type (ii) apply path with witness capture: the
+// applySynchronous is the Type (ii) apply path: the family's
 // witness-capturing edge runner executes the synchronous rounds into the
-// retained scratch, and the batch's forest edges merge into fbuf at the
-// round barrier — the appliers are caller-serialized, so the only
-// synchronization added is the buffer mutex taken once per batch, off the
-// per-edge hot path.
-func (inc *Incremental) applyCaptured(updates []graph.Edge) {
+// retained scratch, publishing parent atomically for the wait-free queries
+// chasing it, and the batch's forest edges merge into fbuf at the round
+// barrier — the appliers are caller-serialized, so the only synchronization
+// added is the buffer mutex taken once per batch, off the per-edge hot path.
+func (inc *Incremental) applySynchronous(updates []graph.Edge) {
 	var out []graph.Edge
-	if inc.kind == FinishShiloachVishkin {
-		if inc.svForest == nil {
-			inc.svForest = shiloachvishkin.NewEdgeForestRunner(inc.n)
-		}
+	if inc.svForest != nil {
 		_, out = inc.svForest.Run(updates, inc.parent, inc.fscratch[:0])
 	} else {
-		if inc.ltForest == nil {
-			r, err := liutarjan.NewForestEdgeRunner(inc.lt)
-			if err != nil {
-				// Unreachable: capture is only enabled when ForestSupport
-				// accepted the variant, which implies RootUp.
-				panic(err)
-			}
-			inc.ltForest = r
-		}
 		_, out = inc.ltForest.Run(updates, inc.parent, inc.fscratch[:0])
 	}
 	inc.fscratch = out
@@ -239,9 +192,6 @@ func (inc *Incremental) applyCaptured(updates []graph.Edge) {
 // an edge that joins two components.
 func (inc *Incremental) Update(u, v uint32) bool {
 	if inc.dsu != nil {
-		if inc.capture {
-			return inc.dsu.UnionWitness(u, v, u, v)
-		}
 		return inc.dsu.Union(u, v)
 	}
 	if inc.Connected(u, v) {
@@ -326,57 +276,19 @@ func (inc *Incremental) NumComponents() int {
 	}))
 }
 
-// errForestOff is the ForestErr verdict for streams whose algorithm
-// supports capture but had it switched off (Options.DisableForestCapture).
-var errForestOff = fmt.Errorf("%w: spanning-forest capture disabled for this stream", ErrUnsupported)
-
-// enableForestCapture switches on witness capture. Called by
-// Compiled.NewIncremental, quiescently, only when the compile-time
-// ForestSupport verdict was nil.
-func (inc *Incremental) enableForestCapture() {
-	inc.capture = true
-	inc.forestErr = nil
-	if inc.dsu != nil {
-		inc.dsu.EnableWitnessLog()
-	}
-}
-
-// DisableForestCapture switches witness capture off and releases the Type
-// (i) witness log. It must be called quiescently (the ingest engine calls
-// it at stream construction); subsequent ForestErr calls report the stream
-// as forest-incapable.
-func (inc *Incremental) DisableForestCapture() {
-	if !inc.capture {
-		return
-	}
-	inc.capture = false
-	inc.forestErr = errForestOff
-	if inc.dsu != nil {
-		inc.dsu.DisableWitnessLog()
-	}
-}
-
 // ForestErr reports whether this stream maintains a live spanning forest:
-// nil when witness capture is on, and otherwise an error wrapping
-// ErrUnsupported — the compile-time ForestSupport verdict, or the
-// capture-disabled sentinel. Query construction gates on it (the
-// fail-at-construction contract mirroring Compile).
-func (inc *Incremental) ForestErr() error {
-	if inc.capture {
-		return nil
-	}
-	if inc.forestErr != nil {
-		return inc.forestErr
-	}
-	return errForestOff
-}
+// nil for Types (i) and (ii), which always capture, and for Type (iii) the
+// compile-time ForestSupport verdict, an error wrapping ErrUnsupported.
+// Query construction gates on it (the fail-at-construction contract
+// mirroring Compile).
+func (inc *Incremental) ForestErr() error { return inc.forestErr }
 
-// ForestLen reports how many forest edges have been captured so far. The
-// value is exact at quiescence and a momentary snapshot under concurrent
-// updates (Type (i) counts reserved log slots, so it may briefly exceed
-// what ForestPull can observe).
+// ForestLen reports how many forest edges have been captured so far (0 for
+// a stream that does not capture). The value is exact at quiescence and a
+// momentary snapshot under concurrent updates (Type (i) counts reserved log
+// slots, so it may briefly exceed what ForestPull can observe).
 func (inc *Incremental) ForestLen() int {
-	if !inc.capture {
+	if inc.forestErr != nil {
 		return 0
 	}
 	if inc.dsu != nil {
@@ -392,11 +304,11 @@ func (inc *Incremental) ForestLen() int {
 // returns the advanced cursor with the grown slice. Cursors start at 0 and
 // are advanced monotonically; published edges never move, so successive
 // pulls observe a strictly growing forest prefix. Safe concurrently with
-// updates of capture-capable stream types: Type (i) reads the union-find
+// updates of the capturing stream types: Type (i) reads the union-find
 // witness log wait-free (stopping at the first reserved-but-unpublished
 // slot), Type (ii) copies the round-merged buffer under its mutex.
 func (inc *Incremental) ForestPull(cursor int, dst []graph.Edge) (int, []graph.Edge) {
-	if !inc.capture {
+	if inc.forestErr != nil {
 		return cursor, dst
 	}
 	if inc.dsu != nil {

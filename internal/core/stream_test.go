@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -162,8 +161,8 @@ func TestStreamingBatchPartitionInvariance(t *testing.T) {
 
 // TestApplyBatchDuplicatesMatchOracle pushes one batch that holds every
 // edge three times, alternating orientation, plus self-loops, through each
-// stream type's apply path, with forest capture off and (where the
-// algorithm supports it) on. ApplyBatch does no deduplication, so the
+// stream type's apply path, with the forest captured wherever the stream
+// type captures one. ApplyBatch does no deduplication, so the
 // partition and the captured forest must come out right from idempotent
 // unions alone, and the batch must come back unmodified.
 func TestApplyBatchDuplicatesMatchOracle(t *testing.T) {
@@ -191,30 +190,23 @@ func TestApplyBatchDuplicatesMatchOracle(t *testing.T) {
 		{Kind: FinishLiuTarjan, LT: crfa}, // Type ii
 		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemCAS, Splice: unionfind.SpliceAtomic}}, // Type iii
 	} {
-		for _, capture := range []bool{false, true} {
-			inc, err := NewIncremental(n, Config{Algorithm: alg})
-			if err != nil {
-				t.Fatal(err)
+		inc, err := NewIncremental(n, Config{Algorithm: alg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := alg.Name()
+		inc.ApplyBatch(batch)
+		testutil.CheckPartition(t, name, inc.Labels(), want)
+		if inc.ForestErr() == nil { // Type iii has no forest to capture
+			_, got := inc.ForestPull(0, nil)
+			forest := make([][2]uint32, len(got))
+			for i, e := range got {
+				forest[i] = [2]uint32{e.U, e.V}
 			}
-			if !capture {
-				inc.DisableForestCapture()
-			} else if inc.ForestErr() != nil {
-				continue // Type iii: no forest to capture
-			}
-			name := fmt.Sprintf("%s/capture=%v", alg.Name(), capture)
-			inc.ApplyBatch(batch)
-			testutil.CheckPartition(t, name, inc.Labels(), want)
-			if capture {
-				_, got := inc.ForestPull(0, nil)
-				forest := make([][2]uint32, len(got))
-				for i, e := range got {
-					forest[i] = [2]uint32{e.U, e.V}
-				}
-				testutil.CheckSpanningForest(t, name, g, forest)
-			}
-			if !slices.Equal(batch, input) {
-				t.Fatalf("%s: ApplyBatch modified its input", name)
-			}
+			testutil.CheckSpanningForest(t, name, g, forest)
+		}
+		if !slices.Equal(batch, input) {
+			t.Fatalf("%s: ApplyBatch modified its input", name)
 		}
 	}
 }

@@ -83,10 +83,6 @@ type Options struct {
 	// its epoch and queues it for apply. Default 4096. Type i streams
 	// never buffer and ignore it.
 	EpochSize int
-	// DisableForestCapture turns off the live spanning forest that
-	// forest-capable algorithms maintain by default (DESIGN.md §12).
-	// Query then fails with ErrUnsupported; Connected is unaffected.
-	DisableForestCapture bool
 }
 
 const (
@@ -121,8 +117,6 @@ type Stats struct {
 	// per UpdateBatch edge), counted as each is buffered, applied in place
 	// or filtered.
 	Updates uint64
-	// Queries is the number of Connected calls.
-	Queries uint64
 	// Filtered is the number of updates that joined nothing: self-loops,
 	// Type i unions that found both endpoints in one set, and edges a
 	// buffered round's pre-filter probe found intra-component.
@@ -171,10 +165,10 @@ const (
 	numExits
 )
 
-// slot is one producer's accounting line: every word the Update and
-// Connected hot paths write, on one cache line. A caller borrows a slot
-// through Stream.tokens, and sync.Pool's per-P private entry hands a
-// goroutine back the token its P last used, so in steady state each line
+// slot is one producer's accounting line: every word the Update hot path
+// writes, on one cache line. A caller borrows a slot through Stream.tokens,
+// and sync.Pool's per-P private entry hands a goroutine back the token its
+// P last used, so in steady state each line
 // has one writing core and an Update's two read-modify-writes (entered,
 // then one left word) never leave that core's cache. Choosing the line by
 // a hash of the edge instead sends every producer to every line; that
@@ -187,15 +181,13 @@ const (
 type slot struct {
 	entered atomic.Uint64
 	left    [numExits]atomic.Uint64
-	queries atomic.Uint64
-	_       [64 - 8*(2+numExits)]byte
+	_       [64 - 8*(1+numExits)]byte
 }
 
 // tally is the slot words summed.
 type tally struct {
 	entered uint64
 	left    [numExits]uint64
-	queries uint64
 }
 
 // inFlight is the number of updates past the close gate that have not left.
@@ -274,9 +266,6 @@ type Stream struct {
 // used directly while the Stream is live.
 func New(inc *core.Incremental, opt Options) *Stream {
 	opt = opt.withDefaults()
-	if opt.DisableForestCapture {
-		inc.DisableForestCapture()
-	}
 	s := &Stream{inc: inc, stype: inc.Type(), opt: opt}
 	s.quiet = sync.NewCond(&s.qmu)
 	s.closeDone = make(chan struct{})
@@ -311,7 +300,6 @@ func (s *Stream) tally() (t tally) {
 		for k := range sl.left {
 			t.left[k] += sl.left[k].Load()
 		}
-		t.queries += sl.queries.Load()
 	}
 	for i := range s.slots {
 		t.entered += s.slots[i].entered.Load()
@@ -332,7 +320,6 @@ func (s *Stream) Stats() Stats {
 	}
 	t := s.tally()
 	st.Updates = t.left[exitFiltered] + t.left[exitApplied] + t.left[exitBuffered]
-	st.Queries = t.queries
 	st.Filtered += t.left[exitFiltered]
 	st.Applied += t.left[exitApplied]
 	return st
@@ -447,9 +434,6 @@ func (s *Stream) Connected(u, v uint32) (bool, error) {
 	if s.closed.Load() {
 		return false, ErrClosed
 	}
-	sl := s.tokens.Get().(*slot)
-	sl.queries.Add(1)
-	s.tokens.Put(sl)
 	if s.stype == core.TypePhased {
 		s.phase.RLock()
 		same := s.inc.Connected(u, v)
@@ -733,8 +717,9 @@ func (s *Stream) NumComponents() int {
 // Query returns a composable query engine over the stream's live spanning
 // forest: path, component-size, histogram, label, and forest queries that
 // stay current as the stream ingests (DESIGN.md §12). Capability gating
-// happens here, at construction — algorithms compiled without witness
-// support (and streams built with DisableForestCapture) return the
+// happens here, at construction: capture follows the stream type, so Type
+// i and ii streams always have a forest, and a Type iii stream (Rem +
+// SpliceAtomic, compiled without witness support) returns the
 // ErrUnsupported-wrapping verdict up front, mirroring Compile's
 // fail-at-compile contract — so a non-nil engine never discovers mid-query
 // that the forest does not exist.
@@ -767,7 +752,7 @@ func (src streamSource) Err() error {
 }
 
 // ForestLen reports the number of spanning-forest edges captured so far
-// (0 when capture is off) — the serving layer's forest-size gauge.
+// (always 0 for Type iii) — the serving layer's forest-size gauge.
 func (s *Stream) ForestLen() int { return s.inc.ForestLen() }
 
 // String describes the stream's configuration.

@@ -188,7 +188,7 @@ func TestStreamStressManyProducers(t *testing.T) {
 		{},                               // defaults
 		{EpochSize: 32, Shards: 1},       // tiny epochs, single shard
 		{EpochSize: 1 << 14, Shards: 32}, // epochs never self-seal: Sync path
-		{DisableForestCapture: true},     // raw hot path: no witness capture
+		{EpochSize: 1},                   // every update seals: most rounds, most coalescing
 	}
 	for _, spec := range []string{"uf;async;naive;split-one", "sv", "uf;rem-cas;naive;splice"} {
 		for oi, opt := range opts {

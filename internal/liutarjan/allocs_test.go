@@ -10,8 +10,8 @@ import (
 // TestEdgeRunnerSteadyStateAllocs is the allocation regression guard for
 // the Liu-Tarjan round loop: once an EdgeRunner has warmed up (next array,
 // alter double-buffers, hoisted bodies), repeated Runs over same-shaped
-// batches perform zero heap allocations — the property the streaming apply
-// path's per-coalesced-group rounds rely on.
+// batches perform zero heap allocations — the property a compiled Solver's
+// repeated Liu-Tarjan finishes rely on.
 func TestEdgeRunnerSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		// The detector's own bookkeeping allocates when a round wakes pool
@@ -40,16 +40,15 @@ func TestEdgeRunnerSteadyStateAllocs(t *testing.T) {
 	parent := identity(n)
 
 	for _, tc := range []struct {
-		name          string
-		v             Variant
-		atomicPublish bool
+		name string
+		v    Variant
 	}{
-		{"PRS/plain", Variant{ParentConnect, RootUpdate, OneShortcut, NoAlter}, false},
-		{"PRSA/atomic", Variant{ParentConnect, RootUpdate, OneShortcut, Alter}, true},
-		{"CRFA/atomic", Variant{Connect, RootUpdate, FullShortcut, Alter}, true},
+		{"PRS/plain", Variant{ParentConnect, RootUpdate, OneShortcut, NoAlter}},
+		{"PRSA/plain", Variant{ParentConnect, RootUpdate, OneShortcut, Alter}},
+		{"CRFA/plain", Variant{Connect, RootUpdate, FullShortcut, Alter}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewEdgeRunner(tc.v, tc.atomicPublish)
+			r := NewEdgeRunner(tc.v)
 			copy(parent, ident)
 			r.Run(edges, parent, nil) // warm up: grow scratch, spawn pool workers
 			res := testing.Benchmark(func(b *testing.B) {

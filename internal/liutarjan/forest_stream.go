@@ -14,8 +14,8 @@ import (
 const noWitnessRef = ^uint32(0)
 
 // ForestEdgeRunner executes a RootUp Liu-Tarjan variant over explicit edge
-// lists with witness capture: the streaming Type (ii) apply path when the
-// ingest engine maintains a live spanning forest (DESIGN.md §12). It is
+// lists with witness capture: the streaming Type (ii) apply path, which
+// always maintains a live spanning forest (DESIGN.md §12). It is
 // RunForest restructured the way EdgeRunner restructures RunEdges: the
 // packed next-array, the work-edge list, and every round body are retained
 // across Run calls, so a steady-state Run performs zero allocations (the

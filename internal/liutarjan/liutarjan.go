@@ -172,7 +172,7 @@ func Run(g graph.Rep, parent []uint32, favored []bool, v Variant) int {
 // wrapper constructs a fresh runner — and pays its scratch allocations —
 // per call.
 func RunEdges(edges []graph.Edge, parent []uint32, favored []bool, v Variant) int {
-	return NewEdgeRunner(v, false).Run(edges, parent, favored)
+	return NewEdgeRunner(v).Run(edges, parent, favored)
 }
 
 // altGrain is the edge-block size of the alter compaction passes.
@@ -185,15 +185,13 @@ const altGrain = 2048
 // allocation per sweep), the next-array and the alter double-buffers grow
 // once and are reused, and alter compacts survivors with a deterministic
 // count/scan/scatter instead of a mutex-ordered append. A steady-state
-// Run therefore performs zero allocations — the property the ingest
-// engine's per-coalesced-group apply rounds rely on, guarded by
+// Run therefore performs zero allocations — the property a compiled
+// Solver's repeated Liu-Tarjan finishes rely on, guarded by
 // TestEdgeRunnerSteadyStateAllocs.
 //
-// A runner is not safe for concurrent use; the streaming layer serializes
-// Type ii rounds by construction.
+// A runner is not safe for concurrent use.
 type EdgeRunner struct {
-	v             Variant
-	atomicPublish bool
+	v Variant
 
 	// Per-Run state, referenced by the hoisted bodies.
 	ord    minlabel.Order
@@ -219,17 +217,14 @@ type EdgeRunner struct {
 	scatterBody  func(blo, bhi int)
 }
 
-// NewEdgeRunner builds a reusable runner for one variant. atomicPublish
-// selects atomic per-element stores for the round-end copy-back (required
-// when wait-free queries chase parent concurrently, §3.5 Type ii).
-func NewEdgeRunner(v Variant, atomicPublish bool) *EdgeRunner {
-	r := &EdgeRunner{v: v, atomicPublish: atomicPublish}
+// NewEdgeRunner builds a reusable runner for one variant. Its round-end
+// copy-back publishes with plain stores, so no reader may chase parent while
+// it runs; the streaming Type (ii) path, whose wait-free queries do, runs
+// the atomically publishing ForestEdgeRunner instead.
+func NewEdgeRunner(v Variant) *EdgeRunner {
+	r := &EdgeRunner{v: v}
 	r.connectBody = r.runConnect
-	if atomicPublish {
-		r.publishBody = r.publishAtomic
-	} else {
-		r.publishBody = r.publishPlain
-	}
+	r.publishBody = r.publish
 	r.copyBody = r.copyToNext
 	r.shortcutBody = r.runShortcut
 	r.countBody = r.runCount
@@ -289,14 +284,8 @@ func (r *EdgeRunner) copyToNext(lo, hi int) {
 	copy(r.next[lo:hi], r.parent[lo:hi])
 }
 
-func (r *EdgeRunner) publishPlain(lo, hi int) {
+func (r *EdgeRunner) publish(lo, hi int) {
 	copy(r.parent[lo:hi], r.next[lo:hi])
-}
-
-func (r *EdgeRunner) publishAtomic(lo, hi int) {
-	for i := lo; i < hi; i++ {
-		atomic.StoreUint32(&r.parent[i], r.next[i])
-	}
 }
 
 func (r *EdgeRunner) runConnect(lo, hi int) {
@@ -471,16 +460,6 @@ func shortcut(ord minlabel.Order, parent []uint32, rule ShortcutRule) bool {
 func copyParallel(dst, src []uint32) {
 	parallel.ForGrained(len(src), 4096, func(lo, hi int) {
 		copy(dst[lo:hi], src[lo:hi])
-	})
-}
-
-// storeParallel is copyParallel with atomic per-element stores, for arrays
-// that concurrent wait-free readers load atomically.
-func storeParallel(dst, src []uint32) {
-	parallel.ForGrained(len(src), 4096, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			atomic.StoreUint32(&dst[i], src[i])
-		}
 	})
 }
 

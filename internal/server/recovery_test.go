@@ -162,13 +162,12 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 }
 
 // TestRecoveryFromSegmentedSnapshot forces the snapshot writer onto the
-// multi-segment path (CONNECTIT_SNAPSHOT_SEGMENT_BYTES) and checks that a
+// multi-segment path (Server.snapSegmentBytes) and checks that a
 // crash after the snapshot recovers through the segmented .cbin v2 file:
 // the on-disk snapshot must genuinely hold several segments, and the booted
 // server must answer exactly like the oracle.
 func TestRecoveryFromSegmentedSnapshot(t *testing.T) {
 	const n = 300
-	t.Setenv("CONNECTIT_SNAPSHOT_SEGMENT_BYTES", "64")
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(11))
 	o := newOracle(n)
@@ -177,6 +176,7 @@ func TestRecoveryFromSegmentedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s1.snapSegmentBytes = 64
 	submitRandom(t, s1, o, n, 60, 8, rng)
 	if err := s1.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)

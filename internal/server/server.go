@@ -21,7 +21,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -145,6 +144,10 @@ type Server struct {
 	// pending reports the backpressure signal; a field so tests can force
 	// the 429 path deterministically.
 	pending func() int
+	// snapSegmentBytes, when non-zero, splits snapshots into segments of
+	// this many bytes regardless of size, so tests exercise the segmented
+	// snapshot/recovery path without multi-GiB state. Zero in production.
+	snapSegmentBytes uint64
 
 	// state is the serving state machine (state.go): serving, degraded
 	// (WAL wedged; reads only), or closing.
@@ -322,7 +325,7 @@ func (s *Server) Snapshot() error {
 	s.bat.fence(func() { lsn = s.log.LSN() })
 	labels := s.st.Labels() // syncs: every fed update becomes applied
 	return s.log.CommitSnapshot(lsn, func(path string) error {
-		return writeSnapshot(path, labels)
+		return writeSnapshot(path, labels, s.snapSegmentBytes)
 	})
 }
 
@@ -331,13 +334,9 @@ func (s *Server) Snapshot() error {
 // exactly the labeling's connectivity — in the versioned .cbin format the
 // graph layer already knows how to save, mmap, and validate. TryCompress
 // auto-segments past the 4 GiB single-segment cap, so a server whose
-// accumulated forest outgrows one segment still snapshots and recovers.
-//
-// CONNECTIT_SNAPSHOT_SEGMENT_BYTES forces segmentation at a given
-// per-segment byte target regardless of size — the hook integration tests
-// and CI use to exercise the segmented snapshot/recovery path without
-// multi-GiB state.
-func writeSnapshot(path string, labels []uint32) error {
+// accumulated forest outgrows one segment still snapshots and recovers. A
+// non-zero segBytes forces segments of that size (Server.snapSegmentBytes).
+func writeSnapshot(path string, labels []uint32, segBytes uint64) error {
 	edges := make([]graph.Edge, 0, len(labels))
 	for v, l := range labels {
 		if uint32(v) != l {
@@ -349,11 +348,7 @@ func writeSnapshot(path string, labels []uint32) error {
 		return fmt.Errorf("server: building snapshot forest: %w", err)
 	}
 	var c graph.Rep
-	if env := os.Getenv("CONNECTIT_SNAPSHOT_SEGMENT_BYTES"); env != "" {
-		segBytes, perr := strconv.ParseUint(env, 10, 64)
-		if perr != nil {
-			return fmt.Errorf("server: CONNECTIT_SNAPSHOT_SEGMENT_BYTES=%q: %w", env, perr)
-		}
+	if segBytes > 0 {
 		c, err = graph.TrySegment(g, segBytes)
 	} else {
 		c, err = graph.TryCompress(g)
@@ -919,7 +914,6 @@ func (s *Server) registerMetrics() {
 		return func() uint64 { return f(s.st.Stats()) }
 	}
 	s.reg.CounterFunc("connectit_stream_updates_total", "", "Accepted Update calls.", stream(func(st ingest.Stats) uint64 { return st.Updates }))
-	s.reg.CounterFunc("connectit_stream_queries_total", "", "Connected calls.", stream(func(st ingest.Stats) uint64 { return st.Queries }))
 	s.reg.CounterFunc("connectit_stream_filtered_total", "", "Updates that joined nothing: self-loops, Type i unions inside one component, and edges the buffered pre-filter dropped.", stream(func(st ingest.Stats) uint64 { return st.Filtered }))
 	s.reg.CounterFunc("connectit_stream_applied_total", "", "Updates past the filter: Type i unions that merged two components, or edges handed to a buffered apply round.", stream(func(st ingest.Stats) uint64 { return st.Applied }))
 	s.reg.CounterFunc("connectit_stream_epochs_total", "", "Sealed epochs queued for apply.", stream(func(st ingest.Stats) uint64 { return st.Epochs }))

@@ -139,7 +139,6 @@ func TestServeMetricsExposesEngineCounters(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"connectit_stream_updates_total 1",
-		"connectit_stream_queries_total 1",
 		"connectit_pool_calls_total",
 		"connectit_pool_procs",
 		`connectit_http_requests_total{handler="update"} 1`,

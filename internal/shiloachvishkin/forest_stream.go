@@ -12,9 +12,11 @@ import (
 // every real label, so any packed writeMin claims the slot.
 const hookSentinel = uint64(^uint32(0)) << 32
 
-// EdgeForestRunner is RunEdges with witness capture: the streaming Type (ii)
-// apply path for Shiloach-Vishkin when the ingest engine maintains a live
-// spanning forest (DESIGN.md §12). Hooks go through a packed writeMin into a
+// EdgeForestRunner executes Shiloach-Vishkin over explicit COO edge lists
+// with witness capture: the streaming Type (ii) apply path (§3.5), which
+// always maintains a live spanning forest (DESIGN.md §12). Each round hooks
+// roots over the batch edges and then fully compresses every tree, as Run
+// does over a graph. Hooks go through a packed writeMin into a
 // retained per-root slot; the workers that win a hook record the root in a
 // per-worker candidate buffer, and a serial apply phase at the round barrier
 // installs each winning hook, appends its witness edge to the forest, and
@@ -95,12 +97,12 @@ func (r *EdgeForestRunner) runCompress(lo, hi int) {
 }
 
 // Run executes Shiloach-Vishkin over the batch edges, refining parent until
-// convergence exactly as RunEdges does, and appends one witness edge per
-// hook to forest. It returns the rounds executed and the grown forest.
-// parent must be flat (every entry a root) on entry, which the identity
-// start and the trailing compression of every previous Run guarantee — so
-// each vertex is hooked at most once over the stream's lifetime and the
-// appended edges extend a spanning forest of everything ingested so far.
+// no root hooks, and appends one witness edge per hook to forest. It
+// returns the rounds executed and the grown forest. parent must be flat
+// (every entry a root) on entry, which the identity start and the trailing
+// compression of every previous Run guarantee — so each vertex is hooked at
+// most once over the stream's lifetime and the appended edges extend a
+// spanning forest of everything ingested so far.
 func (r *EdgeForestRunner) Run(edges []graph.Edge, parent []uint32, forest []graph.Edge) (int, []graph.Edge) {
 	n := len(parent)
 	if len(r.hooks) != n {

@@ -135,48 +135,6 @@ func RunForest(g *graph.Graph, parent []uint32, skip []bool, forest [][2]uint32)
 	}
 }
 
-// RunEdges executes Shiloach-Vishkin over an explicit COO edge list (the
-// batch-incremental Type (ii) path, §3.5): rounds of root hooking via
-// writeMin over the batch edges followed by full compression. It returns
-// the number of rounds. Closures are hoisted out of the round loop (see
-// Run).
-func RunEdges(edges []graph.Edge, parent []uint32) int {
-	rounds := 0
-	var changed atomic.Bool
-	hookBody := func(lo, hi int) {
-		local := false
-		for i := lo; i < hi; i++ {
-			e := edges[i]
-			pv := atomic.LoadUint32(&parent[e.U])
-			pu := atomic.LoadUint32(&parent[e.V])
-			if pv == pu {
-				continue
-			}
-			hi32, lo32 := pv, pu
-			if hi32 < lo32 {
-				hi32, lo32 = lo32, hi32
-			}
-			if atomic.LoadUint32(&parent[hi32]) == hi32 &&
-				concurrent.WriteMin(&parent[hi32], lo32) {
-				local = true
-			}
-		}
-		if local {
-			changed.Store(true)
-		}
-	}
-	compressBody := compressBodyFor(parent)
-	for {
-		rounds++
-		changed.Store(false)
-		parallel.ForGrained(len(edges), 512, hookBody)
-		if !changed.Load() {
-			return rounds
-		}
-		parallel.ForGrained(len(parent), compressGrain, compressBody)
-	}
-}
-
 // compressGrain is the chunk size of the compression sweep.
 const compressGrain = 1024
 

@@ -181,17 +181,12 @@ func spliceAt(parent []uint32, rule SpliceOption, rx, px, py uint32) uint32 {
 // the other union rules) takes the per-edge unite path, which remains the
 // definition of each rule; TestSweepKernelParity holds the two together.
 func (d *DSU) UnionNeighbors(v uint32, nbrs []uint32, from uint32, skip []bool) {
-	record := d.witness != nil || d.wlog != nil
-	if record || d.stats != nil || d.opt.Union != UnionRemCAS {
+	if d.witness != nil || d.wlog != nil || d.stats != nil || d.opt.Union != UnionRemCAS {
 		for _, u := range nbrs {
 			if u < from && (skip == nil || !skip[u]) {
 				continue
 			}
-			w := NoWitness
-			if record {
-				w = concurrent.Pack(v, u)
-			}
-			d.unite(v, u, w)
+			d.unite(v, u, concurrent.Pack(v, u))
 		}
 		return
 	}

@@ -123,8 +123,9 @@ type Options struct {
 	Find   FindOption
 	Splice SpliceOption // used by Rem's algorithms only
 
-	// RecordWitness enables spanning-forest support: the edge supplied to
-	// UnionWitness that wins the hook of root r is recorded for r.
+	// RecordWitness enables spanning-forest support: the edge of the Union
+	// (or UnionNeighbors) call that wins the hook of root r is recorded
+	// for r.
 	RecordWitness bool
 
 	// WitnessLog additionally appends every winning witness edge to a
@@ -300,14 +301,10 @@ func (d *DSU) Options() Options { return d.opt }
 func (d *DSU) Parents() []uint32 { return d.parent }
 
 // Union merges the sets containing u and v. It reports whether this call
-// linked two roots; false means u and v were already in one set.
-func (d *DSU) Union(u, v uint32) bool { return d.unite(u, v, NoWitness) }
-
-// UnionWitness is Union attributing the winning hook to edge (eu, ev) when
-// witness recording is enabled: a true result is one witness recorded.
-func (d *DSU) UnionWitness(u, v, eu, ev uint32) bool {
-	return d.unite(u, v, concurrent.Pack(eu, ev))
-}
+// linked two roots; false means u and v were already in one set. With
+// witness recording enabled, a true result records (u, v) as the hooked
+// root's witness edge.
+func (d *DSU) Union(u, v uint32) bool { return d.unite(u, v, concurrent.Pack(u, v)) }
 
 // Find returns the current label (root) of u, applying the configured
 // path-compression rule.
@@ -407,15 +404,14 @@ func (d *DSU) WitnessEdges(dst [][2]uint32) [][2]uint32 {
 	return dst
 }
 
-// recordWitness stores the hooking edge for root r. Each root is hooked at
-// most once across the entire execution, so a plain atomic store suffices
-// for the per-root slot; log appends reserve a slot with a fetch-add and
-// publish it with an atomic store (readers treat a still-sentinel slot as
-// the current end of the log and resume there later).
+// recordWitness stores the hooking edge for root r, and does nothing on a
+// DSU without witness recording. Each root is hooked at most once across
+// the entire execution, so a plain atomic store suffices for the per-root
+// slot; log appends reserve a slot with a fetch-add and publish it with an
+// atomic store (readers treat a still-sentinel slot as the current end of
+// the log and resume there later). w is never NoWitness: that packs the
+// self-loop (^0, ^0), which links nothing.
 func (d *DSU) recordWitness(r uint32, w uint64) {
-	if w == NoWitness {
-		return
-	}
 	if d.witness != nil {
 		atomic.StoreUint64(&d.witness[r], w)
 	}
@@ -423,27 +419,6 @@ func (d *DSU) recordWitness(r uint32, w uint64) {
 		i := d.wcur.Add(1) - 1
 		atomic.StoreUint64(&d.wlog[i], w)
 	}
-}
-
-// EnableWitnessLog switches on witness-log capture for a DSU constructed
-// without Options.WitnessLog. It must be called quiescently before any
-// unions, and never for Rem + SpliceAtomic (the combination Validate
-// rejects for witness recording).
-func (d *DSU) EnableWitnessLog() {
-	d.opt.WitnessLog = true
-	n := len(d.parent)
-	if len(d.wlog) != n {
-		d.wlog = make([]uint64, n)
-	}
-	parallel.For(n, func(i int) { d.wlog[i] = NoWitness })
-	d.wcur.Store(0)
-}
-
-// DisableWitnessLog releases the witness log. Must be called quiescently.
-func (d *DSU) DisableWitnessLog() {
-	d.opt.WitnessLog = false
-	d.wlog = nil
-	d.wcur.Store(0)
 }
 
 // WitnessLogLen returns the number of log slots reserved so far. Some of

@@ -236,8 +236,7 @@ func TestWitnessEdgesFormSpanningStructure(t *testing.T) {
 		opt.RecordWitness = true
 		d := MustNew(n, opt)
 		parallel.For(len(edges), func(i int) {
-			e := edges[i]
-			d.UnionWitness(e[0], e[1], e[0], e[1])
+			d.Union(edges[i][0], edges[i][1])
 		})
 		comps := d.NumComponents()
 		// A spanning forest has exactly n - #components edges.
@@ -369,7 +368,7 @@ func TestSameSetUnderConcurrentUnions(t *testing.T) {
 func TestWitnessPacking(t *testing.T) {
 	opt := Options{Union: UnionRemCAS, Splice: SplitAtomicOne, RecordWitness: true}
 	d := MustNew(4, opt)
-	d.UnionWitness(2, 3, 2, 3)
+	d.Union(2, 3)
 	found := false
 	for v := uint32(0); v < 4; v++ {
 		if w, ok := d.Witness(v); ok {
@@ -471,8 +470,8 @@ func TestUnionNeighborsSkipAndWitness(t *testing.T) {
 	}
 }
 
-// TestUnionReportsLink: Union and UnionWitness return true exactly when the
-// call linked two roots. Over an edge list with duplicates, reversed copies
+// TestUnionReportsLink: Union returns true exactly when the call linked
+// two roots. Over an edge list with duplicates, reversed copies
 // and self-loops, applied from one goroutine or four, the true results
 // therefore number n − #components, and with a witness log each true
 // result is one log entry.
@@ -534,9 +533,9 @@ func TestUnionReportsLink(t *testing.T) {
 					continue
 				}
 				d = MustNew(n, opt)
-				got := links(workers, func(u, v uint32) bool { return d.UnionWitness(u, v, u, v) })
+				got := links(workers, d.Union)
 				if got != want || d.WitnessLogLen() != got {
-					t.Errorf("%d workers: UnionWitness returned true %d times with %d log entries, want %d of each",
+					t.Errorf("%d workers: logging Union returned true %d times with %d log entries, want %d of each",
 						workers, got, d.WitnessLogLen(), want)
 				}
 			}

@@ -8,7 +8,7 @@ import (
 	"connectit/internal/concurrent"
 )
 
-// TestWitnessLogSpanningForest drives concurrent UnionWitness traffic
+// TestWitnessLogSpanningForest drives concurrent Union traffic
 // through every witness-capable variant with the log enabled and checks the
 // streaming forest contract at quiescence: the log holds exactly
 // n - #components edges, every one was inserted, and they form a forest
@@ -46,7 +46,7 @@ func TestWitnessLogSpanningForest(t *testing.T) {
 				go func(w int) {
 					defer wg.Done()
 					for i := w; i < len(edges); i += workers {
-						d.UnionWitness(edges[i][0], edges[i][1], edges[i][0], edges[i][1])
+						d.Union(edges[i][0], edges[i][1])
 					}
 				}(w)
 			}
@@ -105,7 +105,7 @@ func TestWitnessLogIncrementalRead(t *testing.T) {
 	cursor := 0
 	var buf [7]uint64
 	for v := uint32(1); v < n; v++ {
-		d.UnionWitness(v-1, v, v-1, v)
+		d.Union(v-1, v)
 		for {
 			next, k := d.WitnessLogRead(cursor, buf[:])
 			cursor = next
@@ -130,10 +130,10 @@ func TestWitnessLogAppendAllocs(t *testing.T) {
 	d := MustNew(n, Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne, WitnessLog: true})
 	v := uint32(1)
 	allocs := testing.AllocsPerRun(n/2, func() {
-		d.UnionWitness(v-1, v, v-1, v)
+		d.Union(v-1, v)
 		v++
 	})
 	if allocs != 0 {
-		t.Fatalf("UnionWitness with log enabled allocates %.1f allocs/op, want 0", allocs)
+		t.Fatalf("Union with log enabled allocates %.1f allocs/op, want 0", allocs)
 	}
 }

@@ -257,9 +257,8 @@ func TestStreamQueryLiveForest(t *testing.T) {
 	}
 }
 
-// TestStreamQueryCapabilityGating: forest-incapable algorithms and streams
-// with capture switched off fail at Query construction with ErrUnsupported
-// — never mid-query.
+// TestStreamQueryCapabilityGating: forest-incapable algorithms fail at
+// Query construction with ErrUnsupported — never mid-query.
 func TestStreamQueryCapabilityGating(t *testing.T) {
 	// Rem + SpliceAtomic (the Type (iii) phased algorithm) cannot carry
 	// witnesses: cross-tree re-parenting breaks the forest property.
@@ -275,15 +274,51 @@ func TestStreamQueryCapabilityGating(t *testing.T) {
 	if _, err := st.Query(); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Query on splice stream: err = %v, want ErrUnsupported", err)
 	}
+}
 
-	// A capable algorithm with capture explicitly disabled fails the same way.
-	off, err := NewStream(16, DefaultConfig(), StreamOptions{DisableForestCapture: true})
-	if err != nil {
-		t.Fatal(err)
+// TestStreamForestFollowsStreamType: forest capture is decided by the stream
+// type alone. Every Type i and Type ii stream answers Query with a spanning
+// forest of what it ingested (|F| = n − #components, real edges, acyclic);
+// every Type iii stream refuses Query with ErrUnsupported.
+func TestStreamForestFollowsStreamType(t *testing.T) {
+	const n, m = 300, 360
+	rng := rand.New(rand.NewSource(29))
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{U: uint32(rng.Intn(n)), V: uint32(rng.Intn(n))}
 	}
-	defer off.Close()
-	if _, err := off.Query(); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("Query with capture disabled: err = %v, want ErrUnsupported", err)
+	g := BuildGraph(n, edges)
+	for _, sa := range StreamingAlgorithms() {
+		name := sa.Algorithm.Name()
+		st, err := NewStream(n, Config{Algorithm: sa.Algorithm})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := st.UpdateBatch(edges); err != nil {
+			t.Fatalf("%s: UpdateBatch: %v", name, err)
+		}
+		st.Sync()
+		q, err := st.Query()
+		if sa.Type == TypePhased {
+			if !errors.Is(err, ErrUnsupported) {
+				t.Errorf("%s (%v): Query err = %v, want ErrUnsupported", name, sa.Type, err)
+			}
+			st.Close()
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s (%v): Query: %v", name, sa.Type, err)
+		}
+		got, err := q.SpanningForest()
+		if err != nil {
+			t.Fatalf("%s: SpanningForest: %v", name, err)
+		}
+		forest := make([][2]uint32, len(got))
+		for i, e := range got {
+			forest[i] = [2]uint32{e.U, e.V}
+		}
+		testutil.CheckSpanningForest(t, name, g, forest)
+		st.Close()
 	}
 }
 

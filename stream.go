@@ -18,12 +18,13 @@ import (
 // the serving-path surface: producers and queriers drive it concurrently
 // and the engine enforces each stream type's concurrency discipline
 // internally. Beyond point Connected lookups, Stream.Query opens a Query
-// engine over the live spanning forest the stream grows as updates arrive
-// (DESIGN.md §12).
+// engine over the live spanning forest that every Type i and Type ii
+// stream grows as updates arrive (DESIGN.md §12).
 type Stream = ingest.Stream
 
-// StreamOptions tunes a Stream's sharding, epoch size and forest capture;
-// the zero value selects the defaults.
+// StreamOptions tunes a Stream's sharding and epoch size; the zero value
+// selects the defaults. Forest capture is not an option: it follows the
+// stream type (Stream.Query).
 type StreamOptions = ingest.Options
 
 // ErrStreamClosed is the closed-stream error. This is the canonical
