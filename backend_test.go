@@ -159,7 +159,7 @@ type foreignRep struct{ *Graph }
 // TestComponentsOnForeignRep: the kernels reach the graph only through
 // GraphRep, so a representation the library has never heard of simply runs
 // — every algorithm unsampled, and the sampled specs — and a nil GraphRep
-// is the one rejected input.
+// is the one rejected input, by ComponentsOn, SpanningForest and Query.
 func TestComponentsOnForeignRep(t *testing.T) {
 	var cfgs []Config
 	for _, a := range Algorithms() {
@@ -191,15 +191,61 @@ func TestComponentsOnForeignRep(t *testing.T) {
 	if _, err := solver.ComponentsOn(nil); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("ComponentsOn(nil): err = %v, want ErrUnsupported", err)
 	}
+	if _, err := solver.SpanningForest(nil); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("SpanningForest(nil): err = %v, want ErrUnsupported", err)
+	}
 	if _, err := solver.Query(nil); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Query(nil): err = %v, want ErrUnsupported", err)
 	}
-	q, err := solver.Query(foreignRep{NewGrid2D(4, 4)})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSpanningForestEveryBackend: Algorithm 2 reads the graph only through
+// GraphRep, so each forest mechanism — union-find's per-root witnesses and
+// the SV and LT edge runners a Type (ii) stream applies its batches with —
+// yields a spanning forest of real graph edges on the CSR, compressed,
+// multi-segment and foreign representations, under every sampling mode,
+// from Solver.SpanningForest and from the forest-backed Solver.Query.
+func TestSpanningForestEveryBackend(t *testing.T) {
+	type rep struct {
+		name string
+		g    GraphRep
 	}
-	if _, err := q.SpanningForest(); !errors.Is(err, ErrNoForest) {
-		t.Fatalf("Query over a foreign representation: SpanningForest err = %v, want ErrNoForest (label-backed)", err)
+	panel := testutil.Panel()
+	reps := make(map[string][]rep, len(panel))
+	for name, g := range panel {
+		seg, err := TrySegment(g, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "rmat" && seg.NumSegments() < 2 {
+			t.Fatalf("rmat panel graph split into %d segments, want >= 2", seg.NumSegments())
+		}
+		reps[name] = []rep{{"csr", g}, {"compressed", Compress(g)}, {"segmented", seg}, {"foreign", foreignRep{g}}}
+	}
+	for _, sampling := range []string{"none", "kout", "bfs", "ldd"} {
+		for _, alg := range []string{"uf;rem-cas;naive;split-one", "sv", "lt;CRFA", "lt;PRSA"} {
+			cfg := mustParseConfig(t, sampling+";"+alg)
+			cfg.Seed = 11
+			solver := MustCompile(cfg)
+			for name, g := range panel {
+				for _, r := range reps[name] {
+					label := sampling + ";" + alg + "/" + name + "/" + r.name
+					forest, err := solver.SpanningForest(r.g)
+					if err != nil {
+						t.Fatalf("%s: SpanningForest: %v", label, err)
+					}
+					testutil.CheckSpanningForest(t, label, g, forest)
+					q, err := solver.Query(r.g)
+					if err != nil {
+						t.Fatalf("%s: Query: %v", label, err)
+					}
+					if forest, err = q.SpanningForest(); err != nil {
+						t.Fatalf("%s: Query.SpanningForest: %v", label, err)
+					}
+					testutil.CheckSpanningForest(t, label+"/query", g, forest)
+				}
+			}
+		}
 	}
 }
 

@@ -11,20 +11,21 @@
 //	connectit -list
 //
 // The graph representation is selected with -format: "csr" (flat CSR,
-// default), "compressed" (byte-compressed CSR; every algorithm runs
-// directly on the encoding), "segmented" (multi-segment byte-compressed,
-// split at -segment-bytes; the out-of-core backend), or "bin" (memory-map a
-// .cbin file named by -path, opening in O(index); multi-segment v2 files
-// map each segment independently). -convert writes the graph to a .cbin v2
-// file and exits — combined with -format bin it re-encodes an existing
-// file, and -segment-bytes re-segments at a new granularity, so old v1
-// files convert to segmented v2 in one step. -v prints the per-backend
-// memory footprint (SizeBytes and bytes/edge) so the space/throughput
-// tradeoff is visible:
+// default), "compressed" (byte-compressed CSR; every algorithm, and
+// -forest, runs directly on the encoding), "segmented" (multi-segment
+// byte-compressed, split at -segment-bytes; the out-of-core backend), or
+// "bin" (memory-map a .cbin file named by -path, opening in O(index);
+// multi-segment v2 files map each segment independently). -convert writes
+// the graph to a .cbin v2 file and exits — combined with -format bin it
+// re-encodes an existing file, and -segment-bytes re-segments at a new
+// granularity, so old v1 files convert to segmented v2 in one step. -v
+// prints the per-backend memory footprint (SizeBytes and bytes/edge) so the
+// space/throughput tradeoff is visible:
 //
 //	connectit -graph rmat -scale 20 -convert rmat20.cbin
 //	connectit -format bin -path rmat20.cbin -v -algo "uf;rem-cas;naive;split-one"
 //	connectit -graph rmat -scale 18 -format compressed -v
+//	connectit -format bin -path rmat20.cbin -algo "lt;CRFA" -forest
 //	connectit -graph rmat -scale 20 -convert big.cbin -segment-bytes 268435456
 //	connectit -format bin -path old-v1.cbin -convert new-v2.cbin
 //
@@ -219,10 +220,7 @@ func validateFlags() error {
 		return errors.New("-format bin requires -path naming a .cbin file")
 	}
 	if *stream && *format != "csr" {
-		return errors.New("-stream replays COO batches and requires -format csr")
-	}
-	if *forest && *format != "csr" {
-		return errors.New("-forest records witnesses into the flat adjacency and requires -format csr")
+		return errors.New("-stream replays COO batches and needs -format csr")
 	}
 	return nil
 }
@@ -321,7 +319,7 @@ func run() error {
 
 	if *forest {
 		start := time.Now()
-		edges, err := solver.SpanningForest(csr)
+		edges, err := solver.SpanningForest(rep)
 		elapsed := time.Since(start)
 		if err != nil {
 			return err

@@ -247,9 +247,9 @@ func Connectivity(g *Graph, cfg Config) ([]uint32, error) {
 
 // SpanningForest computes a spanning forest of g using a root-based finish
 // algorithm (any union-find variant except Rem+SpliceAtomic,
-// Shiloach-Vishkin, or a RootUp Liu-Tarjan variant). It is a thin wrapper
-// over Compile + Solver.SpanningForest.
-func SpanningForest(g *Graph, cfg Config) ([]Edge, error) {
+// Shiloach-Vishkin, or a RootUp Liu-Tarjan variant) on any GraphRep. It is
+// a thin wrapper over Compile + Solver.SpanningForest.
+func SpanningForest(g GraphRep, cfg Config) ([]Edge, error) {
 	s, err := Compile(cfg)
 	if err != nil {
 		return nil, err

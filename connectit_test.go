@@ -85,11 +85,7 @@ func TestSpanningForestPublic(t *testing.T) {
 	if len(forest) != g.NumVertices()-1 {
 		t.Fatalf("forest edges = %d, want %d", len(forest), g.NumVertices()-1)
 	}
-	raw := make([][2]uint32, len(forest))
-	for i, e := range forest {
-		raw[i] = [2]uint32{e.U, e.V}
-	}
-	testutil.CheckSpanningForest(t, "grid", g, raw)
+	testutil.CheckSpanningForest(t, "grid", g, forest)
 }
 
 func TestSpanningForestUnsupportedSurfaces(t *testing.T) {

@@ -64,8 +64,8 @@ func main() {
 	// about half the resident bytes on power-law graphs, no flat CSR ever
 	// materialized. (Compress one in memory, or LoadCBIN a .cbin file to
 	// memory-map a huge graph in O(1).)
-	// Solver.Query over the compressed backend yields a label-backed handle:
-	// counting and histogram queries work; path queries report ErrNoForest.
+	// Solver.Query computes the spanning forest off the encoding too, so
+	// the compressed handle answers path queries like the CSR one.
 	compressed := connectit.Compress(g)
 	qc, err := solver.Query(compressed)
 	if err != nil {
@@ -73,4 +73,6 @@ func main() {
 	}
 	ccomps, _ := qc.NumComponents()
 	fmt.Println("compressed agrees:", ccomps == 2)
+	cpath, _, _ := qc.PathBetween(0, 2)
+	fmt.Println("compressed path 0 -> 2:", cpath)
 }

@@ -31,10 +31,10 @@ type Capabilities struct {
 // repeated runs over same-sized graphs avoid re-allocation on the finish
 // hot path. It is the engine behind the public connectit.Solver.
 //
-// A Compiled carries one finish hook over graph.Rep, so the same instance —
-// and the same retained scratch — runs directly on whichever representation
-// was built or loaded: flat CSR, byte-compressed, segmented, or any other
-// graph.Rep.
+// A Compiled carries one finish hook and at most one forest hook, both over
+// graph.Rep, so the same instance — and the same retained scratch — runs
+// directly on whichever representation was built or loaded: flat CSR,
+// byte-compressed, segmented, or any other graph.Rep.
 //
 // A Compiled is not safe for concurrent use — it owns scratch state.
 // Compile one instance per goroutine; compilation is cheap.
@@ -103,7 +103,7 @@ func (c *Compiled) Capabilities() Capabilities {
 // most frequent sampled component, and — when forest is set — the sampled
 // partial forest. The labels (NoSampling) and skip buffers are instance
 // scratch.
-func (c *Compiled) prepare(g graph.Rep, forest bool) ([]uint32, []bool, [][2]uint32) {
+func (c *Compiled) prepare(g graph.Rep, forest bool) ([]uint32, []bool, []graph.Edge) {
 	n := g.NumVertices()
 	if c.cfg.Sampling == NoSampling {
 		if cap(c.labels) < n {
@@ -155,9 +155,11 @@ func (c *Compiled) Components(g graph.Rep) []uint32 {
 // SpanningForest computes a spanning forest of g (Algorithm 2): the
 // sampling phase emits the forest edges inducing its partial labeling
 // (Definition B.2) and the root-based finish phase records one witness
-// edge per hook (Theorem 6). Combinations the paper excludes return the
-// ErrUnsupported error captured at compile time.
-func (c *Compiled) SpanningForest(g *graph.Graph) ([][2]uint32, error) {
+// edge per hook (Theorem 6). Like Components it reads g only through
+// graph.Rep, so every representation yields a forest of real graph edges.
+// Combinations the paper excludes return the ErrUnsupported error captured
+// at compile time.
+func (c *Compiled) SpanningForest(g graph.Rep) ([]graph.Edge, error) {
 	if c.forestErr != nil {
 		return nil, c.forestErr
 	}
@@ -165,7 +167,7 @@ func (c *Compiled) SpanningForest(g *graph.Graph) ([][2]uint32, error) {
 		return nil, nil
 	}
 	labels, skip, acc := c.prepare(g, true)
-	return c.forest(g, labels, skip, acc)
+	return c.forest(g, labels, skip, acc), nil
 }
 
 // NewIncremental creates a batch-incremental streaming structure over n

@@ -106,10 +106,11 @@ func init() {
 		ForestSupport: func(Algorithm) error { return nil },
 		StreamSupport: func(Algorithm) (StreamType, error) { return TypeSynchronous, nil },
 		NewFinish:     newSVFinish,
-		NewForest: func(cfg Config) ForestFunc {
-			return func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error) {
-				_, acc = shiloachvishkin.RunForest(g, labels, skip, acc)
-				return acc, nil
+		NewForest: func(Config) ForestFunc {
+			r := shiloachvishkin.NewEdgeForestRunner(0)
+			return func(g graph.Rep, labels []uint32, skip []bool, acc []graph.Edge) []graph.Edge {
+				_, acc = r.Run(liutarjan.CollectEdges(g, skip), labels, acc)
+				return acc
 			}
 		},
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
@@ -152,18 +153,15 @@ func init() {
 		},
 		NewFinish: newLTFinish,
 		NewForest: func(cfg Config) ForestFunc {
-			v := cfg.Algorithm.LT
-			return func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error) {
-				_, acc, err := liutarjan.RunForest(g, labels, skip, v, acc)
-				return acc, err
+			r := newLTForestRunner(cfg.Algorithm.LT)
+			return func(g graph.Rep, labels []uint32, skip []bool, acc []graph.Edge) []graph.Edge {
+				_, acc = r.Run(liutarjan.CollectEdges(g, skip), labels, skip, acc)
+				return acc
 			}
 		},
 		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
-			r, err := liutarjan.NewForestEdgeRunner(cfg.Algorithm.LT)
-			if err != nil {
-				panic(err) // unreachable: StreamSupport admits only RootUp variants
-			}
-			return &Incremental{kind: FinishLiuTarjan, stype: st, parent: Identity(n), n: n, ltForest: r}
+			return &Incremental{kind: FinishLiuTarjan, stype: st, parent: Identity(n), n: n,
+				ltForest: newLTForestRunner(cfg.Algorithm.LT)}
 		},
 	})
 
@@ -238,6 +236,17 @@ func newLTFinish(cfg Config) FinishFunc {
 	}
 }
 
+// newLTForestRunner builds the witness-capturing runner that both the LT
+// forest hook and the Type (ii) stream retain. ForestSupport and
+// StreamSupport admit only RootUp variants, so the error is unreachable.
+func newLTForestRunner(v liutarjan.Variant) *liutarjan.ForestEdgeRunner {
+	r, err := liutarjan.NewForestEdgeRunner(v)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
 // newStergiouFinish compiles the Stergiou finish hook.
 func newStergiouFinish(Config) FinishFunc {
 	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
@@ -273,13 +282,13 @@ func newUFForest(cfg Config) ForestFunc {
 	opt := ufOptions(cfg)
 	opt.RecordWitness = true
 	var df *unionfind.DSU
-	return func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error) {
+	return func(g graph.Rep, labels []uint32, skip []bool, acc []graph.Edge) []graph.Edge {
 		if df == nil {
 			df = unionfind.MustNew(0, opt)
 		}
 		df.Reset(labels)
 		unionFindFinish(g, df, skip)
-		return df.WitnessEdges(acc), nil
+		return df.WitnessEdges(acc)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // the RootUp Liu-Tarjan variants; other combinations return ErrUnsupported.
 // It is a convenience wrapper that compiles cfg and runs it once; repeated
 // runs should Compile once and call Compiled.SpanningForest.
-func SpanningForest(g *graph.Graph, cfg Config) ([][2]uint32, error) {
+func SpanningForest(g graph.Rep, cfg Config) ([]graph.Edge, error) {
 	c, err := Compile(cfg)
 	if err != nil {
 		return nil, err

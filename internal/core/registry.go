@@ -40,8 +40,8 @@ type Family struct {
 	// which may retain scratch state across runs and runs on every graph
 	// representation.
 	NewFinish func(cfg Config) FinishFunc
-	// NewForest compiles the spanning-forest hook (CSR only — witness
-	// recording indexes the flat adjacency). nil when ForestSupport always
+	// NewForest compiles the spanning-forest hook, which like the finish
+	// hook runs on every representation. nil when ForestSupport always
 	// fails.
 	NewForest func(cfg Config) ForestFunc
 	// NewIncremental constructs the streaming structure for a validated
@@ -57,10 +57,13 @@ type Family struct {
 // (DESIGN.md §10) — so any representation runs, with no per-backend table.
 type FinishFunc func(g graph.Rep, labels []uint32, skip []bool) []uint32
 
-// ForestFunc is the compiled spanning-forest hook: it records one witness
-// edge per hook and appends the finish-phase forest edges to acc. It is
-// only invoked when ForestSupport returned nil.
-type ForestFunc func(g *graph.Graph, labels []uint32, skip []bool, acc [][2]uint32) ([][2]uint32, error)
+// ForestFunc is the compiled spanning-forest hook: it refines a star-form
+// labeling as FinishFunc does, records one witness edge per hook, and
+// appends the finish-phase forest edges to acc (Theorem 6). Shiloach-Vishkin
+// and Liu-Tarjan run the same witness-capturing edge runner a Type (ii)
+// stream applies its batches with; union-find records per-root witnesses
+// in its DSU. It is only compiled when ForestSupport returned nil.
+type ForestFunc func(g graph.Rep, labels []uint32, skip []bool, acc []graph.Edge) []graph.Edge
 
 var (
 	families       []*Family

@@ -173,7 +173,7 @@ func (inc *Incremental) applySynchronous(updates []graph.Edge) {
 	if inc.svForest != nil {
 		_, out = inc.svForest.Run(updates, inc.parent, inc.fscratch[:0])
 	} else {
-		_, out = inc.ltForest.Run(updates, inc.parent, inc.fscratch[:0])
+		_, out = inc.ltForest.Run(updates, inc.parent, nil, inc.fscratch[:0])
 	}
 	inc.fscratch = out
 	if len(out) > 0 {

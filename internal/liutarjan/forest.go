@@ -4,14 +4,12 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"connectit/internal/concurrent"
-	"connectit/internal/graph"
 	"connectit/internal/minlabel"
-	"connectit/internal/parallel"
 )
 
-// ErrNotRootBased is returned by RunForest for variants that relabel
-// non-roots; only the RootUp algorithms support spanning forest (§3.4).
+// ErrNotRootBased is returned by NewForestEdgeRunner for variants that
+// relabel non-roots; only the RootUp algorithms support spanning forest
+// (§3.4).
 var ErrNotRootBased = errors.New("liutarjan: spanning forest requires a RootUp variant")
 
 // workEdge carries an edge's current (possibly altered) label endpoints
@@ -20,82 +18,6 @@ var ErrNotRootBased = errors.New("liutarjan: spanning forest requires a RootUp v
 type workEdge struct {
 	a, b uint32
 	orig uint32
-}
-
-// RunForest executes a RootUp variant while recording, per hooked root, the
-// original graph edge whose candidate won the hook — the black-box
-// connectivity-to-spanning-forest conversion of Theorem 6. favored has the
-// same semantics as in Run (the Connect rule's raw-ID candidates require the
-// favored order to compose with sampling, exactly as in connectivity). It
-// appends the witness edges to forest and returns the rounds executed.
-func RunForest(g *graph.Graph, parent []uint32, favored []bool, v Variant, forest [][2]uint32) (int, [][2]uint32, error) {
-	if !v.RootBased() {
-		return 0, forest, ErrNotRootBased
-	}
-	ord := minlabel.Order{Favored: favored}
-	origEdges := CollectEdges(g, favored)
-	work := make([]workEdge, len(origEdges))
-	parallel.For(len(origEdges), func(i int) {
-		work[i] = workEdge{a: origEdges[i].U, b: origEdges[i].V, orig: uint32(i)}
-	})
-	n := len(parent)
-	next := make([]uint64, n)
-	witnessed := make([]bool, n)
-	const noRef = ^uint32(0)
-	rounds := 0
-	for {
-		rounds++
-		parallel.For(n, func(i int) {
-			next[i] = concurrent.Pack(atomic.LoadUint32(&parent[i]), noRef)
-		})
-		var connectChanged atomic.Bool
-		parallel.ForGrained(len(work), 512, func(lo, hi int) {
-			local := false
-			for i := lo; i < hi; i++ {
-				e := work[i]
-				switch v.Connect {
-				case Connect:
-					local = offerRootPacked(ord, parent, next, e.a, e.b, e.orig) || local
-					local = offerRootPacked(ord, parent, next, e.b, e.a, e.orig) || local
-				case ParentConnect:
-					pa := atomic.LoadUint32(&parent[e.a])
-					pb := atomic.LoadUint32(&parent[e.b])
-					local = offerRootPacked(ord, parent, next, e.a, pb, e.orig) || local
-					local = offerRootPacked(ord, parent, next, e.b, pa, e.orig) || local
-				}
-			}
-			if local {
-				connectChanged.Store(true)
-			}
-		})
-		// Apply phase: install winning candidates and record the witness
-		// edge the first time each root is hooked away from itself.
-		applied := make([]bool, n)
-		parallel.For(n, func(i int) {
-			pri, _ := concurrent.Unpack(next[i])
-			if ord.Less(pri, atomic.LoadUint32(&parent[i])) {
-				atomic.StoreUint32(&parent[i], pri)
-				applied[i] = true
-			}
-		})
-		for i := 0; i < n; i++ {
-			if applied[i] && !witnessed[i] {
-				_, ref := concurrent.Unpack(next[i])
-				if ref != noRef {
-					forest = append(forest, [2]uint32{origEdges[ref].U, origEdges[ref].V})
-					witnessed[i] = true
-				}
-			}
-		}
-		shortcutChanged := shortcut(ord, parent, v.Shortcut)
-		alterChanged := false
-		if v.Alter == Alter {
-			work, alterChanged = alterWork(work, parent)
-		}
-		if !connectChanged.Load() && !shortcutChanged && !alterChanged {
-			return rounds, forest, nil
-		}
-	}
 }
 
 // offerRootPacked proposes cand (with witness ref) to the root parent of
@@ -111,7 +33,7 @@ func offerRootPacked(ord minlabel.Order, parent []uint32, next []uint64, x, cand
 
 // alterWork rewrites work edges to current labels, preserving the original
 // edge reference and dropping self loops. It reports whether any edge
-// changed (same termination significance as alter in Run).
+// changed (same termination significance as EdgeRunner's alter).
 func alterWork(work []workEdge, parent []uint32) ([]workEdge, bool) {
 	kept := work[:0]
 	changed := false

@@ -14,15 +14,17 @@ import (
 const noWitnessRef = ^uint32(0)
 
 // ForestEdgeRunner executes a RootUp Liu-Tarjan variant over explicit edge
-// lists with witness capture: the streaming Type (ii) apply path, which
-// always maintains a live spanning forest (DESIGN.md §12). It is
-// RunForest restructured the way EdgeRunner restructures RunEdges: the
-// packed next-array, the work-edge list, and every round body are retained
-// across Run calls, so a steady-state Run performs zero allocations (the
-// forest append amortizes into caller-retained capacity).
+// lists with witness capture — the black-box connectivity-to-spanning-forest
+// conversion of Theorem 6, and the one LT forest mechanism: the static
+// forest hook runs it over the finish phase's collected edges, and the
+// streaming Type (ii) apply path runs it over every batch, so a stream
+// always maintains a live spanning forest (DESIGN.md §12). The packed
+// next-array, the work-edge list, and every round body are retained across
+// Run calls, so a steady-state Run performs zero allocations (the forest
+// append amortizes into caller-retained capacity).
 //
 // Offers go to round-start roots only (the RootUp rule), each carrying the
-// index of the batch edge it descends from; the apply phase at the round
+// index of the input edge it descends from; the apply phase at the round
 // barrier installs winning candidates with atomic stores (wait-free queries
 // chase parent concurrently, §3.5) and appends the witness edge of every
 // root hooked away from itself. Labels are monotone non-increasing and a
@@ -32,13 +34,13 @@ const noWitnessRef = ^uint32(0)
 // A runner is not safe for concurrent use; the streaming layer serializes
 // Type (ii) rounds by construction.
 type ForestEdgeRunner struct {
-	v   Variant
-	ord minlabel.Order
+	v Variant
 
 	next []uint64
 	work []workEdge
 
 	// Per-Run state referenced by the hoisted bodies.
+	ord    minlabel.Order
 	parent []uint32
 	edges  []graph.Edge
 
@@ -58,7 +60,7 @@ func NewForestEdgeRunner(v Variant) (*ForestEdgeRunner, error) {
 	if !v.RootBased() {
 		return nil, ErrNotRootBased
 	}
-	r := &ForestEdgeRunner{v: v, ord: ordNatural}
+	r := &ForestEdgeRunner{v: v}
 	r.packBody = r.runPack
 	r.fillBody = r.runFill
 	r.connectBody = r.runConnect
@@ -116,12 +118,16 @@ func (r *ForestEdgeRunner) runShortcut(lo, hi int) {
 	}
 }
 
-// Run refines parent over the batch edges until convergence, with the same
-// round structure and termination condition as EdgeRunner.Run, and appends
-// one witness edge per hooked root to forest. It returns the rounds
-// executed and the grown forest. The input edge slice is never modified.
-func (r *ForestEdgeRunner) Run(edges []graph.Edge, parent []uint32, forest []graph.Edge) (int, []graph.Edge) {
+// Run refines parent over the edges until convergence, with the same round
+// structure and termination condition as EdgeRunner.Run, and appends one
+// witness edge per hooked root to forest. It returns the rounds executed
+// and the grown forest. The input edge slice is never modified. favored has
+// EdgeRunner.Run's semantics: the sampled most-frequent component compares
+// below every other label (Theorem 4), which the Connect rule's raw-ID
+// candidates need to compose with sampling; streams pass nil.
+func (r *ForestEdgeRunner) Run(edges []graph.Edge, parent []uint32, favored []bool, forest []graph.Edge) (int, []graph.Edge) {
 	n := len(parent)
+	r.ord = minlabel.Order{Favored: favored}
 	r.parent, r.edges = parent, edges
 	if cap(r.next) < n {
 		r.next = make([]uint64, n)
@@ -139,9 +145,9 @@ func (r *ForestEdgeRunner) Run(edges []graph.Edge, parent []uint32, forest []gra
 		r.connectChanged.Store(false)
 		parallel.ForGrained(len(r.work), 512, r.connectBody)
 		// Apply phase: install winning candidates and record the witness
-		// edge of every root hooked away from itself. Serial — RunForest's
-		// witness scan is serial for the same reason — and cheap relative
-		// to the O(n) pack and shortcut sweeps already in the round.
+		// edge of every root hooked away from itself. Serial, so the forest
+		// appends need no synchronization, and cheap relative to the O(n)
+		// pack and shortcut sweeps already in the round.
 		for i := 0; i < n; i++ {
 			pri, ref := concurrent.Unpack(r.next[i])
 			if r.ord.Less(pri, atomic.LoadUint32(&parent[i])) {

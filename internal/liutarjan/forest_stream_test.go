@@ -53,7 +53,7 @@ func forestRandEdges(n, m int, seed uint64) []graph.Edge {
 }
 
 // TestForestEdgeRunnerRejectsNonRootUp: only root-based variants can carry
-// witnesses (§3.4), mirroring RunForest's gate.
+// witnesses (§3.4).
 func TestForestEdgeRunnerRejectsNonRootUp(t *testing.T) {
 	if _, err := NewForestEdgeRunner(Variant{Connect, SimpleUpdate, OneShortcut, NoAlter}); !errors.Is(err, ErrNotRootBased) {
 		t.Fatalf("SimpleUpdate variant: err = %v, want ErrNotRootBased", err)
@@ -104,7 +104,7 @@ func TestForestEdgeRunnerInvariants(t *testing.T) {
 					inSet[[2]uint32{u, v}] = true
 					oracle.union(e.U, e.V)
 				}
-				_, forest = r.Run(edges, parent, forest)
+				_, forest = r.Run(edges, parent, nil, forest)
 
 				chase := func(x uint32) uint32 {
 					for parent[x] != x {
@@ -168,13 +168,13 @@ func TestForestEdgeRunnerSteadyStateAllocs(t *testing.T) {
 		parent[i] = uint32(i)
 	}
 	var forest []graph.Edge
-	_, forest = r.Run(edges, parent, forest) // warm up
+	_, forest = r.Run(edges, parent, nil, forest) // warm up
 
 	res := testing.Benchmark(func(b *testing.B) {
 		runtime.GOMAXPROCS(4)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			_, forest = r.Run(edges, parent, forest)
+			_, forest = r.Run(edges, parent, nil, forest)
 		}
 	})
 	if a := res.AllocsPerOp(); a != 0 {

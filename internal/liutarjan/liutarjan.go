@@ -111,9 +111,6 @@ func Variants() []Variant {
 	}
 }
 
-// ordNatural is the plain uint32 order (no favored set).
-var ordNatural = minlabel.Order{}
-
 // CollectEdges gathers the undirected edges that the finish phase must
 // process: every edge with at least one unskipped endpoint, exactly once.
 // It takes any graph representation (graph.Rep): the edge-list
@@ -154,25 +151,6 @@ func CollectEdges(g graph.Rep, skip []bool) []graph.Edge {
 		out = append(out, l...)
 	}
 	return out
-}
-
-// Run executes the variant over g, refining the labeling in parent until
-// convergence. favored, when non-nil, marks the vertices of the sampled
-// most-frequent component: their out-edges are skipped and their IDs compare
-// smaller than every other label (the paper's relabel-to-smallest-IDs
-// construction, Theorem 4). It returns the number of rounds.
-func Run(g graph.Rep, parent []uint32, favored []bool, v Variant) int {
-	edges := CollectEdges(g, favored)
-	return RunEdges(edges, parent, favored, v)
-}
-
-// RunEdges is Run over an explicit edge list (batches in COO form). It
-// publishes round results with plain stores, so no reader may chase parent
-// while it runs. Repeated callers should hold a NewEdgeRunner instead: this
-// wrapper constructs a fresh runner — and pays its scratch allocations —
-// per call.
-func RunEdges(edges []graph.Edge, parent []uint32, favored []bool, v Variant) int {
-	return NewEdgeRunner(v).Run(edges, parent, favored)
 }
 
 // altGrain is the edge-block size of the alter compaction passes.
@@ -232,9 +210,14 @@ func NewEdgeRunner(v Variant) *EdgeRunner {
 	return r
 }
 
-// Run refines parent over edges until convergence (see RunEdges) and
-// returns the number of rounds. The input slice is never modified: the
-// first alter pass compacts into runner-owned buffers.
+// Run refines the labeling in parent over edges (CollectEdges output, or a
+// batch in COO form) until convergence and returns the number of rounds.
+// favored, when non-nil, marks the vertices of the sampled most-frequent
+// component: their IDs compare smaller than every other label (the paper's
+// relabel-to-smallest-IDs construction, Theorem 4). Rounds publish with
+// plain stores, so no reader may chase parent while it runs. The input
+// slice is never modified: the first alter pass compacts into runner-owned
+// buffers.
 func (r *EdgeRunner) Run(edges []graph.Edge, parent []uint32, favored []bool) int {
 	r.ord = minlabel.Order{Favored: favored}
 	r.parent = parent
@@ -463,17 +446,13 @@ func copyParallel(dst, src []uint32) {
 	})
 }
 
-// RunStergiou executes Stergiou et al.'s algorithm (§B.2.5): ParentConnect
-// against a previous-round snapshot array, then a single shortcut, repeated
-// to fixpoint. favored has the same semantics as in Run. It returns the
-// number of rounds.
+// RunStergiou executes Stergiou et al.'s algorithm (§B.2.5) over g:
+// ParentConnect against a previous-round snapshot array, then a single
+// shortcut, repeated to fixpoint. favored marks the sampled most-frequent
+// component, whose out-edges are skipped and whose IDs compare smallest, as
+// in EdgeRunner.Run. It returns the number of rounds.
 func RunStergiou(g graph.Rep, parent []uint32, favored []bool) int {
 	edges := CollectEdges(g, favored)
-	return RunStergiouEdges(edges, parent, favored)
-}
-
-// RunStergiouEdges is RunStergiou over an explicit edge list.
-func RunStergiouEdges(edges []graph.Edge, parent []uint32, favored []bool) int {
 	ord := minlabel.Order{Favored: favored}
 	n := len(parent)
 	prev := make([]uint32, n)

@@ -58,7 +58,7 @@ func TestAllVariantsMatchOracleOnPanel(t *testing.T) {
 			t.Parallel()
 			for name, g := range panel {
 				parent := identity(g.NumVertices())
-				Run(g, parent, nil, v)
+				NewEdgeRunner(v).Run(CollectEdges(g, nil), parent, nil)
 				testutil.CheckPartition(t, name, parent, testutil.Components(g))
 			}
 		})
@@ -82,7 +82,7 @@ func TestVariantsWithFavoredLabelAndSkip(t *testing.T) {
 			parent[x] = 7
 			skip[x] = true
 		}
-		Run(g, parent, skip, v)
+		NewEdgeRunner(v).Run(CollectEdges(g, skip), parent, skip)
 		testutil.CheckPartition(t, v.Code(), parent, want)
 		// The favored component's label must stay within the favored set
 		// (labels may legally move to a smaller favored ID, since the
@@ -156,7 +156,7 @@ func TestRunEdgesOnRawCOO(t *testing.T) {
 	// The streaming layer feeds raw COO batches; verify direct edge input.
 	edges := []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}, {U: 1, V: 2}, {U: 7, V: 8}}
 	parent := identity(10)
-	RunEdges(edges, parent, nil, Variants()[0])
+	NewEdgeRunner(Variants()[0]).Run(edges, parent, nil)
 	if parent[0] != parent[3] || parent[7] != parent[8] {
 		t.Fatal("COO components wrong")
 	}

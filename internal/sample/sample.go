@@ -25,7 +25,7 @@ type Result struct {
 	Labels []uint32
 	// Forest holds the spanning-forest edges discovered during sampling
 	// (nil unless requested). Contracting them induces exactly Labels.
-	Forest [][2]uint32
+	Forest []graph.Edge
 	// Canonical reports that every star is already rooted at its minimum
 	// member, so the framework can skip Canonicalize. k-out sampling's
 	// ID-linking union-find guarantees this; BFS/LDD stars are rooted at
@@ -221,11 +221,11 @@ func LDD(g graph.Rep, beta float64, permute bool, seed uint64, forest bool) *Res
 // treeEdges converts a parent forest (parent[v] == v at roots, graph.None
 // unreached) into witness edges assigned to the child endpoint, satisfying
 // Definition B.2(3).
-func treeEdges(parent []graph.Vertex) [][2]uint32 {
-	var out [][2]uint32
+func treeEdges(parent []graph.Vertex) []graph.Edge {
+	var out []graph.Edge
 	for v, p := range parent {
 		if p != graph.None && p != graph.Vertex(v) {
-			out = append(out, [2]uint32{uint32(v), p})
+			out = append(out, graph.Edge{U: graph.Vertex(v), V: p})
 		}
 	}
 	return out

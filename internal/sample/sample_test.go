@@ -25,7 +25,7 @@ func checkDefinition31(t *testing.T, name string, g *graph.Graph, labels []uint3
 
 // checkForestInducesLabels verifies Definition B.2: contracting the forest
 // edges yields exactly the sampled labeling.
-func checkForestInducesLabels(t *testing.T, name string, labels []uint32, forest [][2]uint32) {
+func checkForestInducesLabels(t *testing.T, name string, labels []uint32, forest []graph.Edge) {
 	t.Helper()
 	n := len(labels)
 	parent := make([]int, n)
@@ -44,10 +44,10 @@ func checkForestInducesLabels(t *testing.T, name string, labels []uint32, forest
 	// slots are indexed by the hooked root and each root is hooked at most
 	// once, so here we verify the induced partition and acyclicity.
 	for _, e := range forest {
-		if find(int(e[0])) == find(int(e[1])) {
-			t.Fatalf("%s: forest edge (%d,%d) forms a cycle", name, e[0], e[1])
+		if find(int(e.U)) == find(int(e.V)) {
+			t.Fatalf("%s: forest edge (%d,%d) forms a cycle", name, e.U, e.V)
 		}
-		parent[find(int(e[0]))] = find(int(e[1]))
+		parent[find(int(e.U))] = find(int(e.V))
 	}
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {

@@ -13,18 +13,20 @@ import (
 const hookSentinel = uint64(^uint32(0)) << 32
 
 // EdgeForestRunner executes Shiloach-Vishkin over explicit COO edge lists
-// with witness capture: the streaming Type (ii) apply path (§3.5), which
-// always maintains a live spanning forest (DESIGN.md §12). Each round hooks
-// roots over the batch edges and then fully compresses every tree, as Run
-// does over a graph. Hooks go through a packed writeMin into a
-// retained per-root slot; the workers that win a hook record the root in a
-// per-worker candidate buffer, and a serial apply phase at the round barrier
-// installs each winning hook, appends its witness edge to the forest, and
-// resets the slot — so the hooks array is all-sentinel again by the next
-// round and the runner never pays an O(n) sweep per batch. Every buffer is
-// retained across Run calls and the round bodies are hoisted closures, so a
-// steady-state Run performs zero allocations (the forest append amortizes
-// into caller-retained capacity).
+// with witness capture. It is the one SV spanning-forest mechanism
+// (Theorem 6): the static forest hook runs it over the finish phase's
+// collected edges, and the streaming Type (ii) apply path (§3.5) runs it
+// over every batch, so a stream always maintains a live spanning forest
+// (DESIGN.md §12). Each round hooks roots over the edges and then fully
+// compresses every tree, as Run does over a graph. Hooks go through a
+// packed writeMin into a retained per-root slot; the workers that win a
+// hook record the root in a per-worker candidate buffer, and a serial apply
+// phase at the round barrier installs each winning hook, appends its
+// witness edge to the forest, and resets the slot — so the hooks array is
+// all-sentinel again by the next round and the runner never pays an O(n)
+// sweep per batch. Every buffer is retained across Run calls and the round
+// bodies are hoisted closures, so a steady-state Run performs zero
+// allocations (the forest append amortizes into caller-retained capacity).
 //
 // A runner is not safe for concurrent use; the streaming layer serializes
 // Type (ii) rounds by construction. Parent stores are atomic because
@@ -81,28 +83,16 @@ func (r *EdgeForestRunner) runHooks(w *parallel.Worker, lo, hi int) {
 	r.bufs[w.ID()] = buf
 }
 
-func (r *EdgeForestRunner) runCompress(lo, hi int) {
-	parent := r.parent
-	for i := lo; i < hi; i++ {
-		p := atomic.LoadUint32(&parent[i])
-		for {
-			pp := atomic.LoadUint32(&parent[p])
-			if pp == p {
-				break
-			}
-			p = pp
-		}
-		atomic.StoreUint32(&parent[i], p)
-	}
-}
+func (r *EdgeForestRunner) runCompress(lo, hi int) { compressRange(r.parent, lo, hi) }
 
-// Run executes Shiloach-Vishkin over the batch edges, refining parent until
-// no root hooks, and appends one witness edge per hook to forest. It
-// returns the rounds executed and the grown forest. parent must be flat
-// (every entry a root) on entry, which the identity start and the trailing
-// compression of every previous Run guarantee — so each vertex is hooked at
-// most once over the stream's lifetime and the appended edges extend a
-// spanning forest of everything ingested so far.
+// Run executes Shiloach-Vishkin over the edges, refining parent until no
+// root hooks, and appends one witness edge per hook to forest. It returns
+// the rounds executed and the grown forest. parent must be flat (every
+// entry a root or pointing at one) on entry, which the identity start, a
+// sampled star labeling, and the trailing compression of every previous Run
+// guarantee — so each vertex is hooked at most once over the stream's
+// lifetime and the appended edges extend a spanning forest of everything
+// ingested so far.
 func (r *EdgeForestRunner) Run(edges []graph.Edge, parent []uint32, forest []graph.Edge) (int, []graph.Edge) {
 	n := len(parent)
 	if len(r.hooks) != n {

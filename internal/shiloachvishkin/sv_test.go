@@ -41,15 +41,6 @@ func TestRunWithSampledStarsAndSkip(t *testing.T) {
 	testutil.CheckPartition(t, "bridged-sampled", parent, testutil.Components(g))
 }
 
-func TestRunForestProducesSpanningForest(t *testing.T) {
-	for name, g := range testutil.Panel() {
-		parent := identity(g.NumVertices())
-		_, forest := RunForest(g, parent, nil, nil)
-		testutil.CheckSpanningForest(t, name, g, forest)
-		testutil.CheckPartition(t, name, parent, testutil.Components(g))
-	}
-}
-
 func TestRoundsBoundedLogarithmically(t *testing.T) {
 	g := graph.Path(1 << 12)
 	parent := identity(g.NumVertices())
@@ -57,15 +48,5 @@ func TestRoundsBoundedLogarithmically(t *testing.T) {
 	// SV needs O(log n) rounds; allow slack but reject linear behaviour.
 	if rounds > 40 {
 		t.Fatalf("rounds = %d on a path of 4096, want O(log n)", rounds)
-	}
-}
-
-func TestEdgeSourceBinarySearch(t *testing.T) {
-	g := graph.Star(5) // vertex 0 has degree 4; leaves degree 1
-	for idx := uint64(0); idx < uint64(g.NumDirectedEdges()); idx++ {
-		src := edgeSource(g, idx)
-		if idx < g.Offsets[src] || idx >= g.Offsets[src+1] {
-			t.Fatalf("edgeSource(%d) = %d, offsets [%d,%d)", idx, src, g.Offsets[src], g.Offsets[src+1])
-		}
 	}
 }

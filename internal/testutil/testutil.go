@@ -78,7 +78,7 @@ func CheckPartition(t *testing.T, name string, got, want []uint32) {
 // CheckSpanningForest fails the test unless forest is a spanning forest of
 // g: acyclic, using only real edges, with exactly n - #components edges,
 // inducing the reference partition.
-func CheckSpanningForest(t *testing.T, name string, g *graph.Graph, forest [][2]uint32) {
+func CheckSpanningForest(t *testing.T, name string, g *graph.Graph, forest []graph.Edge) {
 	t.Helper()
 	want := Components(g)
 	comps := NumComponents(want)
@@ -99,7 +99,7 @@ func CheckSpanningForest(t *testing.T, name string, g *graph.Graph, forest [][2]
 		return x
 	}
 	for _, e := range forest {
-		u, v := int(e[0]), int(e[1])
+		u, v := int(e.U), int(e.V)
 		if u < 0 || u >= n || v < 0 || v >= n {
 			t.Fatalf("%s: forest edge (%d,%d) out of range", name, u, v)
 		}

@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 
 	"connectit/internal/concurrent"
+	"connectit/internal/graph"
 	"connectit/internal/parallel"
 )
 
@@ -391,14 +392,14 @@ func (d *DSU) Witness(v uint32) (uint64, bool) {
 
 // WitnessEdges appends every recorded witness edge to dst and returns it.
 // Used by the spanning-forest framework (Algorithm 2).
-func (d *DSU) WitnessEdges(dst [][2]uint32) [][2]uint32 {
+func (d *DSU) WitnessEdges(dst []graph.Edge) []graph.Edge {
 	if d.witness == nil {
 		return dst
 	}
 	for v := range d.witness {
 		if w := d.witness[v]; w != NoWitness {
 			u, x := concurrent.Unpack(w)
-			dst = append(dst, [2]uint32{u, x})
+			dst = append(dst, graph.Edge{U: u, V: x})
 		}
 	}
 	return dst

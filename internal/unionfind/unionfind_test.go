@@ -247,10 +247,10 @@ func TestWitnessEdgesFormSpanningStructure(t *testing.T) {
 		// Witness edges must connect exactly the same partition.
 		oracle := newSeqDSU(n)
 		for _, w := range ws {
-			if oracle.find(int(w[0])) == oracle.find(int(w[1])) {
+			if oracle.find(int(w.U)) == oracle.find(int(w.V)) {
 				t.Fatalf("%s: witness edges contain a cycle", v.Name())
 			}
-			oracle.union(int(w[0]), int(w[1]))
+			oracle.union(int(w.U), int(w.V))
 		}
 		sameSets(t, v.Name(), d.Labels(), oracle.roots())
 	}
@@ -463,8 +463,8 @@ func TestUnionNeighborsSkipAndWitness(t *testing.T) {
 			t.Fatalf("%s: applied the wrong neighbours: labels %v", v.Name(), d.Labels())
 		}
 		for _, w := range d.WitnessEdges(nil) {
-			if w[0] != 3 || (w[1] != 1 && w[1] != 4) {
-				t.Fatalf("%s: witness (%d,%d) is not an applied edge of 3", v.Name(), w[0], w[1])
+			if w.U != 3 || (w.V != 1 && w.V != 4) {
+				t.Fatalf("%s: witness (%d,%d) is not an applied edge of 3", v.Name(), w.U, w.V)
 			}
 		}
 	}

@@ -8,8 +8,7 @@ import (
 // engine type answering path, component, histogram, and forest queries over
 // whatever produced the connectivity — a live Stream's spanning forest
 // (Stream.Query), a static forest computed by Algorithm 2 (Solver.Query over
-// a *Graph), or a bare labeling (Solver.Query over a compressed or
-// segmented graph, or QueryLabels).
+// any GraphRep), or a bare labeling (QueryLabels).
 //
 // Capability gating happens at construction, mirroring Compile's
 // fail-at-compile contract: a handle you hold answers every query its
@@ -49,37 +48,24 @@ func QueryLabels(labels []uint32) *Query {
 // the result in a Query handle — the one-stop surface for counting,
 // histogram, and path queries.
 //
-// The handle's power is fixed at construction by what the combination and
-// representation support, mirroring Compile's capability gating:
+// The handle's power is fixed at construction by what the combination
+// supports, mirroring Compile's capability gating:
 //
 //   - Combinations without spanning-forest support (Rem+SpliceAtomic
 //     union-find, non-RootUp Liu-Tarjan, Stergiou, Label-Propagation)
 //     return the ErrUnsupported error captured at compile time — use
 //     ComponentsOn + QueryLabels for a label-only view of those.
-//   - A *Graph yields a forest-backed handle: every query works, including
-//     PathBetween and SpanningForest (Algorithm 2).
-//   - Any other GraphRep (*CompressedGraph, *SegmentedGraph, or a
-//     user-defined representation) yields a label-backed handle — witness
-//     recording indexes the flat CSR, so only *Graph computes forests:
-//     counting and histogram queries work; PathBetween and SpanningForest
-//     return ErrNoForest. A nil GraphRep returns ErrUnsupported.
+//   - Every other combination yields a forest-backed handle on any GraphRep
+//     (*Graph, *CompressedGraph, *SegmentedGraph, or a user-defined
+//     representation): every query works, including PathBetween and
+//     SpanningForest (Algorithm 2). A nil GraphRep returns ErrUnsupported.
 //
 // The handle owns a snapshot of the result and stays valid after further
 // Solver runs.
 func (s *Solver) Query(g GraphRep) (*Query, error) {
-	if err := s.c.ForestErr(); err != nil {
-		return nil, err
-	}
-	if csr, ok := g.(*Graph); ok {
-		forest, err := s.SpanningForest(csr)
-		if err != nil {
-			return nil, err
-		}
-		return query.NewStatic(csr.NumVertices(), forest), nil
-	}
-	labels, err := s.ComponentsOn(g)
+	forest, err := s.SpanningForest(g)
 	if err != nil {
 		return nil, err
 	}
-	return QueryLabels(labels), nil
+	return query.NewStatic(g.NumVertices(), forest), nil
 }

@@ -3,7 +3,8 @@ package connectit
 // Tests for the composable query surface (DESIGN.md §12): live-forest
 // queries on a concurrently driven Stream across all stream types that
 // support capture, the capability gating at construction, the post-Close
-// error contract, and the static/label-backed Solver.Query paths.
+// error contract, and the forest-backed Solver.Query on CSR and
+// compressed graphs.
 
 import (
 	"errors"
@@ -309,13 +310,9 @@ func TestStreamForestFollowsStreamType(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s (%v): Query: %v", name, sa.Type, err)
 		}
-		got, err := q.SpanningForest()
+		forest, err := q.SpanningForest()
 		if err != nil {
 			t.Fatalf("%s: SpanningForest: %v", name, err)
-		}
-		forest := make([][2]uint32, len(got))
-		for i, e := range got {
-			forest[i] = [2]uint32{e.U, e.V}
 		}
 		testutil.CheckSpanningForest(t, name, g, forest)
 		st.Close()
@@ -369,8 +366,8 @@ func mustParseConfig(t *testing.T, spec string) Config {
 }
 
 // TestSolverQueryCompressed: querying a compressed graph yields a
-// label-backed engine — counting queries work, walk queries return
-// ErrNoForest.
+// forest-backed engine, as on CSR — counting queries work, and PathBetween
+// walks real graph edges of a spanning forest computed off the encoding.
 func TestSolverQueryCompressed(t *testing.T) {
 	g := NewGrid2D(8, 8)
 	c := Compress(g)
@@ -385,12 +382,23 @@ func TestSolverQueryCompressed(t *testing.T) {
 	if sz, _ := q.ComponentSize(0); sz != 64 {
 		t.Fatalf("ComponentSize(0) = %d, want 64", sz)
 	}
-	if _, _, err := q.PathBetween(0, 63); !errors.Is(err, ErrNoForest) {
-		t.Fatalf("PathBetween on label-backed engine: err = %v, want ErrNoForest", err)
+	inSet := make(map[[2]uint32]bool)
+	for _, e := range g.Edges() {
+		inSet[[2]uint32{min(e.U, e.V), max(e.U, e.V)}] = true
 	}
-	if _, err := q.SpanningForest(); !errors.Is(err, ErrNoForest) {
-		t.Fatalf("SpanningForest on label-backed engine: err = %v, want ErrNoForest", err)
+	labels := testutil.Components(g)
+	for _, pair := range [][2]uint32{{0, 63}, {7, 56}, {9, 9}} {
+		path, connected, err := q.PathBetween(pair[0], pair[1])
+		if err != nil {
+			t.Fatalf("PathBetween(%d,%d): %v", pair[0], pair[1], err)
+		}
+		checkPath(t, labels, inSet, pair[0], pair[1], path, connected)
 	}
+	forest, err := q.SpanningForest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	testutil.CheckSpanningForest(t, "compressed", g, forest)
 }
 
 // TestQueryLabelsParity: QueryLabels answers the counting queries exactly

@@ -80,16 +80,17 @@ func (s *Solver) ComponentsOn(g GraphRep) ([]uint32, error) {
 // benchmark contract — is its last caller outside the tests.
 func (s *Solver) Components(g *Graph) []uint32 { return s.c.Components(g) }
 
-// SpanningForest computes a spanning forest of g. For combinations the
-// paper excludes (Rem+SpliceAtomic union-find, non-RootUp Liu-Tarjan,
-// Stergiou, Label-Propagation) it returns the ErrUnsupported error
-// captured at compile time; Capabilities reports support up front.
-func (s *Solver) SpanningForest(g *Graph) ([]Edge, error) {
-	raw, err := s.c.SpanningForest(g)
-	if err != nil {
-		return nil, err
+// SpanningForest computes a spanning forest of g, whichever GraphRep it is:
+// the witness edges are real graph edges on every representation. For
+// combinations the paper excludes (Rem+SpliceAtomic union-find, non-RootUp
+// Liu-Tarjan, Stergiou, Label-Propagation) it returns the ErrUnsupported
+// error captured at compile time; Capabilities reports support up front. A
+// nil GraphRep also returns ErrUnsupported.
+func (s *Solver) SpanningForest(g GraphRep) ([]Edge, error) {
+	if g == nil {
+		return nil, fmt.Errorf("%w: nil graph representation", ErrUnsupported)
 	}
-	return edgesFromRaw(raw), nil
+	return s.c.SpanningForest(g)
 }
 
 // NewIncremental creates a streaming connectivity structure over n
@@ -99,12 +100,4 @@ func (s *Solver) SpanningForest(g *Graph) ([]Edge, error) {
 // Incremental is safe for the concurrent use its StreamType permits.
 func (s *Solver) NewIncremental(n int) (*Incremental, error) {
 	return s.c.NewIncremental(n)
-}
-
-func edgesFromRaw(raw [][2]uint32) []Edge {
-	out := make([]Edge, len(raw))
-	for i, e := range raw {
-		out[i] = Edge{U: e[0], V: e[1]}
-	}
-	return out
 }

@@ -50,11 +50,7 @@ func TestSolverForestAndComponentsInterleave(t *testing.T) {
 		if len(forest) != g.NumVertices()-1 {
 			t.Fatalf("run %d: forest edges = %d, want %d", i, len(forest), g.NumVertices()-1)
 		}
-		raw := make([][2]uint32, len(forest))
-		for j, e := range forest {
-			raw[j] = [2]uint32{e.U, e.V}
-		}
-		testutil.CheckSpanningForest(t, "grid", g, raw)
+		testutil.CheckSpanningForest(t, "grid", g, forest)
 		if got := testutil.NumComponents(s.Components(g)); got != 1 {
 			t.Fatalf("run %d: components = %d, want 1", i, got)
 		}
