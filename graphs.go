@@ -51,7 +51,7 @@ func Compress(g *Graph) *CompressedGraph { return graph.Compress(g) }
 // fits: a *CompressedGraph while the encoding stays within the 4 GiB
 // single-segment offset-index cap, a *SegmentedGraph beyond it. Both
 // satisfy GraphRep and run every registered algorithm, so callers with
-// inputs of unknown size (file conversions, snapshots) need no cap logic.
+// inputs of unknown size (file conversions) need no cap logic.
 func TryCompress(g *Graph) (GraphRep, error) { return graph.TryCompress(g) }
 
 // TrySegment byte-encodes g as a SegmentedGraph with at most segmentBytes

@@ -203,7 +203,7 @@ func (b *batcher) flush() {
 
 // fence runs fn while no flush is in progress: every WAL-appended record is
 // also fed to the stream at that instant, so fn observes a consistent
-// (LSN, stream) cut. The snapshot path uses it to tag its .cbin.
+// (LSN, stream) cut. The snapshot path uses it to tag its snapshot.
 func (b *batcher) fence(fn func()) {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()

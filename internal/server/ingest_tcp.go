@@ -118,7 +118,6 @@ func (il *ingestListener) serveConn(conn net.Conn) {
 		dec   []graph.Edge
 		ack   []byte
 	)
-	n := uint32(il.s.st.Len())
 	lastLSN := uint64(0)
 	for {
 		batch = batch[:0]
@@ -148,11 +147,9 @@ func (il *ingestListener) serveConn(conn net.Conn) {
 				conn.Write(wire.AppendAckErr(ack[:0], fmt.Sprintf("frame of %d edges exceeds the %d-edge bound", len(dec), maxRequestEdges)))
 				return
 			}
-			for _, e := range dec {
-				if e.U >= n || e.V >= n {
-					conn.Write(wire.AppendAckErr(ack[:0], fmt.Sprintf("edge {%d, %d} endpoint out of range [0, %d)", e.U, e.V, n)))
-					return
-				}
+			if err = il.s.checkRange(dec); err != nil {
+				conn.Write(wire.AppendAckErr(ack[:0], err.Error()))
+				return
 			}
 			batch = append(batch, dec...)
 			frames++

@@ -139,7 +139,7 @@ func TestServeForestQueriesUnsupported(t *testing.T) {
 
 // TestRecoveryForestQueries: after a snapshot, more acknowledged updates,
 // and a hard crash, the restarted server rebuilds a live forest (snapshot
-// star edges + WAL tail replay) whose query answers match an uninterrupted
+// forest + WAL tail replay) whose query answers match an uninterrupted
 // oracle — connectivity verdicts, component sizes, and histogram mass.
 func TestRecoveryForestQueries(t *testing.T) {
 	const n = 256

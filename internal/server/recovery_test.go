@@ -2,7 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -57,9 +60,11 @@ func checkAgainstOracle(t *testing.T, s *Server, o *oracle, n int, rng *rand.Ran
 }
 
 // submitRandom pushes batches through the group-commit path (the same code
-// the HTTP handler runs) and records them in the oracle once acknowledged.
-func submitRandom(t *testing.T, s *Server, o *oracle, n, batches, perBatch int, rng *rand.Rand) {
+// the HTTP handler runs), records them in the oracle once acknowledged, and
+// returns every submitted edge.
+func submitRandom(t *testing.T, s *Server, o *oracle, n, batches, perBatch int, rng *rand.Rand) []graph.Edge {
 	t.Helper()
+	var all []graph.Edge
 	for i := 0; i < batches; i++ {
 		edges := make([]graph.Edge, perBatch)
 		for j := range edges {
@@ -71,7 +76,9 @@ func submitRandom(t *testing.T, s *Server, o *oracle, n, batches, perBatch int, 
 		for _, e := range edges {
 			o.union(e.U, e.V)
 		}
+		all = append(all, edges...)
 	}
+	return all
 }
 
 // crash abandons a server the way a kill -9 would: the WAL file handle is
@@ -123,7 +130,7 @@ func TestRecoveryAfterCrash(t *testing.T) {
 }
 
 // TestRecoveryWithSnapshotAndTail crashes after a snapshot plus more
-// acknowledged updates: recovery must compose the .cbin star forest with
+// acknowledged updates: recovery must compose the snapshot's forest with
 // the WAL tail, not either alone.
 func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	const n = 300
@@ -161,59 +168,6 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	checkAgainstOracle(t, s2, o, n, rng)
 }
 
-// TestRecoveryFromSegmentedSnapshot forces the snapshot writer onto the
-// multi-segment path (Server.snapSegmentBytes) and checks that a
-// crash after the snapshot recovers through the segmented .cbin v2 file:
-// the on-disk snapshot must genuinely hold several segments, and the booted
-// server must answer exactly like the oracle.
-func TestRecoveryFromSegmentedSnapshot(t *testing.T) {
-	const n = 300
-	dir := t.TempDir()
-	rng := rand.New(rand.NewSource(11))
-	o := newOracle(n)
-
-	s1, err := New(testStream(t, n), durableOptions(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1.snapSegmentBytes = 64
-	submitRandom(t, s1, o, n, 60, 8, rng)
-	if err := s1.Snapshot(); err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	_, snapPath, ok := s1.log.LatestSnapshot()
-	if !ok {
-		t.Fatal("no snapshot recorded")
-	}
-	snap, err := graph.LoadCBIN(snapPath)
-	if err != nil {
-		t.Fatalf("LoadCBIN(snapshot): %v", err)
-	}
-	seg, isSeg := snap.(*graph.SegmentedGraph)
-	if !isSeg {
-		t.Fatalf("snapshot loaded as %T, want *graph.SegmentedGraph", snap)
-	}
-	if seg.NumSegments() < 3 {
-		t.Fatalf("snapshot has %d segments, want >= 3", seg.NumSegments())
-	}
-	if err := seg.Close(); err != nil {
-		t.Fatalf("closing snapshot mapping: %v", err)
-	}
-	submitRandom(t, s1, o, n, 20, 8, rng) // tail beyond the snapshot
-	crash(s1)
-
-	s2, err := New(testStream(t, n), durableOptions(dir))
-	if err != nil {
-		t.Fatalf("recovery from segmented snapshot: %v", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		s2.Close(ctx)
-	}()
-	checkAgainstOracle(t, s2, o, n, rng)
-}
-
 // TestGracefulClosePersistsEverything closes cleanly (final snapshot) and
 // verifies a restart recovers without replaying any tail records.
 func TestGracefulClosePersistsEverything(t *testing.T) {
@@ -244,4 +198,111 @@ func TestGracefulClosePersistsEverything(t *testing.T) {
 		t.Fatalf("final snapshot covers LSN %d, log at %d (ok=%v)", lsn, s2.log.LSN(), ok)
 	}
 	checkAgainstOracle(t, s2, o, n, rng)
+}
+
+// TestRecoveryPathsUseIngestedEdges: after a snapshot, a tail, a crash and a
+// reboot, every witness path /v1/path returns must walk submitted edges
+// only. A snapshot that persisted anything but the live forest (a star
+// labelling, say) would hand the rebooted stream edges nobody ingested.
+// Type iii captures no forest, so its row checks connectivity alone.
+func TestRecoveryPathsUseIngestedEdges(t *testing.T) {
+	for _, spec := range []string{"uf;rem-cas;naive;split-one", "sv", "lt;CRFA", "uf;rem-cas;naive;splice"} {
+		t.Run(spec, func(t *testing.T) {
+			const n = 200
+			dir := t.TempDir()
+			rng := rand.New(rand.NewSource(5))
+			o := newOracle(n)
+
+			s1, err := New(specStream(t, n, spec), durableOptions(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ingested := submitRandom(t, s1, o, n, 30, 4, rng)
+			if err := s1.Snapshot(); err != nil {
+				t.Fatalf("Snapshot: %v", err)
+			}
+			ingested = append(ingested, submitRandom(t, s1, o, n, 10, 4, rng)...)
+			crash(s1)
+
+			s2, err := New(specStream(t, n, spec), durableOptions(dir))
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			ts := httptest.NewServer(s2.Handler())
+			t.Cleanup(func() {
+				ts.Close()
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				s2.Close(ctx)
+			})
+			checkAgainstOracle(t, s2, o, n, rng)
+			if s2.q == nil {
+				return
+			}
+
+			submitted := make(map[graph.Edge]bool, 2*len(ingested))
+			for _, e := range ingested {
+				submitted[e], submitted[graph.Edge{U: e.V, V: e.U}] = true, true
+			}
+			walked := 0
+			for i := 0; i < 150; i++ {
+				u, v := uint32(rng.Intn(n)), uint32(rng.Intn(n))
+				resp, m := getJSON(t, ts.URL+"/v1/path?u="+itoa(u)+"&v="+itoa(v))
+				if resp.StatusCode != 200 {
+					t.Fatalf("path(%d,%d): %d", u, v, resp.StatusCode)
+				}
+				for _, p := range m["path"].([]any) {
+					pair := p.([]any)
+					e := graph.Edge{U: uint32(pair[0].(float64)), V: uint32(pair[1].(float64))}
+					if !submitted[e] {
+						t.Fatalf("path(%d,%d) walks {%d, %d}, which was never submitted", u, v, e.U, e.V)
+					}
+					walked++
+				}
+			}
+			if walked == 0 {
+				t.Fatal("no path walked any edge; the check proved nothing")
+			}
+		})
+	}
+}
+
+// TestRecoveryRejectsOutOfRangeEdges reboots a log written for 256 vertices
+// on a 128-vertex stream, once through the WAL tail and once through a
+// snapshot: New must fail with an error naming the record or the file, and
+// must not hand the stream an out-of-range endpoint, which panics (for
+// Type i in the caller, for Types ii and iii in an apply goroutine).
+func TestRecoveryRejectsOutOfRangeEdges(t *testing.T) {
+	for _, spec := range []string{"uf;rem-cas;naive;split-one", "sv", "uf;rem-cas;naive;splice"} {
+		for _, snapshot := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/snapshot=%v", spec, snapshot), func(t *testing.T) {
+				dir := t.TempDir()
+				rng := rand.New(rand.NewSource(9))
+				s1, err := New(specStream(t, 256, spec), durableOptions(dir))
+				if err != nil {
+					t.Fatal(err)
+				}
+				submitRandom(t, s1, newOracle(256), 256, 20, 8, rng)
+				names := "LSN"
+				if snapshot {
+					if err := s1.Snapshot(); err != nil {
+						t.Fatalf("Snapshot: %v", err)
+					}
+					names = "snap-"
+				}
+				crash(s1)
+
+				st := specStream(t, 128, spec)
+				defer st.Close()
+				s2, err := New(st, durableOptions(dir))
+				if err == nil {
+					s2.Close(context.Background())
+					t.Fatal("New booted a 128-vertex stream over a 256-vertex log")
+				}
+				if !strings.Contains(err.Error(), "out of range") || !strings.Contains(err.Error(), names) {
+					t.Fatalf("New error %q, want an out-of-range error naming its %s", err, names)
+				}
+			})
+		}
+	}
 }

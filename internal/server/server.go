@@ -54,7 +54,7 @@ type Options struct {
 	// Default 64.
 	MaxPendingEpochs int
 	// SnapshotInterval is the period of the compaction loop that persists
-	// the connectivity state as a .cbin snapshot and prunes covered WAL
+	// the stream's spanning forest as a WAL snapshot and prunes covered WAL
 	// segments. Default 5m; negative disables periodic snapshots.
 	SnapshotInterval time.Duration
 	// SegmentBytes is the WAL segment rotation threshold (wal.Options).
@@ -144,10 +144,6 @@ type Server struct {
 	// pending reports the backpressure signal; a field so tests can force
 	// the 429 path deterministically.
 	pending func() int
-	// snapSegmentBytes, when non-zero, splits snapshots into segments of
-	// this many bytes regardless of size, so tests exercise the segmented
-	// snapshot/recovery path without multi-GiB state. Zero in production.
-	snapSegmentBytes uint64
 
 	// state is the serving state machine (state.go): serving, degraded
 	// (WAL wedged; reads only), or closing.
@@ -182,9 +178,9 @@ type Server struct {
 }
 
 // New builds a Server over st. When opt.WALDir is set it first recovers:
-// the newest .cbin snapshot is loaded and fed, the WAL tail is replayed,
-// and the stream is synced, so the returned server answers from exactly the
-// state every previously-acknowledged update implies.
+// the newest snapshot is fed, the WAL tail is replayed, and the stream is
+// synced, so the returned server answers from exactly the state every
+// previously-acknowledged update implies.
 func New(st *ingest.Stream, opt Options) (*Server, error) {
 	opt = opt.withDefaults()
 	s := &Server{
@@ -256,27 +252,24 @@ func New(st *ingest.Stream, opt Options) (*Server, error) {
 
 // recover rebuilds the stream's state from the newest snapshot plus the
 // WAL tail. Unions are idempotent, so the snapshot/tail overlap window is
-// harmless; what matters is that nothing acknowledged is missing.
+// harmless; what matters is that nothing acknowledged is missing. Every
+// edge is range-checked before it is fed: a log written for a larger
+// vertex universe fails the boot instead of panicking inside the stream.
 func (s *Server) recover(l *wal.Log) error {
-	from := uint64(0)
-	if lsn, path, ok := l.LatestSnapshot(); ok {
-		c, err := graph.LoadCBIN(path)
-		if err != nil {
-			return fmt.Errorf("server: loading snapshot %s: %w", path, err)
+	snapLSN, snapPath, _ := l.LatestSnapshot()
+	err := l.ReplaySnapshot(func(edges []graph.Edge) error {
+		if err := s.checkRange(edges); err != nil {
+			return fmt.Errorf("server: snapshot %s: %w", snapPath, err)
 		}
-		closer, _ := c.(interface{ Close() error })
-		if c.NumVertices() != s.st.Len() {
-			closer.Close()
-			return fmt.Errorf("server: snapshot %s has %d vertices, stream has %d", path, c.NumVertices(), s.st.Len())
-		}
-		if err := s.feedSnapshot(c); err != nil {
-			closer.Close()
-			return err
-		}
-		closer.Close()
-		from = lsn
+		return s.st.UpdateBatch(edges)
+	})
+	if err != nil {
+		return err
 	}
-	err := l.Replay(from, func(_ uint64, edges []graph.Edge) error {
+	err = l.Replay(snapLSN, func(lsn uint64, edges []graph.Edge) error {
+		if err := s.checkRange(edges); err != nil {
+			return fmt.Errorf("server: WAL record at LSN %d: %w", lsn, err)
+		}
 		return s.st.UpdateBatch(edges)
 	})
 	if err != nil {
@@ -286,34 +279,23 @@ func (s *Server) recover(l *wal.Log) error {
 	return nil
 }
 
-// feedSnapshot replays a star-forest snapshot graph into the stream,
-// batching the decode so epochs stay full. It iterates the Rep contract,
-// so single-segment and segmented snapshots feed identically.
-func (s *Server) feedSnapshot(c graph.Rep) error {
-	batch := make([]graph.Edge, 0, 8192)
-	var buf []graph.Vertex
-	n := c.NumVertices()
-	for v := 0; v < n; v++ {
-		buf = c.NeighborsInto(graph.Vertex(v), buf)
-		for _, u := range buf {
-			if graph.Vertex(v) < u { // symmetric storage: feed each edge once
-				batch = append(batch, graph.Edge{U: graph.Vertex(v), V: u})
-				if len(batch) == cap(batch) {
-					if err := s.st.UpdateBatch(batch); err != nil {
-						return err
-					}
-					batch = batch[:0]
-				}
-			}
+// checkRange rejects a batch holding an endpoint outside the stream's
+// vertex universe, naming the first such edge. Every ingest path runs it
+// before the WAL append, and recovery before the feed.
+func (s *Server) checkRange(edges []graph.Edge) error {
+	n := uint32(s.st.Len())
+	for _, e := range edges {
+		if e.U >= n || e.V >= n {
+			return fmt.Errorf("edge {%d, %d} endpoint out of range [0, %d)", e.U, e.V, n)
 		}
 	}
-	return s.st.UpdateBatch(batch)
+	return nil
 }
 
-// Snapshot persists the current connectivity state as a .cbin star forest
-// covering every WAL record appended so far and compacts the log. It is
-// called periodically by the snapshot loop and once more at Close; exposed
-// for operational use (tests, manual compaction).
+// Snapshot persists the stream's spanning forest as a WAL snapshot
+// covering every record appended so far and compacts the log. It is called
+// periodically by the snapshot loop and once more at Close, before the
+// stream closes; exposed for operational use (tests, manual compaction).
 func (s *Server) Snapshot() error {
 	if s.log == nil {
 		return errors.New("server: snapshots require a WAL")
@@ -323,40 +305,31 @@ func (s *Server) Snapshot() error {
 	// a consistent tag for "everything the stream has been handed".
 	var lsn uint64
 	s.bat.fence(func() { lsn = s.log.LSN() })
-	labels := s.st.Labels() // syncs: every fed update becomes applied
-	return s.log.CommitSnapshot(lsn, func(path string) error {
-		return writeSnapshot(path, labels, s.snapSegmentBytes)
-	})
+	edges, err := s.forest()
+	if err != nil {
+		return err
+	}
+	return s.log.CommitSnapshot(lsn, edges)
 }
 
-// writeSnapshot encodes a connectivity labeling as a compressed star-forest
-// graph — an edge from each vertex to its component label reconstructs
-// exactly the labeling's connectivity — in the versioned .cbin format the
-// graph layer already knows how to save, mmap, and validate. TryCompress
-// auto-segments past the 4 GiB single-segment cap, so a server whose
-// accumulated forest outgrows one segment still snapshots and recovers. A
-// non-zero segBytes forces segments of that size (Server.snapSegmentBytes).
-func writeSnapshot(path string, labels []uint32, segBytes uint64) error {
+// forest returns n − #components edges whose connectivity is the stream's:
+// the live spanning forest — real ingested edges, so the rebooted stream
+// re-captures a forest of them — or, for Type iii, which captures none, a
+// star from each vertex to its component label. Edges fed after the fenced
+// LSN may be included; they are real and their replay is idempotent.
+func (s *Server) forest() ([]graph.Edge, error) {
+	if s.q != nil {
+		s.st.Sync() // every fed update becomes applied, its forest edge pullable
+		return s.q.SpanningForest()
+	}
+	labels := s.st.Labels()
 	edges := make([]graph.Edge, 0, len(labels))
 	for v, l := range labels {
 		if uint32(v) != l {
 			edges = append(edges, graph.Edge{U: uint32(v), V: l})
 		}
 	}
-	g, err := graph.TryBuild(len(labels), edges)
-	if err != nil {
-		return fmt.Errorf("server: building snapshot forest: %w", err)
-	}
-	var c graph.Rep
-	if segBytes > 0 {
-		c, err = graph.TrySegment(g, segBytes)
-	} else {
-		c, err = graph.TryCompress(g)
-	}
-	if err != nil {
-		return fmt.Errorf("server: compressing snapshot: %w", err)
-	}
-	return graph.SaveCBIN(path, c)
+	return edges, nil
 }
 
 func (s *Server) snapshotLoop() {
@@ -436,9 +409,12 @@ func (s *Server) IngestAddr() string {
 
 // Close shuts the service down gracefully: stop accepting HTTP traffic,
 // drain the batcher (every acknowledged update flushed through WAL and
-// pipeline), close the stream (state final), write a final snapshot, and
-// seal the log. Idempotent; later calls (including concurrent ones) return
-// nil once the first shutdown completes.
+// pipeline), write a final snapshot, close the stream (state final), and
+// seal the log. The snapshot precedes the stream's close because a closed
+// stream's query engine answers ErrClosed; once the batcher has drained
+// nothing feeds the stream, so the snapshot already sees the final state.
+// Idempotent; later calls (including concurrent ones) return nil once the
+// first shutdown completes.
 func (s *Server) Close(ctx context.Context) error {
 	var first error
 	// sync.Once rather than a select/default on s.closed: two concurrent
@@ -459,11 +435,13 @@ func (s *Server) Close(ctx context.Context) error {
 		close(s.stopSnap)
 		<-s.snapDone
 		s.bat.Close()
-		s.st.Close()
 		if s.log != nil {
 			if err := s.Snapshot(); err != nil && first == nil {
 				first = err
 			}
+		}
+		s.st.Close()
+		if s.log != nil {
 			if err := s.log.Close(); err != nil && first == nil {
 				first = err
 			}
@@ -664,12 +642,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // check, group commit through the batcher, then the accepted/frame counters
 // and the {"accepted","durable","lsn"} reply.
 func (s *Server) submitUpdate(w http.ResponseWriter, edges []graph.Edge, frames *Counter) {
-	n := uint32(s.st.Len())
-	for _, e := range edges {
-		if e.U >= n || e.V >= n {
-			httpError(w, http.StatusBadRequest, fmt.Sprintf("edge {%d, %d} endpoint out of range [0, %d)", e.U, e.V, n))
-			return
-		}
+	if err := s.checkRange(edges); err != nil {
+		httpError(w, http.StatusBadRequest, err.Error())
+		return
 	}
 	lsn, err := s.bat.Submit(edges)
 	if err != nil {

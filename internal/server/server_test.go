@@ -20,7 +20,13 @@ import (
 // public package (which imports this one).
 func testStream(t *testing.T, n int) *ingest.Stream {
 	t.Helper()
-	cfg, err := core.ParseConfig("none;uf;rem-cas;naive;split-one")
+	return specStream(t, n, "uf;rem-cas;naive;split-one")
+}
+
+// specStream opens an unsampled stream running the algorithm spec names.
+func specStream(t *testing.T, n int, spec string) *ingest.Stream {
+	t.Helper()
+	cfg, err := core.ParseConfig("none;" + spec)
 	if err != nil {
 		t.Fatal(err)
 	}

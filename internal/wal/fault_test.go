@@ -2,8 +2,10 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -236,9 +238,7 @@ func TestSnapshotInstallFsyncFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err = l.CommitSnapshot(3, func(path string) error {
-		return os.WriteFile(path, []byte("snapshot-bytes"), 0o644)
-	})
+	err = l.CommitSnapshot(3, batch(0))
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("CommitSnapshot: %v, want EIO", err)
 	}
@@ -255,9 +255,7 @@ func TestSnapshotInstallFsyncFailure(t *testing.T) {
 	if _, err := l.Append(batch(50)); err != nil {
 		t.Fatalf("append after failed snapshot: %v", err)
 	}
-	err = l.CommitSnapshot(4, func(path string) error {
-		return os.WriteFile(path, []byte("snapshot-bytes"), 0o644)
-	})
+	err = l.CommitSnapshot(4, batch(0))
 	if err != nil {
 		t.Fatalf("snapshot retry: %v", err)
 	}
@@ -278,9 +276,7 @@ func TestSnapshotInstallRenameFailure(t *testing.T) {
 	if _, err := l.Append(batch(0)); err != nil {
 		t.Fatal(err)
 	}
-	err = l.CommitSnapshot(1, func(path string) error {
-		return os.WriteFile(path, []byte("x"), 0o644)
-	})
+	err = l.CommitSnapshot(1, batch(0))
 	if !errors.Is(err, syscall.EACCES) {
 		t.Fatalf("CommitSnapshot: %v, want EACCES", err)
 	}
@@ -321,4 +317,156 @@ func TestRecoveryFailureStaysWedged(t *testing.T) {
 	}
 	l.Close()
 	wantLSNs(t, replayAll(t, dir), 0)
+}
+
+// components labels every vertex below n with the smallest vertex of its
+// component in the graph the edges span.
+func components(n int, edges []graph.Edge) []uint32 {
+	parent := make([]uint32, n)
+	for i := range parent {
+		parent[i] = uint32(i)
+	}
+	find := func(x uint32) uint32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range edges {
+		ru, rv := find(e.U), find(e.V)
+		if rv < ru {
+			ru, rv = rv, ru
+		}
+		parent[rv] = ru
+	}
+	for i := range parent {
+		parent[i] = find(uint32(i))
+	}
+	return parent
+}
+
+// TestSnapshotInstallCrashPointEnumeration fails CommitSnapshot at every
+// filesystem operation it performs — the temporary file's create, each
+// write (whole and torn), its fsync, the rename, and each Remove of the
+// prune — then reopens the directory and recovers it. At every point
+// exactly one snapshot is installed, the old or the new one; no segment is
+// pruned unless the new one was installed; and snapshot plus tail recover
+// the partition every record implies.
+func TestSnapshotInstallCrashPointEnumeration(t *testing.T) {
+	const records, oldAt, newAt = 30, 10, 25
+	const n = records*16 + 8 // recEdges(i) stays below (i+1)*16
+	upTo := func(k int) []graph.Edge {
+		var edges []graph.Edge
+		for i := 0; i < k; i++ {
+			edges = append(edges, recEdges(i)...)
+		}
+		return edges
+	}
+	want := components(n, upTo(records))
+
+	master := t.TempDir()
+	l, err := Open(master, Options{SegmentBytes: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, l, 0, records)
+	if err := l.CommitSnapshot(oldAt, upTo(oldAt)); err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	segsBefore, _ := filepath.Glob(filepath.Join(master, "*.wal"))
+	for i := range segsBefore {
+		segsBefore[i] = filepath.Base(segsBefore[i])
+	}
+
+	// install copies master and runs CommitSnapshot(newAt) on the copy
+	// under sched, returning the copy, the schedule's operation counts from
+	// just before the commit, and the commit's error.
+	ops := []string{fault.OpWALOpen, fault.OpWALWrite, fault.OpWALSync, fault.OpWALRename, fault.OpWALRemove}
+	install := func(sched *fault.Schedule) (dir string, before map[string]uint64, err error) {
+		dir = t.TempDir()
+		copyDir(t, master, dir)
+		l, err := Open(dir, Options{SegmentBytes: 128, FS: fault.NewFS(nil, sched)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		before = map[string]uint64{}
+		for _, op := range ops {
+			before[op] = sched.Count(op)
+		}
+		return dir, before, l.CommitSnapshot(newAt, upTo(newAt))
+	}
+
+	clean := fault.NewSchedule(1)
+	_, before, err := install(clean)
+	if err != nil {
+		t.Fatalf("clean install: %v", err)
+	}
+	if removes := clean.Count(fault.OpWALRemove) - before[fault.OpWALRemove]; removes < 3 {
+		t.Fatalf("clean install removed %d files, want the old snapshot and several segments", removes)
+	}
+
+	type point struct {
+		op  string
+		at  uint64
+		act fault.Action
+	}
+	var points []point
+	for _, op := range ops {
+		for at := before[op] + 1; at <= clean.Count(op); at++ {
+			points = append(points, point{op, at, fault.Action{Err: syscall.EIO, Short: -1}})
+			if op == fault.OpWALWrite {
+				points = append(points, point{op, at, fault.Action{Err: syscall.ENOSPC, Short: 5}})
+			}
+		}
+	}
+	t.Logf("enumerating %d failure points", len(points))
+
+	for _, p := range points {
+		name := fmt.Sprintf("%s@%d/short=%d", p.op, p.at, p.act.Short)
+		dir, _, commitErr := install(fault.NewSchedule(1).FailAt(p.op, p.at, p.act))
+
+		l, err := Open(dir, Options{SegmentBytes: 128})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", name, err)
+		}
+		snapLSN, _, ok := l.LatestSnapshot()
+		snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*"))
+		if !ok || len(snaps) != 1 || (snapLSN != oldAt && snapLSN != newAt) {
+			t.Fatalf("%s: installed snapshot LSN %d (ok=%v), files %v; want exactly one, at %d or %d", name, snapLSN, ok, snaps, oldAt, newAt)
+		}
+		if (commitErr == nil) != (snapLSN == newAt) {
+			t.Fatalf("%s: CommitSnapshot returned %v, yet the snapshot at LSN %d is installed", name, commitErr, snapLSN)
+		}
+		if snapLSN == oldAt {
+			segs, _ := filepath.Glob(filepath.Join(dir, "*.wal"))
+			for i := range segs {
+				segs[i] = filepath.Base(segs[i])
+			}
+			if !slices.Equal(segs, segsBefore) {
+				t.Fatalf("%s: segments %v after a failed install, had %v", name, segs, segsBefore)
+			}
+		}
+
+		var fed []graph.Edge
+		err = l.ReplaySnapshot(func(edges []graph.Edge) error {
+			fed = append(fed, edges...)
+			return nil
+		})
+		if err == nil {
+			err = l.Replay(snapLSN, func(_ uint64, edges []graph.Edge) error {
+				fed = append(fed, edges...)
+				return nil
+			})
+		}
+		if err != nil {
+			t.Fatalf("%s: recovery: %v", name, err)
+		}
+		if !slices.Equal(components(n, fed), want) {
+			t.Fatalf("%s: recovered partition differs from the records'", name)
+		}
+		l.Close()
+	}
 }

@@ -3,29 +3,26 @@
 // server acknowledges is appended — length-prefixed and CRC-checked — to a
 // segmented log before it enters the ingest pipeline, so a crash loses
 // nothing that was acknowledged. Compaction is snapshot-based: the server
-// periodically persists its connectivity state as a .cbin star forest
-// (reusing the graph package's versioned on-disk format) tagged with the
-// log sequence number it covers, after which every fully-covered segment is
-// deleted. Boot is LatestSnapshot + Replay of the tail.
+// periodically hands CommitSnapshot its live spanning forest, which is
+// written in the log's own file layout — the same header, the same CRC'd
+// records — and tagged with the log sequence number it covers, after which
+// every fully-covered segment is deleted. Boot is ReplaySnapshot + Replay
+// of the tail.
 //
-// Record format, within a segment file:
+// Record format, within a segment or snapshot file:
 //
 //	[4B little-endian payload length][4B CRC-32C of payload][payload]
 //
-// where the payload depends on the segment version. Version 1 segments
-// (pre-upgrade logs) hold a batch of edges, 8 bytes each (two little-endian
-// uint32 endpoints). Version 2 segments — what this code writes — hold one
-// wire edge block (internal/wire): a tag byte, the uncompressed edge count
-// as a varint, and the zigzag-delta varint coded edges (or the raw fallback
-// when a batch has no locality to exploit), typically well under 8
-// bytes/edge on sorted or locality-heavy batches. The CRC always covers the
-// stored (compressed) payload bytes. Readers replay both versions
-// interchangeably, including mixed v1→v2 chains; writers never append
-// records into a v1 segment — the first post-upgrade Append rotates to a
-// fresh v2 segment, keeping every segment's format uniform. Segments open
-// with a 16-byte header (magic, version, and the LSN of the segment's first
-// record) and rotate at SegmentBytes. LSNs number records (not bytes)
-// contiguously across segments.
+// where the payload is one wire edge block (internal/wire): a tag byte, the
+// uncompressed edge count as a varint, and the zigzag-delta varint coded
+// edges (or the raw fallback when a batch has no locality to exploit),
+// typically well under 8 bytes/edge on sorted or locality-heavy batches.
+// The CRC covers the stored (compressed) payload bytes. Files open with a
+// 16-byte header (magic, version 2, and the LSN of the file's first record;
+// a snapshot's is the LSN it covers), and segments rotate at SegmentBytes.
+// LSNs number records (not bytes) contiguously across segments. Version-1
+// segments (raw 8-byte edges) and .cbin snapshots predate the format break
+// DESIGN.md §11 records; Open refuses a directory holding either.
 //
 // Torn-write handling follows the usual WAL contract: an invalid record in
 // the *final* segment marks the end of the log — the tail beyond it is
@@ -35,7 +32,7 @@
 // acknowledged) is discarded whole. An invalid record or header anywhere
 // else (or a gap in the LSN chain between segments) cannot be explained by
 // a torn write and surfaces as ErrCorrupt. A record whose CRC verifies but
-// whose v2 payload does not parse as a wire block is ErrCorrupt in every
+// whose payload does not parse as a wire block is ErrCorrupt in every
 // position: a torn write cannot produce a valid checksum over garbage, so
 // that state is writer damage, not a crash artifact. In the other direction, a failed
 // append wedges the log fail-stop: appending past a partial write would put
@@ -64,18 +61,20 @@ import (
 var ErrCorrupt = errors.New("wal: corrupt log")
 
 const (
-	segMagic = "CWAL"
-	// segVersionRaw segments hold raw 8-byte-per-edge payloads (the
-	// pre-upgrade format, still replayable); segVersion segments hold wire
-	// edge blocks and are what rotate creates.
-	segVersionRaw = 1
-	segVersion    = 2
-	segHeader     = 16 // magic[4] version[4] firstLSN[8]
-	recHeader     = 8  // payload length[4] crc[4]
+	segMagic   = "CWAL"
+	segVersion = 2
+	segHeader  = 16 // magic[4] version[4] firstLSN[8]
+	recHeader  = 8  // payload length[4] crc[4]
 
 	// maxRecordBytes bounds one record's payload (16M edges): a corrupted
 	// length field must never drive a multi-GiB allocation.
 	maxRecordBytes = 1 << 27
+	// snapRecordEdges bounds one snapshot record, so writing a snapshot
+	// holds one record's encoding at a time.
+	snapRecordEdges = 1 << 16
+	// snapName names a snapshot file by the LSN it covers. Its suffix keeps
+	// it clear of Open's segment (.wal) and temporary (.tmp) cases.
+	snapName = "snap-%016x.snap"
 
 	defaultSegmentBytes = 64 << 20
 )
@@ -133,13 +132,11 @@ type Stats struct {
 	Wedges, Recoveries uint64
 }
 
-// segment is one on-disk log file: records [first, first+count), payloads
-// in the format its header version selects.
+// segment is one on-disk log file holding records [first, first+count).
 type segment struct {
-	first   uint64
-	count   uint64
-	version uint32
-	path    string
+	first uint64
+	count uint64
+	path  string
 }
 
 // Log is a segmented write-ahead edge log. Append/Sync/Close serialize on
@@ -179,24 +176,35 @@ func Open(dir string, opt Options) (*Log, error) {
 	}
 	for _, e := range entries {
 		name := e.Name()
+		path := filepath.Join(dir, name)
 		switch {
 		case strings.HasSuffix(name, ".tmp"):
 			// A snapshot that crashed before its rename; never referenced.
-			l.fs.Remove(filepath.Join(dir, name))
+			l.fs.Remove(path)
 		case strings.HasSuffix(name, ".wal"):
 			var first uint64
 			if _, err := fmt.Sscanf(name, "%016x.wal", &first); err != nil {
 				return nil, fmt.Errorf("%w: unparseable segment name %q", ErrCorrupt, name)
 			}
-			l.segs = append(l.segs, segment{first: first, path: filepath.Join(dir, name)})
+			l.segs = append(l.segs, segment{first: first, path: path})
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".cbin"):
+			// Booting past it would lose its state: refuse instead.
+			return nil, fmt.Errorf("wal: %s is a .cbin snapshot, a format this log no longer reads; see DESIGN.md §11", path)
+		case strings.HasPrefix(name, "snap-"):
 			var at uint64
-			if _, err := fmt.Sscanf(name, "snap-%016x.cbin", &at); err != nil {
+			if _, err := fmt.Sscanf(name, snapName, &at); err != nil {
 				return nil, fmt.Errorf("%w: unparseable snapshot name %q", ErrCorrupt, name)
 			}
-			if !l.hasSnap || at > l.snapLSN {
-				l.hasSnap, l.snapLSN, l.snapPath = true, at, filepath.Join(dir, name)
+			// Two snapshots mean CommitSnapshot's removal of the older one
+			// failed or was cut short; the newer one supersedes it.
+			if l.hasSnap && at < l.snapLSN {
+				l.fs.Remove(path)
+				continue
 			}
+			if l.hasSnap {
+				l.fs.Remove(l.snapPath)
+			}
+			l.hasSnap, l.snapLSN, l.snapPath = true, at, path
 		}
 	}
 	sort.Slice(l.segs, func(i, j int) bool { return l.segs[i].first < l.segs[j].first })
@@ -207,7 +215,7 @@ func Open(dir string, opt Options) (*Log, error) {
 	for i := range l.segs {
 		s := &l.segs[i]
 		last := i == len(l.segs)-1
-		first, count, validEnd, version, err := scanSegment(l.fs, s.path, last, nil)
+		first, count, validEnd, err := scanSegment(l.fs, s.path, last, nil)
 		if last && errors.Is(err, errTornHeader) {
 			// Torn rotation: nothing in a headerless segment was ever
 			// acknowledged. Discard it; the previous segment (validated
@@ -235,7 +243,6 @@ func Open(dir string, opt Options) (*Log, error) {
 			return nil, fmt.Errorf("%w: LSN gap between %s and %s", ErrCorrupt, l.segs[i-1].path, s.path)
 		}
 		s.count = count
-		s.version = version
 		if last {
 			if st, err := l.fs.Stat(s.path); err == nil && st.Size() > validEnd {
 				if err := l.fs.Truncate(s.path, validEnd); err != nil {
@@ -256,11 +263,8 @@ func Open(dir string, opt Options) (*Log, error) {
 		if l.segs[0].first > floor {
 			return nil, fmt.Errorf("%w: records [%d, %d) missing below first segment", ErrCorrupt, floor, l.segs[0].first)
 		}
-		// Reopen the last segment for appends unless it is already full or
-		// in the pre-upgrade format — appending into a v1 segment would mix
-		// record formats within one file, so the first post-upgrade Append
-		// rotates to a fresh v2 segment instead.
-		if l.segOff < int64(l.opt.SegmentBytes) && l.segs[n-1].version == segVersion {
+		// Reopen the last segment for appends unless it is already full.
+		if l.segOff < int64(l.opt.SegmentBytes) {
 			f, err := l.fs.OpenFile(l.segs[n-1].path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				return nil, fmt.Errorf("wal: %w", err)
@@ -311,16 +315,9 @@ func (l *Log) Append(edges []graph.Edge) (uint64, error) {
 	if 8*len(edges)+recHeader > maxRecordBytes {
 		return 0, fmt.Errorf("wal: batch of %d edges exceeds the %d-byte record bound", len(edges), maxRecordBytes)
 	}
-	// Encode the record into the retained scratch: the 8-byte header is
-	// reserved up front, the wire block appends in place behind it, and the
-	// length and CRC (over the compressed payload) are backfilled — one
-	// buffer, no per-append allocation once it has grown to the workload.
-	b := l.buf[:0]
-	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
-	b = wire.AppendBlock(b, edges)
-	payload := b[recHeader:]
-	binary.LittleEndian.PutUint32(b[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(b[4:8], crc32.Checksum(payload, castagnoli))
+	// Encode into the retained scratch: no per-append allocation once it
+	// has grown to the workload.
+	b := encodeRecord(l.buf[:0], edges)
 	l.buf = b
 	if l.f == nil || (l.segOff+int64(len(b)) > int64(l.opt.SegmentBytes) && l.segOff > segHeader) {
 		// A failed rotation wedges just like a failed write: the disk is
@@ -350,6 +347,26 @@ func (l *Log) Append(edges []graph.Edge) (uint64, error) {
 	l.stats.RawBytes += uint64(8 * len(edges))
 	l.stats.WrittenBytes += uint64(len(b) - recHeader)
 	return lsn, nil
+}
+
+// encodeRecord appends one record holding edges to b: the 8-byte header is
+// reserved up front, the wire block appends in place behind it, and the
+// length and CRC (over the compressed payload) are backfilled.
+func encodeRecord(b []byte, edges []graph.Edge) []byte {
+	start := len(b)
+	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0)
+	b = wire.AppendBlock(b, edges)
+	payload := b[start+recHeader:]
+	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	return b
+}
+
+// appendHeader appends the 16-byte file header whose first record is first.
+func appendHeader(b []byte, first uint64) []byte {
+	b = append(b, segMagic...)
+	b = binary.LittleEndian.AppendUint32(b, segVersion)
+	return binary.LittleEndian.AppendUint64(b, first)
 }
 
 // wedge fails the log permanently after a write or sync error. A partial
@@ -434,11 +451,7 @@ func (l *Log) rotate() error {
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	hdr := make([]byte, 0, segHeader)
-	hdr = append(hdr, segMagic...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, segVersion)
-	hdr = binary.LittleEndian.AppendUint64(hdr, l.lsn)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(appendHeader(nil, l.lsn)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}
@@ -456,14 +469,12 @@ func (l *Log) rotate() error {
 	l.segOff = segHeader
 	l.stats.Bytes += segHeader
 	// Reuse a same-named segment slot if the previous boot left an empty
-	// tail segment at this LSN (O_TRUNC above already emptied the file; the
-	// fresh header upgrades a reused pre-upgrade slot to v2).
+	// tail segment at this LSN (O_TRUNC above already emptied the file).
 	if n := len(l.segs); n > 0 && l.segs[n-1].first == l.lsn && l.segs[n-1].count == 0 {
 		l.segs[n-1].path = path
-		l.segs[n-1].version = segVersion
 		return nil
 	}
-	l.segs = append(l.segs, segment{first: l.lsn, version: segVersion, path: path})
+	l.segs = append(l.segs, segment{first: l.lsn, path: path})
 	return nil
 }
 
@@ -507,12 +518,14 @@ func (l *Log) LatestSnapshot() (lsn uint64, path string, ok bool) {
 }
 
 // CommitSnapshot atomically installs a snapshot covering every record below
-// lsn and compacts the log: write is handed a temporary path to fill (the
-// server saves a .cbin star forest there), the file is fsynced and renamed
-// into place, and then every snapshot and fully-covered segment it
-// supersedes is deleted. A crash at any point leaves either the old or the
-// new snapshot installed, never neither.
-func (l *Log) CommitSnapshot(lsn uint64, write func(path string) error) error {
+// lsn and compacts the log. The snapshot holds edges — the server passes
+// its live spanning forest — in the segment layout: a header whose first
+// LSN is lsn, then CRC'd wire-block records of at most snapRecordEdges
+// edges. It is written to a temporary file, fsynced and renamed into place;
+// only then are the snapshot and the fully-covered segments it supersedes
+// deleted. A crash or failure at any point leaves either the old or the new
+// snapshot installed, never neither.
+func (l *Log) CommitSnapshot(lsn uint64, edges []graph.Edge) error {
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -527,13 +540,9 @@ func (l *Log) CommitSnapshot(lsn uint64, write func(path string) error) error {
 
 	// Write and persist the snapshot outside the lock: appends continue
 	// while the O(n) state dump runs.
-	final := filepath.Join(dir, fmt.Sprintf("snap-%016x.cbin", lsn))
+	final := filepath.Join(dir, fmt.Sprintf(snapName, lsn))
 	tmp := final + ".tmp"
-	if err := write(tmp); err != nil {
-		l.fs.Remove(tmp)
-		return err
-	}
-	if err := syncFile(l.fs, tmp); err != nil {
+	if err := l.writeSnapshot(tmp, lsn, edges); err != nil {
 		l.fs.Remove(tmp)
 		return err
 	}
@@ -547,27 +556,52 @@ func (l *Log) CommitSnapshot(lsn uint64, write func(path string) error) error {
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	oldSnap := ""
 	if l.hasSnap && l.snapPath != final {
-		oldSnap = l.snapPath
+		l.fs.Remove(l.snapPath) // on failure, the next Open drops it
 	}
 	l.hasSnap, l.snapLSN, l.snapPath = true, lsn, final
 	l.stats.Snapshots++
-	if oldSnap != "" {
-		l.fs.Remove(oldSnap)
-	}
-	// Drop segments every record of which the snapshot covers, keeping the
-	// open append segment alive regardless.
+	// Drop segments every record of which the snapshot covers, oldest
+	// first, keeping the open append segment alive regardless. A failed
+	// Remove ends the pruning: deleting past it would leave an LSN gap in
+	// the chain, which Open refuses as corruption.
 	live := l.segs[:0]
 	for i, s := range l.segs {
 		isCurrent := l.f != nil && i == len(l.segs)-1
-		if !isCurrent && s.first+s.count <= lsn {
-			l.fs.Remove(s.path)
+		if len(live) == 0 && !isCurrent && s.first+s.count <= lsn && l.fs.Remove(s.path) == nil {
 			continue
 		}
 		live = append(live, s)
 	}
 	l.segs = live
+	return nil
+}
+
+// writeSnapshot writes a snapshot file at path and fsyncs it, whatever
+// Options.NoSync says: the rename that installs it must never expose a
+// file whose bytes are not durable.
+func (l *Log) writeSnapshot(path string, lsn uint64, edges []graph.Edge) error {
+	f, err := l.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	_, err = f.Write(appendHeader(nil, lsn))
+	var b []byte
+	for err == nil && len(edges) > 0 {
+		k := min(len(edges), snapRecordEdges)
+		b = encodeRecord(b[:0], edges[:k])
+		edges = edges[k:]
+		_, err = f.Write(b)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
 	return nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"connectit/internal/graph"
@@ -171,9 +172,7 @@ func TestSnapshotWithEmptyTail(t *testing.T) {
 	}
 	appendN(t, l, 0, 20)
 	// Snapshot covering everything: all sealed segments become garbage.
-	if err := l.CommitSnapshot(20, func(path string) error {
-		return os.WriteFile(path, []byte("snapshot-payload"), 0o644)
-	}); err != nil {
+	if err := l.CommitSnapshot(20, recEdges(0)); err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
@@ -210,9 +209,7 @@ func TestCompactionPrunesCoveredSegments(t *testing.T) {
 	if before < 3 {
 		t.Fatalf("expected several segments before compaction, got %d", before)
 	}
-	if err := l.CommitSnapshot(25, func(path string) error {
-		return os.WriteFile(path, []byte("s"), 0o644)
-	}); err != nil {
+	if err := l.CommitSnapshot(25, recEdges(0)); err != nil {
 		t.Fatal(err)
 	}
 	after := l.Stats().Segments
@@ -223,12 +220,10 @@ func TestCompactionPrunesCoveredSegments(t *testing.T) {
 	checkRecords(t, collect(t, l, 25), 25, 30)
 
 	// A second snapshot replaces the first.
-	if err := l.CommitSnapshot(30, func(path string) error {
-		return os.WriteFile(path, []byte("s2"), 0o644)
-	}); err != nil {
+	if err := l.CommitSnapshot(30, recEdges(1)); err != nil {
 		t.Fatal(err)
 	}
-	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.cbin"))
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
 	if len(snaps) != 1 {
 		t.Fatalf("expected exactly 1 installed snapshot, got %v", snaps)
 	}
@@ -461,7 +456,7 @@ func appendRecord(t *testing.T, path string, payload []byte) {
 	f.Close()
 }
 
-// copyDir clones the committed fixture so tests never mutate testdata.
+// copyDir copies every file of src into dst.
 func copyDir(t *testing.T, src, dst string) {
 	t.Helper()
 	entries, err := os.ReadDir(src)
@@ -477,53 +472,6 @@ func copyDir(t *testing.T, src, dst string) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// TestV1FixtureReplaysUnderNewReader is the upgrade acceptance check: a log
-// written byte-for-byte by the pre-upgrade (v1, raw 8-byte-per-edge) code —
-// committed under testdata, 25 records across 4 segments — must open and
-// replay identically under the v2 reader, and keep accepting appends, which
-// land in fresh v2 segments (mixed-version chain).
-func TestV1FixtureReplaysUnderNewReader(t *testing.T) {
-	const fixtureRecords = 25
-	dir := t.TempDir()
-	copyDir(t, filepath.Join("testdata", "v1log"), dir)
-
-	l, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatalf("Open v1 fixture: %v", err)
-	}
-	if got := l.LSN(); got != fixtureRecords {
-		t.Fatalf("LSN = %d, want %d", got, fixtureRecords)
-	}
-	checkRecords(t, collect(t, l, 0), 0, fixtureRecords)
-
-	// Appends must not extend a v1 segment: the first one rotates to v2.
-	segsBefore := l.Stats().Segments
-	appendN(t, l, fixtureRecords, 5)
-	checkRecords(t, collect(t, l, 0), 0, fixtureRecords+5)
-	if got := l.Stats().Segments; got <= segsBefore {
-		t.Fatalf("append reused a v1 segment: %d segments, had %d", got, segsBefore)
-	}
-	for _, s := range l.segs[:segsBefore] {
-		if s.version != segVersionRaw {
-			t.Fatalf("fixture segment %s scanned as version %d", s.path, s.version)
-		}
-	}
-	if v := l.segs[len(l.segs)-1].version; v != segVersion {
-		t.Fatalf("new tail segment has version %d, want %d", v, segVersion)
-	}
-	l.Close()
-
-	// The mixed v1→v2 chain must survive a reopen end to end.
-	l2, err := Open(dir, Options{SegmentBytes: 256})
-	if err != nil {
-		t.Fatalf("reopen mixed-version chain: %v", err)
-	}
-	defer l2.Close()
-	checkRecords(t, collect(t, l2, 0), 0, fixtureRecords+5)
-	appendN(t, l2, fixtureRecords+5, 3)
-	checkRecords(t, collect(t, l2, 0), 0, fixtureRecords+8)
 }
 
 // TestCompressionRatioObservable pins the tentpole's WAL claim: sorted and
@@ -728,4 +676,43 @@ func TestRandomCrashPointsV2Rotations(t *testing.T) {
 		appendN(t, l, want, 1)
 		l.Close()
 	}
+}
+
+// TestOpenRefusesPreBreakDirectories: a .cbin snapshot or a version-1
+// segment predates the format break DESIGN.md §11 records. Open must refuse
+// the directory, naming the file, rather than boot without its state.
+func TestOpenRefusesPreBreakDirectories(t *testing.T) {
+	refuses := func(t *testing.T, dir, file string) {
+		t.Helper()
+		l, err := Open(dir, Options{})
+		if err == nil {
+			l.Close()
+			t.Fatalf("Open booted at LSN %d over %s", l.LSN(), file)
+		}
+		if !strings.Contains(err.Error(), file) || !strings.Contains(err.Error(), "DESIGN.md §11") {
+			t.Fatalf("Open error %q does not name %s and DESIGN.md §11", err, file)
+		}
+	}
+
+	t.Run("cbin-snapshot", func(t *testing.T) {
+		// A compacted directory: the snapshot alone holds the state.
+		dir := t.TempDir()
+		snap := filepath.Join(dir, "snap-0000000000000014.cbin")
+		if err := os.WriteFile(snap, []byte("CBIN\x02\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		refuses(t, dir, snap)
+	})
+
+	t.Run("v1-segment", func(t *testing.T) {
+		dir := t.TempDir()
+		seg := filepath.Join(dir, "0000000000000000.wal")
+		hdr := binary.LittleEndian.AppendUint32([]byte(segMagic), 1)
+		if err := os.WriteFile(seg, binary.LittleEndian.AppendUint64(hdr, 0), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// One raw v1 record: the edge {1, 2} as two little-endian uint32s.
+		appendRecord(t, seg, []byte{1, 0, 0, 0, 2, 0, 0, 0})
+		refuses(t, dir, seg)
+	})
 }
