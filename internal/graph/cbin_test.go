@@ -249,166 +249,221 @@ func TestCBINV1RoundTrip(t *testing.T) {
 	}
 }
 
+// cbinMutation is one named corruption of a valid .cbin image.
+type cbinMutation struct {
+	name   string
+	mutate func(b []byte) []byte
+}
+
 // corruptCase runs one corruption mutation against both loaders and requires
 // ErrBadCBIN from each.
-func corruptCase(t *testing.T, valid []byte, name string, mutate func(b []byte) []byte) {
+func corruptCase(t *testing.T, valid []byte, c cbinMutation) {
 	t.Helper()
-	b := mutate(append([]byte(nil), valid...))
+	b := c.mutate(append([]byte(nil), valid...))
 	if _, err := ReadCBIN(bytes.NewReader(b)); !errors.Is(err, ErrBadCBIN) {
-		t.Fatalf("%s: ReadCBIN err = %v, want ErrBadCBIN", name, err)
+		t.Fatalf("%s: ReadCBIN err = %v, want ErrBadCBIN", c.name, err)
 	}
-	path := filepath.Join(t.TempDir(), name+".cbin")
+	path := filepath.Join(t.TempDir(), c.name+".cbin")
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadCBIN(path); !errors.Is(err, ErrBadCBIN) {
-		t.Fatalf("%s: LoadCBIN err = %v, want ErrBadCBIN", name, err)
+		t.Fatalf("%s: LoadCBIN err = %v, want ErrBadCBIN", c.name, err)
 	}
 }
 
-// TestCBINRejectsCorruption corrupts a valid single-segment v2 image in
-// every header, table, and index field and checks that both loaders reject
-// it with ErrBadCBIN.
-func TestCBINRejectsCorruption(t *testing.T) {
+// singleSegmentCorruptions returns a valid single-segment image and a
+// corruption of every header, table, and index field in it.
+func singleSegmentCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
 	g := RMAT(9, 3000, 0.57, 0.19, 0.19, 8)
 	var buf bytes.Buffer
 	if err := WriteCBIN(&buf, Compress(g)); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	corrupt := func(name string, mutate func(b []byte) []byte) {
-		corruptCase(t, valid, name, mutate)
+		tb.Fatal(err)
 	}
 
-	// Single-segment v2 layout: 32-byte header, one table entry at 32
+	// Single-segment layout: 32-byte header, one table entry at 32
 	// {first, count, dataLen, m}, blob (offsets, degrees, data) at 64.
 	const table = cbinHeader
 	const blob = cbinHeader + cbinSegEntry
 
-	corrupt("bad-magic", func(b []byte) []byte { b[0] = 'X'; return b })
-	corrupt("bad-version", func(b []byte) []byte {
-		binary.LittleEndian.PutUint32(b[4:8], 99)
-		return b
-	})
-	corrupt("short-header", func(b []byte) []byte { return b[:16] })
-	corrupt("truncated-body", func(b []byte) []byte { return b[:len(b)-3] })
-	corrupt("huge-n", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[8:16], 1<<60)
-		return b
-	})
-	corrupt("zero-segments", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[24:32], 0)
-		return b
-	})
-	corrupt("absurd-segment-count", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[24:32], 1<<40)
-		return b
-	})
-	corrupt("edges-exceed-data", func(b []byte) []byte {
-		// Header edge count no segment can account for.
-		binary.LittleEndian.PutUint64(b[16:24], 1<<40)
-		return b
-	})
-	corrupt("segment-not-at-zero", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[table:], 3)
-		return b
-	})
-	corrupt("segment-count-short", func(b []byte) []byte {
-		// The lone segment covers fewer vertices than the header's n.
-		c := binary.LittleEndian.Uint64(b[table+8:])
-		binary.LittleEndian.PutUint64(b[table+8:], c-1)
-		return b
-	})
-	corrupt("segment-data-overflow", func(b []byte) []byte {
-		// Per-segment data length past the uint32 offset-index cap.
-		binary.LittleEndian.PutUint64(b[table+16:], 1<<33)
-		return b
-	})
-	corrupt("data-len-mismatch", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[table+16:], binary.LittleEndian.Uint64(b[table+16:])+8)
-		return b
-	})
-	corrupt("segment-edges-exceed-data", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(b[table+24:], binary.LittleEndian.Uint64(b[table+16:])+1)
-		return b
-	})
-	corrupt("offset-span", func(b []byte) []byte {
-		// First offset must be 0; a nonzero value breaks the index span.
-		binary.LittleEndian.PutUint32(b[blob:], 7)
-		return b
-	})
-	corrupt("offset-monotonicity", func(b []byte) []byte {
-		// An interior offset past its successor breaks the monotonic index.
-		binary.LittleEndian.PutUint32(b[blob+4*100:], 1<<31)
-		return b
-	})
-	corrupt("degree-exceeds-span", func(b []byte) []byte {
-		// A degree larger than its vertex's byte span cannot decode (every
-		// neighbor needs at least one byte); it also breaks the degree sum.
-		binary.LittleEndian.PutUint32(b[blob+4*(g.NumVertices()+1):], 1<<30)
-		return b
-	})
+	return buf.Bytes(), []cbinMutation{
+		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
+		{"bad-version", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[4:8], 99)
+			return b
+		}},
+		{"short-header", func(b []byte) []byte { return b[:16] }},
+		{"truncated-body", func(b []byte) []byte { return b[:len(b)-3] }},
+		{"huge-n", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:16], 1<<60)
+			return b
+		}},
+		{"zero-segments", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[24:32], 0)
+			return b
+		}},
+		{"absurd-segment-count", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[24:32], 1<<40)
+			return b
+		}},
+		{"edges-exceed-data", func(b []byte) []byte {
+			// Header edge count no segment can account for.
+			binary.LittleEndian.PutUint64(b[16:24], 1<<40)
+			return b
+		}},
+		{"segment-not-at-zero", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[table:], 3)
+			return b
+		}},
+		{"segment-count-short", func(b []byte) []byte {
+			// The lone segment covers fewer vertices than the header's n.
+			c := binary.LittleEndian.Uint64(b[table+8:])
+			binary.LittleEndian.PutUint64(b[table+8:], c-1)
+			return b
+		}},
+		{"segment-data-overflow", func(b []byte) []byte {
+			// Per-segment data length past the uint32 offset-index cap.
+			binary.LittleEndian.PutUint64(b[table+16:], 1<<33)
+			return b
+		}},
+		{"data-len-mismatch", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[table+16:], binary.LittleEndian.Uint64(b[table+16:])+8)
+			return b
+		}},
+		{"segment-edges-exceed-data", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[table+24:], binary.LittleEndian.Uint64(b[table+16:])+1)
+			return b
+		}},
+		{"offset-span", func(b []byte) []byte {
+			// First offset must be 0; a nonzero value breaks the index span.
+			binary.LittleEndian.PutUint32(b[blob:], 7)
+			return b
+		}},
+		{"offset-monotonicity", func(b []byte) []byte {
+			// An interior offset past its successor breaks the monotonic index.
+			binary.LittleEndian.PutUint32(b[blob+4*100:], 1<<31)
+			return b
+		}},
+		{"degree-exceeds-span", func(b []byte) []byte {
+			// A degree larger than its vertex's byte span cannot decode (every
+			// neighbor needs at least one byte); it also breaks the degree sum.
+			binary.LittleEndian.PutUint32(b[blob+4*(g.NumVertices()+1):], 1<<30)
+			return b
+		}},
+	}
 }
 
-// TestCBINRejectsSegmentTableCorruption corrupts a genuinely multi-segment
-// v2 image: truncated segment table, vertex-range overlap and gap between
-// segments, and a degree index broken inside a non-first segment.
-func TestCBINRejectsSegmentTableCorruption(t *testing.T) {
+// TestCBINRejectsCorruption corrupts a valid single-segment image in every
+// header, table, and index field and checks that both loaders reject it with
+// ErrBadCBIN.
+func TestCBINRejectsCorruption(t *testing.T) {
+	valid, cases := singleSegmentCorruptions(t)
+	for _, c := range cases {
+		corruptCase(t, valid, c)
+	}
+}
+
+// multiSegmentCorruptions returns a valid image of at least three segments
+// and the segment-table corruptions: truncated segment table, vertex-range
+// overlap and gap between segments, and a degree index broken inside a
+// non-first segment.
+func multiSegmentCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
 	g := RMAT(9, 3000, 0.57, 0.19, 0.19, 8)
 	s, err := TrySegment(g, 2048)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if s.NumSegments() < 3 {
-		t.Fatalf("panel graph split into %d segments, need >= 3 for the table matrix", s.NumSegments())
+		tb.Fatalf("panel graph split into %d segments, need >= 3 for the table matrix", s.NumSegments())
 	}
 	var buf bytes.Buffer
 	if err := WriteCBIN(&buf, s); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	corrupt := func(name string, mutate func(b []byte) []byte) {
-		corruptCase(t, valid, name, mutate)
+		tb.Fatal(err)
 	}
 	entry := func(b []byte, i int) []byte { return b[cbinHeader+i*cbinSegEntry:] }
 
-	corrupt("truncated-table", func(b []byte) []byte {
-		// Cut mid-way through the second table entry.
-		return b[:cbinHeader+cbinSegEntry+16]
-	})
-	corrupt("segment-overlap", func(b []byte) []byte {
-		// Segment 1 re-covers the last vertex of segment 0.
-		e := entry(b, 1)
-		binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])-1)
-		return b
-	})
-	corrupt("segment-gap", func(b []byte) []byte {
-		// Segment 1 starts one vertex late, leaving a hole in [0, n).
-		e := entry(b, 1)
-		binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])+1)
-		return b
-	})
-	corrupt("segment-count-overlap", func(b []byte) []byte {
-		// Segment 0 claims one vertex more, colliding with segment 1's start.
-		e := entry(b, 0)
-		binary.LittleEndian.PutUint64(e[8:16], binary.LittleEndian.Uint64(e[8:16])+1)
-		return b
-	})
-	corrupt("mid-segment-data-overflow", func(b []byte) []byte {
-		binary.LittleEndian.PutUint64(entry(b, 1)[16:24], 1<<34)
-		return b
-	})
-	corrupt("mid-segment-degree-sum", func(b []byte) []byte {
-		// Break segment 1's degree array: its sum no longer matches the
-		// table's per-segment edge count.
-		e := entry(b, 1)
-		count := binary.LittleEndian.Uint64(e[8:16])
-		blobOff := uint64(cbinHeader) + uint64(s.NumSegments())*cbinSegEntry
-		c0 := binary.LittleEndian.Uint64(entry(b, 0)[8:16])
-		d0 := binary.LittleEndian.Uint64(entry(b, 0)[16:24])
-		blobOff += ((4*(c0+1) + 4*c0 + d0) + 7) &^ 7
-		degOff := blobOff + 4*(count+1)
-		binary.LittleEndian.PutUint32(b[degOff:], binary.LittleEndian.Uint32(b[degOff:])+1)
-		return b
+	return buf.Bytes(), []cbinMutation{
+		{"truncated-table", func(b []byte) []byte {
+			// Cut mid-way through the second table entry.
+			return b[:cbinHeader+cbinSegEntry+16]
+		}},
+		{"segment-overlap", func(b []byte) []byte {
+			// Segment 1 re-covers the last vertex of segment 0.
+			e := entry(b, 1)
+			binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])-1)
+			return b
+		}},
+		{"segment-gap", func(b []byte) []byte {
+			// Segment 1 starts one vertex late, leaving a hole in [0, n).
+			e := entry(b, 1)
+			binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])+1)
+			return b
+		}},
+		{"segment-count-overlap", func(b []byte) []byte {
+			// Segment 0 claims one vertex more, colliding with segment 1's start.
+			e := entry(b, 0)
+			binary.LittleEndian.PutUint64(e[8:16], binary.LittleEndian.Uint64(e[8:16])+1)
+			return b
+		}},
+		{"mid-segment-data-overflow", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(entry(b, 1)[16:24], 1<<34)
+			return b
+		}},
+		{"mid-segment-degree-sum", func(b []byte) []byte {
+			// Break segment 1's degree array: its sum no longer matches the
+			// table's per-segment edge count.
+			e := entry(b, 1)
+			count := binary.LittleEndian.Uint64(e[8:16])
+			blobOff := uint64(cbinHeader) + uint64(s.NumSegments())*cbinSegEntry
+			c0 := binary.LittleEndian.Uint64(entry(b, 0)[8:16])
+			d0 := binary.LittleEndian.Uint64(entry(b, 0)[16:24])
+			blobOff += ((4*(c0+1) + 4*c0 + d0) + 7) &^ 7
+			degOff := blobOff + 4*(count+1)
+			binary.LittleEndian.PutUint32(b[degOff:], binary.LittleEndian.Uint32(b[degOff:])+1)
+			return b
+		}},
+	}
+}
+
+// TestCBINRejectsSegmentTableCorruption runs the multi-segment corruption
+// matrix against both loaders.
+func TestCBINRejectsSegmentTableCorruption(t *testing.T) {
+	valid, cases := multiSegmentCorruptions(t)
+	for _, c := range cases {
+		corruptCase(t, valid, c)
+	}
+}
+
+// FuzzReadCBIN: the streaming reader never panics on arbitrary bytes, every
+// failure wraps ErrBadCBIN, and a graph it accepts has exactly the header's
+// vertex and directed-edge counts. The corpus is seeded with valid single-
+// and multi-segment images and every case of both corruption matrices. The
+// payload is not decoded: the loaders validate the header, table and index,
+// never the adjacency bytes.
+func FuzzReadCBIN(f *testing.F) {
+	for _, corruptions := range []func(testing.TB) ([]byte, []cbinMutation){singleSegmentCorruptions, multiSegmentCorruptions} {
+		valid, cases := corruptions(f)
+		f.Add(valid)
+		for _, c := range cases {
+			f.Add(c.mutate(append([]byte(nil), valid...)))
+		}
+	}
+	var small bytes.Buffer
+	if err := WriteCBIN(&small, Compress(Star(40))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(small.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadCBIN(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadCBIN) {
+				t.Fatalf("error %v does not wrap ErrBadCBIN", err)
+			}
+			return
+		}
+		n, m := binary.LittleEndian.Uint64(data[8:16]), binary.LittleEndian.Uint64(data[16:24])
+		if uint64(r.NumVertices()) != n || uint64(r.NumDirectedEdges()) != m {
+			t.Fatalf("accepted graph n %d 2m %d, header says n %d 2m %d", r.NumVertices(), r.NumDirectedEdges(), n, m)
+		}
 	})
 }
