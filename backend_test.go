@@ -105,7 +105,7 @@ func TestBackendEquivalenceSampled(t *testing.T) {
 
 // TestBackendEquivalenceMappedSegmented is the acceptance chain for the
 // out-of-core path end to end: a graph forced past the single-segment cap
-// splits into many segments, round-trips through a .cbin v2 file, loads
+// splits into many segments, round-trips through a .cbin file, loads
 // back memory-mapped, and produces labels identical to the CSR backend for
 // every registered algorithm.
 func TestBackendEquivalenceMappedSegmented(t *testing.T) {

@@ -15,10 +15,11 @@
 // -forest, runs directly on the encoding), "segmented" (multi-segment
 // byte-compressed, split at -segment-bytes; the out-of-core backend), or
 // "bin" (memory-map a .cbin file named by -path, opening in O(index);
-// multi-segment v2 files map each segment independently). -convert writes
-// the graph to a .cbin v2 file and exits — combined with -format bin it
+// multi-segment files map each segment independently). -convert writes the
+// graph to a .cbin (v3) file and exits — combined with -format bin it
 // re-encodes an existing file, and -segment-bytes re-segments at a new
-// granularity, so old v1 files convert to segmented v2 in one step. -v
+// granularity. A v1 or v2 .cbin is refused, not converted: re-create it
+// from its source edge list (-graph file -path edges.txt -convert). -v
 // prints the per-backend memory footprint (SizeBytes and bytes/edge) so the
 // space/throughput tradeoff is visible:
 //
@@ -27,7 +28,7 @@
 //	connectit -graph rmat -scale 18 -format compressed -v
 //	connectit -format bin -path rmat20.cbin -algo "lt;CRFA" -forest
 //	connectit -graph rmat -scale 20 -convert big.cbin -segment-bytes 268435456
-//	connectit -format bin -path old-v1.cbin -convert new-v2.cbin
+//	connectit -format bin -path big.cbin -convert coarse.cbin -segment-bytes 1073741824
 //
 // -serve runs the HTTP connectivity service over -n initially isolated
 // vertices: POST /v1/update ingests edges (group-committed through the
@@ -84,7 +85,7 @@ var (
 	list      = flag.Bool("list", false, "list every registered finish algorithm and exit")
 
 	format   = flag.String("format", "csr", "graph representation: csr|compressed|segmented|bin (bin memory-maps the .cbin file named by -path)")
-	convert  = flag.String("convert", "", "write the graph to this .cbin (v2) file and exit")
+	convert  = flag.String("convert", "", "write the graph to this .cbin (v3) file and exit")
 	segBytes = flag.Uint64("segment-bytes", 0, "per-segment encoded-adjacency byte target for -format segmented and -convert re-segmentation (0 = the 4 GiB cap)")
 	verbose  = flag.Bool("v", false, "print per-backend memory footprint (SizeBytes, bytes/edge)")
 

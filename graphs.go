@@ -18,8 +18,8 @@ import (
 // internal/graph.Rep for the iteration contract.
 type GraphRep = graph.Rep
 
-// CompressedGraph is the byte-compressed CSR backend (Ligra+-style
-// difference coding): every algorithm runs directly on the encoding via
+// CompressedGraph is the byte-compressed CSR backend (Ligra+'s block-coded
+// byte codes): every algorithm runs directly on the encoding via
 // the representation layer, at roughly half the resident bytes of the flat
 // CSR on power-law graphs. Build one with Compress, or open a .cbin file
 // with LoadCBIN.
@@ -28,7 +28,7 @@ type CompressedGraph = graph.CompressedGraph
 // SegmentedGraph is the multi-segment byte-compressed backend: k
 // independently encoded segments, each under its own 4 GiB offset-index
 // cap, so graphs whose encoding exceeds a single segment still compress —
-// and, loaded from a .cbin v2 file, each segment memory-maps independently,
+// and, loaded from a .cbin file, each segment memory-maps independently,
 // letting a graph larger than RAM execute out of core. TryCompress returns
 // one automatically past the cap; TrySegment forces the representation.
 type SegmentedGraph = graph.SegmentedGraph
@@ -65,7 +65,7 @@ func TrySegment(g *Graph, segmentBytes uint64) (*SegmentedGraph, error) {
 // Materialize returns the flat CSR form of any representation: CSR graphs
 // pass through, compressed and segmented graphs decompress. It backs format
 // conversions that need to re-encode a loaded graph (the CLI's -convert
-// between .cbin versions and segment granularities).
+// between segment granularities).
 func Materialize(r GraphRep) (*Graph, error) { return graph.Materialize(r) }
 
 // LoadEdgeListFile reads a whitespace-separated edge-list file ("u v" per
@@ -74,17 +74,18 @@ func Materialize(r GraphRep) (*Graph, error) { return graph.Materialize(r) }
 func LoadEdgeListFile(path string) (*Graph, error) { return graph.LoadEdgeListFile(path) }
 
 // SaveCBIN writes a compressed representation (*CompressedGraph or
-// *SegmentedGraph) to path in the versioned .cbin binary format (v2), the
+// *SegmentedGraph) to path in the versioned .cbin binary format (v3), the
 // companion of LoadCBIN.
 func SaveCBIN(path string, r GraphRep) error { return graph.SaveCBIN(path, r) }
 
 // LoadCBIN memory-maps a .cbin file written by SaveCBIN: the encoded
 // adjacency is never copied and pages in on demand as it is traversed
-// (only the much smaller offset index is scanned for validity), so a v2
-// file larger than RAM opens in O(segment table) and executes out of core.
-// Single-segment files (including every v1 file) return a
-// *CompressedGraph; multi-segment v2 files return a *SegmentedGraph. Call
-// Close on the result to release the mapping(s).
+// (only the much smaller offset index is scanned for validity), so a file
+// larger than RAM opens in O(segment table) and executes out of core.
+// Single-segment files return a *CompressedGraph; multi-segment files
+// return a *SegmentedGraph. Files of the unblocked versions 1 and 2 are
+// refused with an error naming the version. Call Close on the result to
+// release the mapping(s).
 func LoadCBIN(path string) (GraphRep, error) { return graph.LoadCBIN(path) }
 
 // ReadEdgeList parses an edge list from r and returns the edges plus the

@@ -12,27 +12,16 @@ import (
 	"connectit/internal/parallel"
 )
 
-// This file implements the versioned .cbin on-disk format for compressed
-// graphs. Both versions share the idea that a memory-mapped file IS the
-// in-memory representation — the arrays are stored verbatim (little-endian)
-// so huge graphs open without materializing anything.
+// This file implements the .cbin on-disk format for compressed graphs. A
+// memory-mapped file IS the in-memory representation — the arrays are
+// stored verbatim (little-endian) so huge graphs open without materializing
+// anything.
 //
-// Version 1 is a single segment: a header followed by the three
-// CompressedGraph arrays:
-//
-//	offset  0: magic   "CBIN" (4 bytes)
-//	offset  4: version uint32 (1)
-//	offset  8: n       uint64 (vertex count)
-//	offset 16: m       uint64 (directed edge count)
-//	offset 24: dataLen uint64 (encoded adjacency bytes)
-//	offset 32: offsets (n+1)×uint32, degrees n×uint32, data dataLen bytes
-//
-// Version 2 is the multi-segment layout that lifts the 4 GiB cap: the same
-// 32-byte header (dataLen replaced by the segment count k), a k-entry
-// segment table, then each segment's arrays back to back:
+// Version 3 is the only version read or written: a 32-byte header, a
+// k-entry segment table, then each segment's arrays back to back:
 //
 //	offset  0: magic   "CBIN" (4 bytes)
-//	offset  4: version uint32 (2)
+//	offset  4: version uint32 (3)
 //	offset  8: n       uint64 (vertex count)
 //	offset 16: m       uint64 (directed edge count, all segments)
 //	offset 24: k       uint64 (segment count)
@@ -43,19 +32,24 @@ import (
 //	             offsets (numVertices+1)×uint32 (segment-relative),
 //	             degrees numVertices×uint32, data dataLen bytes, pad
 //
-// Segment table entries must tile [0, n) contiguously in order. The header
-// and table are 32- and 8-byte multiples and every blob is padded to 8, so
-// each blob's offsets array stays 4-aligned for the mmap cast — and each
-// segment memory-maps independently, which is how a v2 file larger than RAM
-// opens in O(table) and pages in on demand.
+// Each vertex's bytes in data are its block-coded list (compressed.go): a
+// list of more than blockSize neighbors starts with a uint32 offset for
+// every block after the first, and every block codes its first neighbor
+// against the source vertex. Segment table entries must tile [0, n)
+// contiguously in order. The header and table are 32- and 8-byte multiples
+// and every blob is padded to 8, so each blob's offsets array stays
+// 4-aligned for the mmap cast — and each segment memory-maps independently,
+// which is how a file larger than RAM opens in O(table) and pages in on
+// demand. A single-segment graph is a file with k=1.
 //
-// WriteCBIN always writes version 2 (a single-segment graph is a v2 file
-// with k=1); version 1 files remain fully loadable.
+// Versions 1 and 2 coded each list as one unbroken difference chain. Their
+// payload means something else, so they are refused by name, never decoded
+// (DESIGN.md §14): re-create such a file with connectit -convert from its
+// source edge list.
 
 const (
 	cbinMagic    = "CBIN"
-	cbinVersion1 = 1
-	cbinVersion2 = 2
+	cbinVersion  = 3
 	cbinHeader   = 32
 	cbinSegEntry = 32
 )
@@ -63,7 +57,7 @@ const (
 // ErrBadCBIN reports a malformed, truncated, or wrong-version .cbin input.
 var ErrBadCBIN = fmt.Errorf("graph: invalid cbin file")
 
-// WriteCBIN writes r in the .cbin v2 format. r must already be compressed
+// WriteCBIN writes r in the .cbin v3 format. r must already be compressed
 // (*CompressedGraph or *SegmentedGraph); compress CSR graphs first.
 func WriteCBIN(w io.Writer, r Rep) error {
 	segs, starts, m, err := cbinSegments(r)
@@ -73,7 +67,7 @@ func WriteCBIN(w io.Writer, r Rep) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var hdr [cbinHeader]byte
 	copy(hdr[0:4], cbinMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], cbinVersion2)
+	binary.LittleEndian.PutUint32(hdr[4:8], cbinVersion)
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.NumVertices()))
 	binary.LittleEndian.PutUint64(hdr[16:24], m)
 	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(segs)))
@@ -124,32 +118,6 @@ func cbinSegments(r Rep) (segs []segmentRef, starts []uint32, m uint64, err erro
 	return nil, nil, 0, fmt.Errorf("graph: cannot write %T as .cbin; compress it first", r)
 }
 
-// writeCBINv1 writes the legacy single-segment v1 layout. Production code
-// always writes v2; this exists so tests can fabricate old-format files and
-// prove the compatibility path.
-func writeCBINv1(w io.Writer, c *CompressedGraph) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	var hdr [cbinHeader]byte
-	copy(hdr[0:4], cbinMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], cbinVersion1)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(c.NumVertices()))
-	binary.LittleEndian.PutUint64(hdr[16:24], c.m)
-	binary.LittleEndian.PutUint64(hdr[24:32], uint64(len(c.Data)))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	if err := writeU32s(bw, c.Offsets); err != nil {
-		return err
-	}
-	if err := writeU32s(bw, c.Degrees); err != nil {
-		return err
-	}
-	if _, err := bw.Write(c.Data); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
 // writeU32s encodes vals little-endian through a batch buffer — one Write
 // per 64 KiB rather than per word, so saving a scale-20+ graph is bound by
 // I/O, not call overhead.
@@ -174,7 +142,7 @@ func writeU32s(w io.Writer, vals []uint32) error {
 	return nil
 }
 
-// SaveCBIN writes r to path in the .cbin v2 format.
+// SaveCBIN writes r to path in the .cbin v3 format.
 func SaveCBIN(path string, r Rep) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -187,37 +155,33 @@ func SaveCBIN(path string, r Rep) error {
 	return f.Close()
 }
 
-// cbinDims validates a v1 .cbin header and returns (n, m, dataLen). size is
-// the total input length in bytes when known (mmap/stat), or -1 for streams.
-func cbinDims(hdr []byte, size int64) (n, m, dataLen uint64, err error) {
-	if len(hdr) < cbinHeader {
-		return 0, 0, 0, fmt.Errorf("%w: %d-byte input shorter than the %d-byte header", ErrBadCBIN, len(hdr), cbinHeader)
-	}
+// parseCBINHeader validates a header's magic, version, vertex count and
+// segment count and returns (n, m, k). A version-1 or -2 header is refused
+// by name: those files code their lists without blocks.
+func parseCBINHeader(hdr []byte) (n, m, k uint64, err error) {
 	if string(hdr[0:4]) != cbinMagic {
 		return 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrBadCBIN, hdr[0:4])
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != cbinVersion1 {
-		return 0, 0, 0, fmt.Errorf("%w: unsupported version %d (want %d or %d)", ErrBadCBIN, v, cbinVersion1, cbinVersion2)
+	switch v := binary.LittleEndian.Uint32(hdr[4:8]); v {
+	case cbinVersion:
+	case 1, 2:
+		return 0, 0, 0, fmt.Errorf("%w: version %d predates the block-coded version %d and is not read; re-create the file with connectit -convert from its source edge list (DESIGN.md §14)", ErrBadCBIN, v, cbinVersion)
+	default:
+		return 0, 0, 0, fmt.Errorf("%w: unsupported version %d (want %d)", ErrBadCBIN, v, cbinVersion)
 	}
 	n = binary.LittleEndian.Uint64(hdr[8:16])
 	m = binary.LittleEndian.Uint64(hdr[16:24])
-	dataLen = binary.LittleEndian.Uint64(hdr[24:32])
-	if dataLen > maxCompressedBytes {
-		return 0, 0, 0, fmt.Errorf("%w: data length %d beyond the 4 GiB offset cap", ErrBadCBIN, dataLen)
+	k = binary.LittleEndian.Uint64(hdr[24:32])
+	if n > 1<<32-1 {
+		return 0, 0, 0, fmt.Errorf("%w: vertex count %d beyond the 32-bit vertex space", ErrBadCBIN, n)
 	}
-	// Every neighbor encodes as at least one byte, so m can never exceed
-	// dataLen; catching it here rejects garbage headers cheaply.
-	if m > dataLen {
-		return 0, 0, 0, fmt.Errorf("%w: %d directed edges cannot fit in %d data bytes", ErrBadCBIN, m, dataLen)
+	if k == 0 || k > n+1 {
+		return 0, 0, 0, fmt.Errorf("%w: segment count %d for %d vertices", ErrBadCBIN, k, n)
 	}
-	want := uint64(cbinHeader) + 4*(n+1) + 4*n + dataLen
-	if n > (1<<56)/8 || (size >= 0 && want != uint64(size)) {
-		return 0, 0, 0, fmt.Errorf("%w: header implies %d bytes, file has %d", ErrBadCBIN, want, size)
-	}
-	return n, m, dataLen, nil
+	return n, m, k, nil
 }
 
-// cbinSegMeta is one parsed-and-validated v2 segment table entry, with the
+// cbinSegMeta is one parsed-and-validated segment table entry, with the
 // absolute file offset of the segment's blob.
 type cbinSegMeta struct {
 	first, count  uint64
@@ -227,7 +191,7 @@ type cbinSegMeta struct {
 	blobLenPadded uint64
 }
 
-// parseCBINTable validates a v2 segment table against the header's (n, m, k)
+// parseCBINTable validates a segment table against the header's (n, m, k)
 // and returns per-segment metadata. The entries must tile [0, n)
 // contiguously in file order — any overlap, gap, or reordering is rejected —
 // and empty segments are allowed only as the single segment of an empty
@@ -290,8 +254,9 @@ func parseCBINTable(n, m, k uint64, table []byte, size int64) ([]cbinSegMeta, er
 // least one byte), and the degrees must sum to the declared edge count.
 // The scan is parallel and touches only the index arrays, never the edge
 // payload — a graph still opens without reading its adjacency. Corruption
-// inside the varint payload itself is not detectable without decoding and
-// surfaces as garbage neighbors at traversal time.
+// inside the payload itself, block offsets included, is not detectable
+// without decoding and surfaces as garbage neighbors (or an out-of-range
+// panic) at traversal time.
 func checkIndex(offsets, degrees []uint32, dataLen, m uint64) error {
 	n := len(degrees)
 	if offsets[0] != 0 || uint64(offsets[n]) != dataLen {
@@ -319,10 +284,10 @@ func checkIndex(offsets, degrees []uint32, dataLen, m uint64) error {
 	return nil
 }
 
-// ReadCBIN reads a .cbin graph (either version) from a stream into freshly
-// allocated arrays. LoadCBIN is preferred for files: it memory-maps instead
-// of copying. Single-segment inputs (all v1 files, v2 with k=1) return a
-// *CompressedGraph; multi-segment v2 returns a *SegmentedGraph.
+// ReadCBIN reads a .cbin graph from a stream into freshly allocated
+// arrays. LoadCBIN is preferred for files: it memory-maps instead of
+// copying. Single-segment inputs (k=1) return a *CompressedGraph;
+// multi-segment ones return a *SegmentedGraph.
 //
 // Array storage grows incrementally as bytes actually arrive, so a
 // corrupted header's vertex or segment count cannot force a giant up-front
@@ -334,42 +299,9 @@ func ReadCBIN(r io.Reader) (Rep, error) {
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadCBIN, err)
 	}
-	if string(hdr[0:4]) == cbinMagic && binary.LittleEndian.Uint32(hdr[4:8]) == cbinVersion2 {
-		return readCBINv2(br, hdr[:])
-	}
-	n, m, dataLen, err := cbinDims(hdr[:], -1)
+	n, m, k, err := parseCBINHeader(hdr[:])
 	if err != nil {
 		return nil, err
-	}
-	offsets, err := readU32s(br, n+1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated offsets: %v", ErrBadCBIN, err)
-	}
-	degrees, err := readU32s(br, n)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated degrees: %v", ErrBadCBIN, err)
-	}
-	data, err := readBytes(br, dataLen)
-	if err != nil {
-		return nil, fmt.Errorf("%w: truncated data: %v", ErrBadCBIN, err)
-	}
-	if err := checkIndex(offsets, degrees, dataLen, m); err != nil {
-		return nil, err
-	}
-	return &CompressedGraph{Offsets: offsets, Degrees: degrees, Data: data, m: m}, nil
-}
-
-// readCBINv2 reads the segment table and blobs of a v2 stream whose header
-// has been consumed and validated for magic/version.
-func readCBINv2(br *bufio.Reader, hdr []byte) (Rep, error) {
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	m := binary.LittleEndian.Uint64(hdr[16:24])
-	k := binary.LittleEndian.Uint64(hdr[24:32])
-	if n > 1<<32-1 {
-		return nil, fmt.Errorf("%w: vertex count %d beyond the 32-bit vertex space", ErrBadCBIN, n)
-	}
-	if k == 0 || k > n+1 {
-		return nil, fmt.Errorf("%w: segment count %d for %d vertices", ErrBadCBIN, k, n)
 	}
 	table, err := readBytes(br, k*cbinSegEntry)
 	if err != nil {
@@ -455,13 +387,14 @@ func readBytes(r io.Reader, count uint64) ([]byte, error) {
 // arrays alias the mapping(s), so the encoded adjacency — the dominant term
 // — is never read at load time and pages in on demand as it is traversed;
 // only the offset/degree index is scanned (in parallel) to validate the
-// file. v2 files map each segment independently, so a graph larger than RAM
-// opens in O(segment table) and executes out of core. Call Close on the
-// returned graph to release the mapping(s). On platforms without mmap it
-// falls back to reading the file into memory.
+// file. Each segment maps independently, so a graph larger than RAM opens
+// in O(segment table) and executes out of core. A segment whose mapping
+// fails (no mmap on this platform) is read into memory instead, so mapped
+// and heap-backed segments can coexist. Call Close on the returned graph to
+// release the mapping(s).
 //
-// Single-segment inputs (all v1 files, v2 with k=1) return a
-// *CompressedGraph; multi-segment v2 files return a *SegmentedGraph.
+// Single-segment files (k=1) return a *CompressedGraph; multi-segment files
+// return a *SegmentedGraph.
 func LoadCBIN(path string) (Rep, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -472,37 +405,16 @@ func LoadCBIN(path string) (Rep, error) {
 	if err != nil {
 		return nil, err
 	}
+	size := st.Size()
 	var hdr [cbinHeader]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadCBIN, err)
 	}
-	if string(hdr[0:4]) == cbinMagic && binary.LittleEndian.Uint32(hdr[4:8]) == cbinVersion2 {
-		return loadCBINv2(f, hdr[:], st.Size())
-	}
-	mapped, err := mmapFile(f, st.Size())
+	n, m, k, err := parseCBINHeader(hdr[:])
 	if err != nil {
-		// No mmap on this platform (or an exotic file): fall back to a copy.
-		return ReadCBIN(f)
-	}
-	c, err := cbinFromMapping(mapped, st.Size())
-	if err != nil {
-		munmap(mapped)
 		return nil, err
 	}
-	return c, nil
-}
-
-// loadCBINv2 opens a v2 file, mapping each segment's blob independently.
-// A segment whose mapping fails (no mmap on this platform) is read into
-// memory instead, so mapped and heap-backed segments can coexist.
-func loadCBINv2(f *os.File, hdr []byte, size int64) (Rep, error) {
-	n := binary.LittleEndian.Uint64(hdr[8:16])
-	m := binary.LittleEndian.Uint64(hdr[16:24])
-	k := binary.LittleEndian.Uint64(hdr[24:32])
-	if n > 1<<32-1 {
-		return nil, fmt.Errorf("%w: vertex count %d beyond the 32-bit vertex space", ErrBadCBIN, n)
-	}
-	if k == 0 || uint64(cbinHeader)+k*cbinSegEntry > uint64(size) || k > n+1 {
+	if uint64(cbinHeader)+k*cbinSegEntry > uint64(size) {
 		return nil, fmt.Errorf("%w: segment count %d for %d vertices in a %d-byte file", ErrBadCBIN, k, n, size)
 	}
 	table := make([]byte, k*cbinSegEntry)
@@ -567,28 +479,6 @@ func loadCBINv2(f *os.File, hdr []byte, size int64) (Rep, error) {
 		return &CompressedGraph{Offsets: s.segs[0].offsets, Degrees: s.segs[0].degrees, Data: s.segs[0].data, m: m, mapped: s.maps[0]}, nil
 	}
 	return s, nil
-}
-
-// cbinFromMapping casts a mapped v1 .cbin image into a CompressedGraph whose
-// arrays alias the mapping.
-func cbinFromMapping(mapped []byte, size int64) (*CompressedGraph, error) {
-	n, m, dataLen, err := cbinDims(mapped, size)
-	if err != nil {
-		return nil, err
-	}
-	offEnd := cbinHeader + 4*int(n+1)
-	degEnd := offEnd + 4*int(n)
-	c := &CompressedGraph{
-		Offsets: u32slice(mapped, cbinHeader, int(n+1)),
-		Degrees: u32slice(mapped, offEnd, int(n)),
-		Data:    mapped[degEnd : degEnd+int(dataLen) : degEnd+int(dataLen)],
-		m:       m,
-		mapped:  mapped,
-	}
-	if err := checkIndex(c.Offsets, c.Degrees, dataLen, c.m); err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // u32slice reinterprets count little-endian uint32 values at m[off:] without

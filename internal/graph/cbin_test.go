@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -173,79 +175,36 @@ func TestCBINCornerGraphs(t *testing.T) {
 	}
 }
 
-// fixtureV1Graph reconstructs the graph encoded in testdata/v1-fixture.cbin.
-// The fixture was written by the v1 writer before the v2 format existed and
-// is committed verbatim; this function must never change, or the fixture
-// comparison loses its meaning.
-func fixtureV1Graph() *Graph {
-	var edges []Edge
-	for i := 0; i < 400; i++ {
-		edges = append(edges, Edge{U: Vertex(i*37+11) % 200, V: Vertex(i*73+29) % 200})
-	}
-	for i := 0; i < 50; i++ {
-		edges = append(edges, Edge{U: 7, V: Vertex(i*91+3) % 200})
-	}
-	return Build(200, edges)
-}
-
-// TestCBINV1FixtureLoads proves on-disk compatibility: a committed .cbin
-// written by the v1 (pre-segmented) writer still loads through both the
-// mmap and streaming paths and decodes to the original graph.
-func TestCBINV1FixtureLoads(t *testing.T) {
-	path := filepath.Join("testdata", "v1-fixture.cbin")
-	raw, err := os.ReadFile(path)
-	if err != nil {
+// TestCBINRefusesOldVersions: a file whose header says version 1 or 2 codes
+// its lists without blocks, so both loaders must refuse it with ErrBadCBIN,
+// naming the version and the way forward, rather than decode it as v3.
+func TestCBINRefusesOldVersions(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCBIN(&buf, Compress(RMAT(9, 3000, 0.57, 0.19, 0.19, 8))); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(raw[4:8]); v != cbinVersion1 {
-		t.Fatalf("fixture claims version %d, want the committed v1 file", v)
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 3 {
+		t.Fatalf("WriteCBIN wrote version %d, want 3", v)
 	}
-	g := fixtureV1Graph()
-
-	mapped, err := LoadCBIN(path)
-	if err != nil {
-		t.Fatalf("load v1 fixture: %v", err)
-	}
-	if _, ok := mapped.(*CompressedGraph); !ok {
-		t.Fatalf("v1 fixture loaded as %T, want *CompressedGraph", mapped)
-	}
-	checkSameGraph(t, "v1-fixture/mmap", g, mapped)
-	closeTwice(t, "v1-fixture", mapped)
-
-	streamed, err := ReadCBIN(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("read v1 fixture: %v", err)
-	}
-	checkSameGraph(t, "v1-fixture/stream", g, streamed)
-}
-
-// TestCBINV1RoundTrip drives the legacy writer against the current readers
-// across the whole panel — broader v1 coverage than the single committed
-// fixture.
-func TestCBINV1RoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for name, g := range compressPanel() {
-		c := Compress(g)
-		var buf bytes.Buffer
-		if err := writeCBINv1(&buf, c); err != nil {
-			t.Fatalf("%s: write v1: %v", name, err)
-		}
-		streamed, err := ReadCBIN(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatalf("%s: read v1: %v", name, err)
-		}
-		checkSameGraph(t, name+"/v1-stream", g, streamed)
-
-		path := filepath.Join(dir, name+".cbin")
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	for _, old := range []uint32{1, 2} {
+		b := append([]byte(nil), buf.Bytes()...)
+		binary.LittleEndian.PutUint32(b[4:8], old)
+		path := filepath.Join(t.TempDir(), "old.cbin")
+		if err := os.WriteFile(path, b, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		mapped, err := LoadCBIN(path)
-		if err != nil {
-			t.Fatalf("%s: load v1: %v", name, err)
+		_, rerr := ReadCBIN(bytes.NewReader(b))
+		_, lerr := LoadCBIN(path)
+		for name, err := range map[string]error{"ReadCBIN": rerr, "LoadCBIN": lerr} {
+			if !errors.Is(err, ErrBadCBIN) {
+				t.Fatalf("version %d: %s err = %v, want ErrBadCBIN", old, name, err)
+			}
+			for _, want := range []string{fmt.Sprintf("version %d", old), "-convert", "DESIGN.md §14"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("version %d: %s err %q does not mention %q", old, name, err, want)
+				}
+			}
 		}
-		checkSameGraph(t, name+"/v1-mmap", g, mapped)
-		closeTwice(t, name+"/v1", mapped)
 	}
 }
 

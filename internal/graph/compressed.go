@@ -1,18 +1,23 @@
 package graph
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"connectit/internal/parallel"
 	"connectit/internal/varint"
 )
 
-// CompressedGraph is a byte-compressed CSR graph mirroring the Ligra+
-// difference coding used by the paper (§3.6): each vertex's sorted neighbor
-// list is stored as variable-length-encoded differences, with the first
-// neighbor difference-encoded against the source vertex (zig-zag coded,
-// since it can be negative). Decoding sums the differences back into
-// neighbor IDs while traversing.
+// CompressedGraph is a byte-compressed CSR graph in the block-coded layout
+// of Ligra+'s parallel byte codes, the compression the paper runs on (§3.6):
+// each vertex's sorted neighbor list is cut into blocks of blockSize
+// neighbors, and each block stores its first neighbor zig-zag coded against
+// the source vertex (it can be negative) and the rest as variable-length
+// ascending differences. A list longer than one block starts with a
+// little-endian uint32 offset, relative to the list's start, for every block
+// after the first, so the neighbor at any position decodes from its own
+// block (NeighborsAt) instead of from the list's start. A list of at most
+// blockSize neighbors is a single block with no header.
 //
 // CompressedGraph is a first-class backend of the representation layer
 // (Rep): every finish algorithm and sampling scheme runs directly on the
@@ -26,7 +31,7 @@ import (
 type CompressedGraph struct {
 	Offsets []uint32 // byte offset of each vertex's encoded list; len n+1
 	Degrees []uint32 // degree of each vertex; len n
-	Data    []byte   // varint-encoded neighbor differences
+	Data    []byte   // block-coded neighbor lists
 
 	m      uint64 // directed edge count (sum of Degrees)
 	mapped []byte // whole mmap'd region when loaded via LoadCBIN; nil otherwise
@@ -35,6 +40,18 @@ type CompressedGraph struct {
 // maxCompressedBytes is the per-segment encoded-adjacency cap implied by
 // the uint32 byte-offset index.
 const maxCompressedBytes = 1<<32 - 1
+
+// blockSize is B, the number of neighbors per block of an encoded list. It
+// is part of the .cbin v3 format, not a tuning knob: a file coded with one B
+// decodes as garbage under another (DESIGN.md §10 has the measurement that
+// chose it).
+const blockSize = 32
+
+// headerBytes is the length of the block-offset header of a list of deg
+// neighbors: one uint32 for every block after the first.
+func headerBytes(deg int) int {
+	return 4 * max((deg+blockSize-1)/blockSize-1, 0)
+}
 
 // Compress byte-encodes g in parallel: a first pass sizes every vertex's
 // encoded list, an exclusive scan places them, and a second pass encodes
@@ -94,21 +111,8 @@ func encodedSizes(g *Graph) []uint64 {
 	n := g.NumVertices()
 	sizes := make([]uint64, n+1)
 	parallel.ForGrained(n, 256, func(lo, hi int) {
-		var buf [10]byte
 		for v := lo; v < hi; v++ {
-			nbrs := g.Neighbors(Vertex(v))
-			var sz uint64
-			prev := int64(v)
-			for i, u := range nbrs {
-				d := int64(u) - prev
-				if i == 0 {
-					sz += uint64(putVarint(buf[:], zigzag(d)))
-				} else {
-					sz += uint64(putVarint(buf[:], uint64(d)))
-				}
-				prev = int64(u)
-			}
-			sizes[v] = sz
+			sizes[v] = encodeList(nil, Vertex(v), g.Neighbors(Vertex(v)))
 		}
 	})
 	return sizes
@@ -135,20 +139,35 @@ func encodeRange(g *Graph, prefix []uint64, lo, hi int) (offsets []uint32, degre
 			v := lo + i
 			nbrs := g.Neighbors(Vertex(v))
 			degrees[i] = uint32(len(nbrs))
-			pos := prefix[v] - base
-			prev := int64(v)
-			for j, u := range nbrs {
-				d := int64(u) - prev
-				if j == 0 {
-					pos += uint64(putVarint(data[pos:], zigzag(d)))
-				} else {
-					pos += uint64(putVarint(data[pos:], uint64(d)))
-				}
-				prev = int64(u)
-			}
+			encodeList(data[prefix[v]-base:prefix[v+1]-base], Vertex(v), nbrs)
 		}
 	})
 	return offsets, degrees, data
+}
+
+// encodeList block-codes v's sorted list nbrs into dst and returns its
+// encoded length; with a nil dst it only measures. Both passes run this one
+// function, so the sizes the scan places always match what is written.
+func encodeList(dst []byte, v Vertex, nbrs []Vertex) uint64 {
+	var scratch [10]byte
+	pos := uint64(headerBytes(len(nbrs)))
+	for i, u := range nbrs {
+		var x uint64
+		if i%blockSize == 0 {
+			if i > 0 && dst != nil {
+				binary.LittleEndian.PutUint32(dst[4*(i/blockSize-1):], uint32(pos))
+			}
+			x = zigzag(int64(u) - int64(v))
+		} else {
+			x = uint64(u - nbrs[i-1])
+		}
+		if dst == nil {
+			pos += uint64(putVarint(scratch[:], x))
+		} else {
+			pos += uint64(putVarint(dst[pos:], x))
+		}
+	}
+	return pos
 }
 
 // NumVertices returns the number of vertices.
@@ -174,62 +193,73 @@ func (c *CompressedGraph) String() string {
 	return fmt.Sprintf("compressed{n=%d m=%d bytes=%d}", c.NumVertices(), c.NumEdges(), c.SizeBytes())
 }
 
-// Decode calls visit for each neighbor of v in ascending order.
-func (c *CompressedGraph) Decode(v Vertex, visit func(u Vertex)) {
-	deg := c.Degrees[v]
-	if deg == 0 {
-		return
-	}
-	pos := uint64(c.Offsets[v])
-	raw, k := getVarint(c.Data[pos:])
-	pos += uint64(k)
-	cur := int64(v) + unzigzag(raw)
-	visit(Vertex(cur))
-	for i := uint32(1); i < deg; i++ {
-		d, k := getVarint(c.Data[pos:])
-		pos += uint64(k)
-		cur += int64(d)
-		visit(Vertex(cur))
-	}
-}
-
 // NeighborsInto decodes v's neighbors into buf (growing it when its capacity
 // is insufficient) and returns the decoded slice. The result is valid until
 // the next call reusing the same buf.
 func (c *CompressedGraph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
-	return c.decodeInto(v, buf, int(c.Degrees[v]))
+	return decodeList(c.Data, int(c.Offsets[v]), v, int(c.Degrees[v]), buf)
 }
 
-// NeighborsIntoLimit decodes only the first min(limit, Degree(v)) neighbors
-// of v — the bounded-work path for kernels that inspect an adjacency prefix.
-func (c *CompressedGraph) NeighborsIntoLimit(v Vertex, buf []Vertex, limit int) []Vertex {
-	count := int(c.Degrees[v])
-	if limit < count {
-		count = limit
-	}
-	return c.decodeInto(v, buf, count)
+// NeighborsAt writes the neighbor at position pos[i] of v's list into
+// out[i], decoding only the block that holds each position.
+func (c *CompressedGraph) NeighborsAt(v Vertex, pos, out []Vertex) {
+	listAt(c.Data, int(c.Offsets[v]), v, int(c.Degrees[v]), pos, out)
 }
 
-// decodeInto decodes the first count neighbors of v into buf.
-func (c *CompressedGraph) decodeInto(v Vertex, buf []Vertex, count int) []Vertex {
-	return decodeList(c.Data, int(c.Offsets[v]), v, count, buf)
-}
-
-// decodeList decodes the first count neighbors of v from its encoded list
-// starting at data[pos] into buf — the decode hot path shared by the
-// single-segment and segmented backends (the encoding is identical: only
-// where the bytes live differs). The loop is written against the hoisted
-// data slice with a single-byte fast path (the bulk of power-law
-// adjacencies) so no per-neighbor function call or re-slice survives.
+// decodeList decodes all count neighbors of v from its encoded list
+// starting at data[pos] into buf, growing buf when its capacity is short —
+// the full-list decode shared by the single-segment and segmented backends
+// (the encoding is identical: only where the bytes live differs). The
+// blocks lie back to back after the header, so a whole-list walk skips the
+// header and never reads it.
 func decodeList(data []byte, pos int, v Vertex, count int, buf []Vertex) []Vertex {
-	if count <= 0 {
-		return buf[:0]
-	}
 	if cap(buf) < count {
 		buf = make([]Vertex, count)
 	} else {
 		buf = buf[:count]
 	}
+	pos += headerBytes(count)
+	for b := 0; b < count; b += blockSize {
+		pos = decodeBlock(data, pos, v, buf[b:min(b+blockSize, count)])
+	}
+	return buf
+}
+
+// listAt writes the neighbors at positions pos of v's list of deg
+// neighbors, encoded at data[start], into out. Each position decodes its
+// block, found through the list's block header, only as far as the
+// furthest position still to come in that block, so picks sharing a block
+// (k-out's position 0 and a random pick in a short list) share one decode.
+func listAt(data []byte, start int, v Vertex, deg int, pos, out []Vertex) {
+	var blk [blockSize]Vertex
+	have, held := Vertex(0), 0 // blk holds the first held neighbors of block have
+	for i, p := range pos {
+		b, r := p/blockSize, int(p%blockSize)
+		if b != have || r >= held {
+			need := r
+			for _, q := range pos[i+1:] {
+				if q/blockSize == b {
+					need = max(need, int(q%blockSize))
+				}
+			}
+			at := start + headerBytes(deg)
+			if b > 0 {
+				at = start + int(binary.LittleEndian.Uint32(data[start+4*int(b-1):]))
+			}
+			decodeBlock(data, at, v, blk[:need+1])
+			have, held = b, need+1
+		}
+		out[i] = blk[r]
+	}
+}
+
+// decodeBlock decodes len(out) > 0 neighbors of one block of v's list
+// starting at data[pos] and returns the position after them: the first is
+// zig-zag coded against v, the rest are ascending differences. It is the one
+// decode loop every read path runs, written against the hoisted data slice
+// with a single-byte fast path (the bulk of power-law adjacencies) so no
+// per-neighbor function call or re-slice survives.
+func decodeBlock(data []byte, pos int, v Vertex, out []Vertex) int {
 	var raw uint64
 	var shift uint
 	for {
@@ -243,8 +273,8 @@ func decodeList(data []byte, pos int, v Vertex, count int, buf []Vertex) []Verte
 		shift += 7
 	}
 	cur := int64(v) + unzigzag(raw)
-	buf[0] = Vertex(cur)
-	for i := 1; i < count; i++ {
+	out[0] = Vertex(cur)
+	for i := 1; i < len(out); i++ {
 		b := data[pos]
 		pos++
 		if b < 0x80 {
@@ -264,13 +294,13 @@ func decodeList(data []byte, pos int, v Vertex, count int, buf []Vertex) []Verte
 			}
 			cur += int64(d)
 		}
-		buf[i] = Vertex(cur)
+		out[i] = Vertex(cur)
 	}
-	return buf
+	return pos
 }
 
 // Decompress reconstructs the plain CSR graph (used by tests and the CLI's
-// format conversion).
+// format conversion), decoding every list straight into its CSR slot.
 func (c *CompressedGraph) Decompress() *Graph {
 	n := c.NumVertices()
 	offsets := make([]uint64, n+1)
@@ -281,11 +311,7 @@ func (c *CompressedGraph) Decompress() *Graph {
 	adj := make([]Vertex, total)
 	parallel.ForGrained(n, 256, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
-			pos := offsets[v]
-			c.Decode(Vertex(v), func(u Vertex) {
-				adj[pos] = u
-				pos++
-			})
+			decodeList(c.Data, int(c.Offsets[v]), Vertex(v), int(c.Degrees[v]), adj[offsets[v]:offsets[v+1]])
 		}
 	})
 	return &Graph{Offsets: offsets, Adj: adj}
@@ -305,8 +331,7 @@ func (c *CompressedGraph) Close() error {
 
 // The byte-code primitives live in internal/varint (shared with the wire
 // protocol and the WAL's compressed record payloads); these aliases keep
-// the decode hot paths above reading naturally.
+// the codec above reading naturally.
 func zigzag(x int64) uint64              { return varint.Zigzag(x) }
 func unzigzag(u uint64) int64            { return varint.Unzigzag(u) }
 func putVarint(buf []byte, x uint64) int { return varint.Put(buf, x) }
-func getVarint(buf []byte) (uint64, int) { return varint.Get(buf) }

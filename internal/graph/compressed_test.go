@@ -1,7 +1,10 @@
 package graph
 
 import (
+	"encoding/binary"
 	"testing"
+
+	"connectit/internal/varint"
 )
 
 // compressPanel is the graph set the round-trip tests sweep: it covers
@@ -35,18 +38,18 @@ func compressPanel() map[string]*Graph {
 	}
 }
 
-// TestDecodeMatchesNeighbors checks Decode against the plain CSR adjacency
-// for every vertex: same neighbors, same ascending order.
+// TestDecodeMatchesNeighbors checks the full-list decode against the plain
+// CSR adjacency for every vertex: same neighbors, same ascending order.
 func TestDecodeMatchesNeighbors(t *testing.T) {
 	for name, g := range compressPanel() {
 		c := Compress(g)
 		if c.NumVertices() != g.NumVertices() {
 			t.Fatalf("%s: NumVertices %d != %d", name, c.NumVertices(), g.NumVertices())
 		}
+		var got []Vertex
 		for v := 0; v < g.NumVertices(); v++ {
 			want := g.Neighbors(Vertex(v))
-			var got []Vertex
-			c.Decode(Vertex(v), func(u Vertex) { got = append(got, u) })
+			got = c.NeighborsInto(Vertex(v), got)
 			if len(got) != len(want) || int(c.Degrees[v]) != len(want) {
 				t.Fatalf("%s: vertex %d decoded %d neighbors, want %d", name, v, len(got), len(want))
 			}
@@ -59,6 +62,109 @@ func TestDecodeMatchesNeighbors(t *testing.T) {
 					t.Fatalf("%s: vertex %d neighbors not strictly ascending at %d", name, v, i)
 				}
 				prev = int64(got[i])
+			}
+		}
+	}
+}
+
+// blockPanel builds a graph whose vertices have every degree the block
+// layout distinguishes: 0, 1, B-1, B, B+1, 2B, 2B+1 and a hub of more than
+// 10B. Each of those sources sits in the middle of the ID space, with
+// neighbors on both sides, so blocks whose first neighbor lies below the
+// source code a negative zig-zag difference, and the hub's neighbors are
+// spread wide enough to need multi-byte differences.
+func blockPanel() (*Graph, []Vertex) {
+	const n = 1 << 21
+	degrees := []int{0, 1, blockSize - 1, blockSize, blockSize + 1, 2 * blockSize, 2*blockSize + 1, 10*blockSize + 7}
+	var edges []Edge
+	var sources []Vertex
+	for i, d := range degrees {
+		v := Vertex((i + 1) << 17) // far enough apart that no source is another's neighbor
+		sources = append(sources, v)
+		for j := 0; j < d; j++ {
+			// Alternate below and above v, striding wider for the hub.
+			off := Vertex(1 + j*(1+i*37))
+			u := v + off
+			if j%2 == 0 {
+				u = v - off
+			}
+			edges = append(edges, Edge{U: v, V: u})
+		}
+	}
+	return Build(n, edges), sources
+}
+
+// TestBlockLayout pins the layout: a list of at most B neighbors is one
+// block with no header, and a longer one starts with one uint32 offset per
+// block after the first, each pointing at a block whose first neighbor is
+// coded against the source vertex.
+func TestBlockLayout(t *testing.T) {
+	g, sources := blockPanel()
+	c := Compress(g)
+	for _, v := range sources {
+		nbrs := g.Neighbors(v)
+		d := len(nbrs)
+		list := c.Data[c.Offsets[v]:c.Offsets[v+1]]
+		blocks := (d + blockSize - 1) / blockSize
+		if got := headerBytes(d); got != 4*max(blocks-1, 0) {
+			t.Fatalf("degree %d: header %d bytes, want %d", d, got, 4*max(blocks-1, 0))
+		}
+		for b := 1; b < blocks; b++ {
+			at := binary.LittleEndian.Uint32(list[4*(b-1):])
+			raw, _ := varint.Get(list[at:])
+			if got := Vertex(int64(v) + unzigzag(raw)); got != nbrs[b*blockSize] {
+				t.Fatalf("degree %d: block %d starts with %d, want %d", d, b, got, nbrs[b*blockSize])
+			}
+		}
+		if d > 0 && d <= blockSize {
+			raw, _ := varint.Get(list)
+			if got := Vertex(int64(v) + unzigzag(raw)); got != nbrs[0] {
+				t.Fatalf("degree %d: headerless list starts with %d, want %d", d, got, nbrs[0])
+			}
+		}
+	}
+}
+
+// TestNeighborsAtMatchesNeighbors checks the by-position accessor on every
+// backend against the full decode: at every single position of every
+// block-panel and compression-panel vertex, and on random multi-position
+// calls with repeated and unsorted positions.
+func TestNeighborsAtMatchesNeighbors(t *testing.T) {
+	bp, _ := blockPanel()
+	graphs := compressPanel()
+	graphs["blocks"] = bp
+	for name, g := range graphs {
+		seg, err := TrySegment(g, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []Rep{g, Compress(g), seg} {
+			var full []Vertex
+			one := make([]Vertex, 1)
+			for v := 0; v < g.NumVertices(); v++ {
+				deg := r.Degree(Vertex(v))
+				if deg == 0 {
+					continue
+				}
+				full = r.NeighborsInto(Vertex(v), full)
+				for p := 0; p < deg; p++ {
+					r.NeighborsAt(Vertex(v), []Vertex{Vertex(p)}, one)
+					if one[0] != full[p] {
+						t.Fatalf("%s/%T: vertex %d position %d = %d, want %d", name, r, v, p, one[0], full[p])
+					}
+				}
+				pos := make([]Vertex, 7)
+				for i := range pos {
+					pos[i] = Vertex(Hash64(uint64(v)<<8^uint64(i)) % uint64(deg))
+				}
+				pos[3] = pos[1] // a repeat, wherever the draw put it
+				out := make([]Vertex, len(pos))
+				r.NeighborsAt(Vertex(v), pos, out)
+				for i, p := range pos {
+					if out[i] != full[p] {
+						t.Fatalf("%s/%T: vertex %d positions %v: out[%d] = %d, want %d", name, r, v, pos, i, out[i], full[p])
+					}
+				}
 			}
 		}
 	}
@@ -106,7 +212,7 @@ func TestVarintZigzagRoundTrip(t *testing.T) {
 	values := []uint64{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1<<21 - 1, 1 << 21, 1<<28 - 1, 1 << 28, 1<<63 - 1}
 	for _, v := range values {
 		k := putVarint(buf[:], v)
-		got, n := getVarint(buf[:k])
+		got, n := varint.Get(buf[:k])
 		if got != v || n != k {
 			t.Fatalf("varint %d: decoded %d (len %d, wrote %d)", v, got, n, k)
 		}

@@ -23,7 +23,8 @@ func fuzzEndpoint(b []byte, n int) Vertex {
 // FuzzBuild: the first two bytes give n (at most 1024) and the third a
 // bucket width and block count; every further four bytes are an edge.
 // TryBuild fails exactly when an endpoint is out of range, and otherwise
-// equals the sequential reference, as does a build at the forced shape.
+// equals the sequential reference, as does a build at the forced shape; the
+// compressed form's NeighborsAt then equals CSR's at random positions.
 func FuzzBuild(f *testing.F) {
 	for _, c := range errorLineCases {
 		f.Add([]byte(c.in))
@@ -63,6 +64,22 @@ func FuzzBuild(f *testing.F) {
 		for _, got := range []*Graph{g, forced} {
 			if !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Adj, want.Adj) {
 				t.Fatalf("n %d, %d edges: CSR differs from the sequential reference", n, len(edges))
+			}
+		}
+		c := Compress(g)
+		pos, got, wantAt := make([]Vertex, 5), make([]Vertex, 5), make([]Vertex, 5)
+		for v := 0; v < n; v++ {
+			deg := uint64(g.Degree(Vertex(v)))
+			if deg == 0 {
+				continue
+			}
+			for i := range pos {
+				pos[i] = Vertex(Hash64(uint64(v)<<8^uint64(i)^uint64(len(edges))) % deg)
+			}
+			g.NeighborsAt(Vertex(v), pos, wantAt)
+			c.NeighborsAt(Vertex(v), pos, got)
+			if !slices.Equal(got, wantAt) {
+				t.Fatalf("vertex %d positions %v: compressed %v, CSR %v", v, pos, got, wantAt)
 			}
 		}
 	})

@@ -7,13 +7,8 @@ import (
 	"os"
 )
 
-// mmapFile always fails on platforms without a unix mmap; LoadCBIN falls
-// back to reading the file into memory.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
-	return nil, errors.New("graph: mmap unsupported on this platform")
-}
-
-// mmapRegion likewise routes per-segment loads to the heap-read fallback.
+// mmapRegion always fails on platforms without a unix mmap, routing
+// per-segment loads to LoadCBIN's heap-read fallback.
 func mmapRegion(f *os.File, off int64, length int) (view, region []byte, err error) {
 	return nil, nil, errors.New("graph: mmap unsupported on this platform")
 }

@@ -8,19 +8,10 @@ import (
 	"syscall"
 )
 
-// mmapFile maps size bytes of f read-only. Zero-length files cannot be
-// mapped portably; an error routes the caller to the read fallback.
-func mmapFile(f *os.File, size int64) ([]byte, error) {
-	if size <= 0 || size != int64(int(size)) {
-		return nil, fmt.Errorf("graph: cannot mmap %d bytes", size)
-	}
-	return syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_PRIVATE)
-}
-
 // mmapRegion maps length bytes of f starting at byte offset off, read-only.
 // mmap offsets must be page-aligned, so the actual mapping begins at the
 // containing page: region is the full mapping (what munmap takes) and view
-// is the requested [off, off+length) window into it. The .cbin v2 layout
+// is the requested [off, off+length) window into it. The .cbin layout
 // keeps off 8-aligned and pages are too, so view stays 8-aligned for the
 // uint32 casts.
 func mmapRegion(f *os.File, off int64, length int) (view, region []byte, err error) {

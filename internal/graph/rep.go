@@ -40,11 +40,13 @@ type Rep interface {
 	// internal slice (ignoring buf) or decode into buf, growing it as
 	// needed.
 	NeighborsInto(v Vertex, buf []Vertex) []Vertex
-	// NeighborsIntoLimit returns at least the first min(limit, Degree(v))
-	// neighbors of v — the full list when the representation stores it
-	// flat anyway. Kernels that inspect only an adjacency prefix (k-out
-	// sampling) use it to bound decode work on compressed encodings.
-	NeighborsIntoLimit(v Vertex, buf []Vertex, limit int) []Vertex
+	// NeighborsAt writes the neighbor at position pos[i] of v's ascending
+	// list into out[i], for every pos[i] < Degree(v); out must be at least
+	// as long as pos, and positions may repeat or come in any order. Kernels
+	// that read a few positions of a list (k-out sampling) use it: CSR
+	// indexes its flat array, and the block-coded backends decode only the
+	// block holding each position.
+	NeighborsAt(v Vertex, pos, out []Vertex)
 	// SizeBytes returns the resident size of the adjacency structure in
 	// bytes (offsets, degree/index arrays, and edge storage), the
 	// space-vs-throughput statistic the CLI and benchmarks report.
@@ -65,10 +67,12 @@ func (g *Graph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
 	return g.Adj[g.Offsets[v]:g.Offsets[v+1]]
 }
 
-// NeighborsIntoLimit returns the full adjacency list of v: the flat CSR
-// pays nothing for the extra entries.
-func (g *Graph) NeighborsIntoLimit(v Vertex, buf []Vertex, limit int) []Vertex {
-	return g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+// NeighborsAt indexes v's flat adjacency at each position.
+func (g *Graph) NeighborsAt(v Vertex, pos, out []Vertex) {
+	adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
+	for i, p := range pos {
+		out[i] = adj[p]
+	}
 }
 
 // SizeBytes returns the resident size of the CSR arrays in bytes.

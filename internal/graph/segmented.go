@@ -15,15 +15,15 @@ import (
 // segment is, and segments are as numerous as the input needs.
 //
 // The encoding inside a segment is exactly the CompressedGraph encoding
-// (difference-coded varints against global vertex ids), so the two backends
-// share the decode hot path; only where a vertex's bytes live differs.
+// (block-coded lists against global vertex ids), so the two backends share
+// the encoder and the decoder; only where a vertex's bytes live differs.
 // SegmentedGraph is a first-class Rep backend: every kernel runs on it
 // through the interface, and NeighborsInto resolves the segment per source
 // vertex with a cached-last-segment fast path (kernels sweep vertices in
 // order, so consecutive lookups land in the same segment almost always) and
 // a binary search over the k+1 range boundaries on a miss.
 //
-// Loaded from a .cbin v2 file on unix, each segment is its own independent
+// Loaded from a .cbin file on unix, each segment is its own independent
 // read-only memory mapping: opening is O(index bytes) — the adjacency
 // payload is never read at load time — and pages of it enter memory only as
 // traversal touches them, so a graph larger than RAM executes out of core
@@ -140,16 +140,12 @@ func (s *SegmentedGraph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
 	return decodeList(seg.data, int(seg.offsets[local]), v, int(seg.degrees[local]), buf)
 }
 
-// NeighborsIntoLimit decodes only the first min(limit, Degree(v)) neighbors
-// of v — the bounded-work path for kernels that inspect an adjacency prefix.
-func (s *SegmentedGraph) NeighborsIntoLimit(v Vertex, buf []Vertex, limit int) []Vertex {
+// NeighborsAt writes the neighbor at position pos[i] of v's list into
+// out[i], decoding only the block that holds each position.
+func (s *SegmentedGraph) NeighborsAt(v Vertex, pos, out []Vertex) {
 	i, seg := s.resolve(v)
 	local := uint32(v) - s.starts[i]
-	count := int(seg.degrees[local])
-	if limit < count {
-		count = limit
-	}
-	return decodeList(seg.data, int(seg.offsets[local]), v, count, buf)
+	listAt(seg.data, int(seg.offsets[local]), v, int(seg.degrees[local]), pos, out)
 }
 
 // resolve returns v's segment index and segment, updating the hint on a

@@ -8,7 +8,7 @@ import (
 
 // TestTrySegmentMatchesCSR sweeps the compression panel through forced
 // segmentation at several byte targets and checks the segmented view decodes
-// to exactly the CSR graph, including the prefix-decode path.
+// to exactly the CSR graph, including the by-position path.
 func TestTrySegmentMatchesCSR(t *testing.T) {
 	for name, g := range compressPanel() {
 		for _, segBytes := range []uint64{1, 64, 1 << 20} {
@@ -20,17 +20,17 @@ func TestTrySegmentMatchesCSR(t *testing.T) {
 			if s.NumSegments() < 1 {
 				t.Fatalf("%s/%d: %d segments", name, segBytes, s.NumSegments())
 			}
-			var buf []Vertex
+			out := make([]Vertex, 2)
 			for v := 0; v < g.NumVertices(); v++ {
 				want := g.Neighbors(Vertex(v))
-				limit := 2
-				buf = s.NeighborsIntoLimit(Vertex(v), buf, limit)
-				if wantLen := min(limit, len(want)); len(buf) != wantLen {
-					t.Fatalf("%s/%d: vertex %d limit decode %d, want %d", name, segBytes, v, len(buf), wantLen)
+				if len(want) == 0 {
+					continue
 				}
-				for i := range buf {
-					if buf[i] != want[i] {
-						t.Fatalf("%s/%d: vertex %d limited neighbor %d = %d, want %d", name, segBytes, v, i, buf[i], want[i])
+				pos := []Vertex{Vertex(len(want) - 1), 0}
+				s.NeighborsAt(Vertex(v), pos, out)
+				for i, p := range pos {
+					if out[i] != want[p] {
+						t.Fatalf("%s/%d: vertex %d position %d = %d, want %d", name, segBytes, v, p, out[i], want[p])
 					}
 				}
 			}

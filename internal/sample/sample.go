@@ -80,65 +80,15 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 		Find:          unionfind.FindNaive,
 		RecordWitness: forest,
 	})
-	// Each vertex inspects at most k adjacency positions (except MaxDeg,
-	// which scans for the highest-degree neighbor), so the random indices
-	// are drawn first and only the prefix up to the largest one is decoded
-	// — on the compressed backend this cuts the sampling decode from the
-	// whole graph to an expected fraction of it.
-	parallel.ForGrained(n, 256, func(lo, hi int) {
-		var buf []graph.Vertex
-		idxs := make([]graph.Vertex, k)
-		for v := lo; v < hi; v++ {
-			deg := uint64(g.Degree(graph.Vertex(v)))
-			if deg == 0 {
-				continue
-			}
-			// Gather the adjacency indices this vertex will touch.
-			var picks []graph.Vertex
-			switch variant {
-			case KOutAfforest:
-				picks = idxs[:0]
-				for i := 0; uint64(i) < deg && i < k; i++ {
-					picks = append(picks, graph.Vertex(i))
-				}
-			case KOutPure:
-				picks = idxs[:0]
-				for i := 0; i < k; i++ {
-					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
-				}
-			case KOutHybrid, KOutMaxDeg:
-				picks = append(idxs[:0], 0)
-				for i := 1; i < k; i++ {
-					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
-				}
-			}
-			limit := graph.Vertex(0)
-			for _, i := range picks {
-				limit = max(limit, i+1)
-			}
-			if variant == KOutMaxDeg {
-				// MaxDeg inspects the whole list for the best neighbor.
-				limit = graph.Vertex(deg)
-			}
-			nbrs := g.NeighborsIntoLimit(graph.Vertex(v), buf, int(limit))
-			buf = nbrs
-			// Indices become the picked neighbours in place, and go to the
-			// union kernel in one call per vertex (from = 0: every pick,
-			// whatever its id); the DSU records (v, u) witnesses itself when
-			// forest is set.
-			for j, i := range picks {
-				picks[j] = nbrs[i]
-			}
-			if variant == KOutMaxDeg {
-				for _, u := range nbrs {
-					if g.Degree(u) > g.Degree(picks[0]) {
-						picks[0] = u
-					}
-				}
-			}
-			d.UnionNeighbors(uint32(v), picks, 0, nil)
-		}
-	})
+	// The variant is resolved once per sweep, not per vertex. Picks go to
+	// the union kernel in one call per vertex (from = 0: every pick,
+	// whatever its id); the DSU records (v, u) witnesses itself when forest
+	// is set.
+	if variant == KOutMaxDeg {
+		koutMaxDeg(g, d, k, seed)
+	} else {
+		koutPositions(g, d, k, variant, seed)
+	}
 	// The ID-linking union-find can never hook the minimum vertex of a
 	// component (a hook always points to a smaller value), so after Flatten
 	// every star is rooted at its minimum member.
@@ -147,6 +97,75 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 		res.Forest = d.WitnessEdges(nil)
 	}
 	return res
+}
+
+// koutPick is the adjacency position of a vertex v of degree deg that its
+// i-th random pick lands on.
+func koutPick(v, i, deg, seed uint64) graph.Vertex {
+	return graph.Vertex(graph.Hash64(v<<20^i^seed) % deg)
+}
+
+// koutPositions samples the variants that pick by adjacency position: the
+// first lead positions (all k for Afforest, one for Hybrid, none for Pure),
+// then a random position for each of the other k-lead picks. Only those
+// positions are read (NeighborsAt), so a block-coded backend decodes one
+// block per pick instead of a list prefix. A random pick on position 0 when
+// position 0 is already taken is the same edge again, so it is dropped.
+func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, seed uint64) {
+	lead := 0
+	switch variant {
+	case KOutAfforest:
+		lead = k
+	case KOutHybrid:
+		lead = 1
+	}
+	parallel.ForGrained(g.NumVertices(), 256, func(lo, hi int) {
+		pos := make([]graph.Vertex, 0, k)
+		nbrs := make([]graph.Vertex, k)
+		for v := lo; v < hi; v++ {
+			deg := g.Degree(graph.Vertex(v))
+			if deg == 0 {
+				continue
+			}
+			pos = pos[:0]
+			for i := 0; i < lead && i < deg; i++ {
+				pos = append(pos, graph.Vertex(i))
+			}
+			for i := lead; i < k; i++ {
+				if p := koutPick(uint64(v), uint64(i), uint64(deg), seed); p != 0 || lead == 0 {
+					pos = append(pos, p)
+				}
+			}
+			g.NeighborsAt(graph.Vertex(v), pos, nbrs)
+			d.UnionNeighbors(uint32(v), nbrs[:len(pos)], 0, nil)
+		}
+	})
+}
+
+// koutMaxDeg samples the edge to each vertex's highest-degree neighbor (the
+// first one, on ties) plus k-1 random ones. It reads every list whole.
+func koutMaxDeg(g graph.Rep, d *unionfind.DSU, k int, seed uint64) {
+	parallel.ForGrained(g.NumVertices(), 256, func(lo, hi int) {
+		var buf []graph.Vertex
+		picks := make([]graph.Vertex, k)
+		for v := lo; v < hi; v++ {
+			buf = g.NeighborsInto(graph.Vertex(v), buf)
+			if len(buf) == 0 {
+				continue
+			}
+			best, bestDeg := buf[0], g.Degree(buf[0])
+			for _, u := range buf[1:] {
+				if du := g.Degree(u); du > bestDeg {
+					best, bestDeg = u, du
+				}
+			}
+			picks[0] = best
+			for i := 1; i < k; i++ {
+				picks[i] = buf[koutPick(uint64(v), uint64(i), uint64(len(buf)), seed)]
+			}
+			d.UnionNeighbors(uint32(v), picks, 0, nil)
+		}
+	})
 }
 
 // BFS runs BFS sampling: up to c direction-optimizing BFS attempts from

@@ -1,10 +1,13 @@
 package sample
 
 import (
+	"slices"
 	"testing"
 
 	"connectit/internal/graph"
+	"connectit/internal/parallel"
 	"connectit/internal/testutil"
+	"connectit/internal/unionfind"
 )
 
 // checkDefinition31 verifies the star property of Definition 3.1 and that
@@ -211,4 +214,98 @@ func TestKOutVariantQualityOrderingOnAdversarialOrder(t *testing.T) {
 	if covH < 2*covA {
 		t.Fatalf("hybrid coverage %f not clearly above afforest coverage %f on adversarial order", covH, covA)
 	}
+}
+
+// referenceKOut is the k-out loop as it stood before NeighborsAt: the
+// variant switch runs per vertex, every pick (a Hybrid pick repeating
+// position 0 included) goes to the union, and the list is read whole — on
+// CSR that costs nothing. It is kept as the oracle for which positions each
+// variant picks.
+func referenceKOut(g *graph.Graph, k int, variant KOutVariant, seed uint64) []uint32 {
+	n := g.NumVertices()
+	d := unionfind.MustNew(n, unionfind.Options{
+		Union:  unionfind.UnionRemCAS,
+		Splice: unionfind.SplitAtomicOne,
+		Find:   unionfind.FindNaive,
+	})
+	parallel.ForGrained(n, 256, func(lo, hi int) {
+		idxs := make([]graph.Vertex, k)
+		for v := lo; v < hi; v++ {
+			deg := uint64(g.Degree(graph.Vertex(v)))
+			if deg == 0 {
+				continue
+			}
+			var picks []graph.Vertex
+			switch variant {
+			case KOutAfforest:
+				picks = idxs[:0]
+				for i := 0; uint64(i) < deg && i < k; i++ {
+					picks = append(picks, graph.Vertex(i))
+				}
+			case KOutPure:
+				picks = idxs[:0]
+				for i := 0; i < k; i++ {
+					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
+				}
+			case KOutHybrid, KOutMaxDeg:
+				picks = append(idxs[:0], 0)
+				for i := 1; i < k; i++ {
+					picks = append(picks, graph.Vertex(graph.Hash64(uint64(v)<<20^uint64(i)^seed)%deg))
+				}
+			}
+			nbrs := g.Neighbors(graph.Vertex(v))
+			for j, i := range picks {
+				picks[j] = nbrs[i]
+			}
+			if variant == KOutMaxDeg {
+				for _, u := range nbrs {
+					if g.Degree(u) > g.Degree(picks[0]) {
+						picks[0] = u
+					}
+				}
+			}
+			d.UnionNeighbors(uint32(v), picks, 0, nil)
+		}
+	})
+	return d.Labels()
+}
+
+// TestKOutSameLabelsEveryBackend: every variant, k in {1, 2, 3} and three
+// seeds give bit-identical labels on CSR, the block-coded compressed graph
+// and a finely segmented one, and on CSR the same labels as the reference
+// loop. RMAT's hubs run to many blocks, so picks land in every block.
+func TestKOutSameLabelsEveryBackend(t *testing.T) {
+	g := graph.RMAT(12, 40000, 0.57, 0.19, 0.19, 6)
+	if maxDeg := slices.Max(degrees(g)); maxDeg < 10*32 {
+		t.Fatalf("panel's largest degree %d spans too few blocks", maxDeg)
+	}
+	seg, err := graph.TrySegment(g, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := map[string]graph.Rep{"compressed": graph.Compress(g), "segmented": seg}
+	for _, variant := range []KOutVariant{KOutHybrid, KOutAfforest, KOutPure, KOutMaxDeg} {
+		for k := 1; k <= 3; k++ {
+			for _, seed := range []uint64{1, 7, 1 << 40} {
+				want := referenceKOut(g, k, variant, seed)
+				if got := KOut(g, k, variant, seed, false).Labels; !slices.Equal(got, want) {
+					t.Fatalf("%v k=%d seed=%d: CSR labels differ from the reference loop", variant, k, seed)
+				}
+				for name, r := range backends {
+					if got := KOut(r, k, variant, seed, false).Labels; !slices.Equal(got, want) {
+						t.Fatalf("%v k=%d seed=%d: %s labels differ from CSR", variant, k, seed, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// degrees lists every vertex's degree.
+func degrees(g *graph.Graph) []int {
+	out := make([]int, g.NumVertices())
+	for v := range out {
+		out[v] = g.Degree(graph.Vertex(v))
+	}
+	return out
 }
