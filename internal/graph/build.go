@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -39,9 +40,10 @@ func Build(n int, edges []Edge) *Graph {
 //  3. partition: each block writes its entries into its ranges with plain
 //     stores, as the source's index within its bucket and the destination;
 //  4. per bucket, on the pool: a counting sort by source, stable into
-//     per-worker scratch (in place for the largest buckets), then
-//     slices.Sort and dedupe of each list, written back to the front of the
-//     bucket's range, recording each degree;
+//     per-worker scratch (in place for the largest buckets), then a sort
+//     of each list that is out of order (a radix sort for long lists in
+//     scratch, slices.Sort otherwise) and a dedupe, written back to the
+//     front of the bucket's range, recording each degree;
 //  5. assemble: one ScanExclusive of the degrees gives Offsets, and the
 //     buckets' runs are compacted left in place to give Adj.
 //
@@ -203,10 +205,20 @@ func build(n int, edges []Edge, sh shape) (*Graph, error) {
 	return &Graph{Offsets: offsets, Adj: adj[:total]}, nil
 }
 
+// The radix sort of long lists takes lists longer than radixMin entries
+// (and under 2^32, for its 32-bit counters), in digits of radixBits bits.
+// Both were chosen by paired measurement of the RMAT set-up's build: 32 or
+// 128 entries and 8–10 bits were no better.
+const (
+	radixMin  = 64
+	radixBits = 11
+)
+
 // bucketScratch is one worker's reusable state for sorting buckets.
 type bucketScratch struct {
 	next, end []int    // list boundaries within the bucket
 	tmp       []Vertex // the bucket's destinations grouped by source
+	digits    [1 << radixBits]uint32
 }
 
 // sort groups one bucket's entries by source, sorts and dedupes each list
@@ -215,8 +227,13 @@ type bucketScratch struct {
 // when idx is nil; its destination is the low shift bits.
 //
 // A bucket of at most limit entries is grouped stably into scratch, so
-// lists that arrive in order (a sorted edge list) stay in order and sort in
-// one pass; a larger one is grouped in place.
+// lists that arrive in order (a sorted edge list) stay in order: a long one
+// is left as it is, a short one sorts in one pass. There a list longer than
+// radixMin that is out of order is radix-sorted, with the part of adj it
+// will be written back to as the second buffer: the whole bucket is in
+// scratch, and the output so far ends before it. A larger bucket is
+// grouped in place, which leaves no free space beside its lists, so they
+// keep slices.Sort.
 func (sc *bucketScratch) sort(adj []Vertex, idx []uint16, shift uint, deg []uint64, limit int) {
 	nv := len(deg)
 	if cap(sc.end) < nv {
@@ -240,8 +257,8 @@ func (sc *bucketScratch) sort(adj []Vertex, idx []uint16, shift uint, deg []uint
 		end[k] = sum
 	}
 	dst := Vertex(1)<<shift - 1
-	lists := adj
-	if len(adj) <= limit {
+	lists, scratched := adj, len(adj) <= limit
+	if scratched {
 		// Sized to the bucket, not doubled: a worker grows its scratch
 		// only for a bucket larger than any it has sorted.
 		if cap(sc.tmp) < len(adj) {
@@ -272,13 +289,20 @@ func (sc *bucketScratch) sort(adj []Vertex, idx []uint16, shift uint, deg []uint
 			}
 		}
 	}
-	// out never passes the entry being read, so the front of adj fills
-	// while lists may still be read from it.
+	// The sweep writes list[i] at or behind where it reads it, so the front
+	// of adj fills while lists may still be read from it: the lists grouped
+	// in place, or one an odd number of radix passes left at adj[out:],
+	// whose entry i can only be overwritten by itself.
 	out, start := 0, 0
 	for k := range nv {
 		list := lists[start:end[k]]
 		start = end[k]
-		slices.Sort(list)
+		switch {
+		case len(list) <= radixMin || !scratched || uint64(len(list)) > math.MaxUint32:
+			slices.Sort(list)
+		case !slices.IsSorted(list):
+			list = sc.radixSort(list, adj[out:out+len(list)])
+		}
 		first := out
 		for i, v := range list {
 			if i == 0 || v != list[i-1] {
@@ -288,4 +312,37 @@ func (sc *bucketScratch) sort(adj []Vertex, idx []uint16, shift uint, deg []uint
 		}
 		deg[k] = uint64(out - first)
 	}
+}
+
+// radixSort sorts list by least significant digit first, over the offsets
+// from its least entry, moving it between list and buf, which is as long;
+// it returns whichever of the two holds the result. Each pass counts only
+// the digits the offsets reach, so short lists of small range pay little
+// for the counters.
+func (sc *bucketScratch) radixSort(list, buf []Vertex) []Vertex {
+	lo, hi := list[0], list[0]
+	for _, x := range list {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	const mask = 1<<radixBits - 1
+	digits := &sc.digits
+	for shift := uint(0); (hi-lo)>>shift > 0; shift += radixBits {
+		used := min(int((hi-lo)>>shift), mask) + 1
+		clear(digits[:used])
+		for _, x := range list {
+			digits[(x-lo)>>shift&mask]++
+		}
+		var sum uint32
+		for d, c := range digits[:used] {
+			digits[d] = sum
+			sum += c
+		}
+		for _, x := range list {
+			d := (x - lo) >> shift & mask
+			buf[digits[d]] = x
+			digits[d]++
+		}
+		list, buf = buf, list
+	}
+	return list
 }

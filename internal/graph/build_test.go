@@ -24,6 +24,9 @@ func generatorPanel() map[string]*Graph {
 		"cliques":    Cliques(7, 9),
 		"weblike":    WebLike(10, 5000, 0.3, 6),
 		"empty":      Build(0, nil),
+		"er-empty":   ErdosRenyi(0, 10, 1),
+		"path-0":     Path(0),
+		"star-0":     Star(0),
 		"single":     Build(1, nil),
 		"isolated":   Build(64, nil),
 		"self-loops": Build(5, []Edge{{U: 0, V: 0}, {U: 1, V: 1}, {U: 2, V: 3}}),
@@ -147,6 +150,7 @@ func buildInputs() map[string]buildInput {
 	// The hub's bucket holds over half the entries, more than any worker
 	// may sort in scratch, so it is grouped in place.
 	in["star"] = buildInput{5000, star}
+	in["hubs-shuffled"] = buildInput{1 << 17, shuffledHubs()}
 	loops := make([]Edge, 1000)
 	for i := range loops {
 		loops[i] = Edge{Vertex(i), Vertex(i)}
@@ -158,6 +162,34 @@ func buildInputs() map[string]buildInput {
 	}
 	in["both-orientations-duplicated"] = buildInput{700, both}
 	return in
+}
+
+// shuffledHubs is two duplicate-heavy hubs in shuffled order among random
+// edges, sized so that each hub's bucket stays within what up to four
+// workers sort in scratch at the buckets this pool picks and at 1, 64 and
+// 2^16 vertices. The hub lists are long and out of order, so Build
+// radix-sorts them: vertex 0's 5000 neighbours, each twice, span 16 bits
+// and take two passes; vertex 1024's 2048, each three times, span 11 and
+// take one, leaving the list in the vacated front of the bucket.
+func shuffledHubs() []Edge {
+	const half = 1 << 16
+	r := newRNG(17)
+	var e []Edge
+	for i := range 5000 {
+		x := Vertex(half + i*13%half)
+		e = append(e, Edge{0, x}, Edge{x, 0})
+	}
+	for i := range 3 * 2048 {
+		e = append(e, Edge{1024, Vertex(half + i%2048)})
+	}
+	for range 80_000 {
+		e = append(e, Edge{Vertex(half + r.intn(half)), Vertex(half + r.intn(half))})
+	}
+	for i := len(e) - 1; i > 0; i-- {
+		j := r.intn(uint64(i + 1))
+		e[i], e[j] = e[j], e[i]
+	}
+	return e
 }
 
 // TestBuildMatchesSequential: Build's Offsets and Adj equal the sequential
@@ -191,6 +223,44 @@ func TestBuildMatchesSequential(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestBuildRadixSortMatchesSlicesSort: the long-list radix sort orders
+// lists around its threshold and far past it the way slices.Sort does, for
+// values that vary in 0 to 32 low bits (one, two and three passes, so the
+// result lands in either buffer) and with heavy duplicates. CI runs it at
+// -cpu 1,4.
+func TestBuildRadixSortMatchesSlicesSort(t *testing.T) {
+	var sc bucketScratch
+	r := newRNG(5)
+	passes := map[bool]int{}
+	for _, n := range []int{radixMin - 1, radixMin, radixMin + 1, 1000, 70_000} {
+		for _, spread := range []uint{0, 1, 11, 12, 22, 23, 32} {
+			high := Vertex(0x9e3779b9) &^ Vertex(1<<spread-1)
+			draw := func() Vertex { return high | Vertex(r.next()&(1<<spread-1)) }
+			pool := []Vertex{draw(), draw(), draw()}
+			for _, dups := range []bool{false, true} {
+				list := make([]Vertex, n)
+				for i := range list {
+					list[i] = draw()
+					if dups {
+						list[i] = pool[r.intn(uint64(len(pool)))]
+					}
+				}
+				want := slices.Clone(list)
+				slices.Sort(want)
+				buf := make([]Vertex, n)
+				got := sc.radixSort(list, buf)
+				if !slices.Equal(got, want) {
+					t.Fatalf("n %d spread %d dups %v: radix order differs from slices.Sort", n, spread, dups)
+				}
+				passes[&got[0] == &buf[0]]++
+			}
+		}
+	}
+	if passes[false] == 0 || passes[true] == 0 {
+		t.Fatalf("results by buffer %v: want both even and odd pass counts", passes)
 	}
 }
 

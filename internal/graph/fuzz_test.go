@@ -30,6 +30,7 @@ func FuzzBuild(f *testing.F) {
 		f.Add([]byte(c.in))
 	}
 	f.Add([]byte{0x40, 0x00, 0x33, 1, 0, 2, 0, 2, 0, 1, 0, 63, 0, 0, 0, 5, 0, 5, 0})
+	f.Add(longListSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -83,6 +84,23 @@ func FuzzBuild(f *testing.F) {
 			}
 		}
 	})
+}
+
+// longListSeed is a FuzzBuild input whose forced shape (buckets of one
+// vertex, one block) radix-sorts vertex 0's list: 100 neighbours in
+// shuffled order among 1500 random edges on 1024 vertices.
+func longListSeed() []byte {
+	r := newRNG(3)
+	data := []byte{0x00, 0x04, 0x00}
+	for i := range 1600 {
+		u, v := uint16(r.intn(1024)), uint16(r.intn(1024))
+		if i%16 == 0 {
+			u = 0
+		}
+		data = binary.LittleEndian.AppendUint16(data, u)
+		data = binary.LittleEndian.AppendUint16(data, v)
+	}
+	return data
 }
 
 // FuzzReadEdgeList: the parser never panics, every endpoint it returns is

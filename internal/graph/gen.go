@@ -29,33 +29,39 @@ func RMAT(scale int, m int, a, b, c float64, seed uint64) *Graph {
 // (rng.skip), so chunks of edges are generated in parallel, each from an rng
 // positioned at its first edge: the output is the sequential stream, bit for
 // bit, whatever the worker count.
+//
+// Each draw picks a quadrant with no branch on it. The probabilities are
+// non-negative, so the thresholds ta ≤ tb ≤ tc split the draws into the
+// quadrants in order; with x ≥ ta, x ≥ tb and x ≥ tc as 0/1, u takes the
+// bit when x ≥ tb and v when an odd number of the three hold (1 is the
+// top-right quadrant, 3 the bottom-right). Bits are shifted in from the
+// top down, the order of the draws.
 func RMATEdges(scale int, m int, a, b, c float64, seed uint64) []Edge {
-	n := uint64(1) << scale
 	ta, tb, tc := drawBelow(a), drawBelow(a+b), drawBelow(a+b+c)
 	edges := make([]Edge, m)
 	parallel.ForGrained(m, 4096, func(lo, hi int) {
-		r := newRNG(seed)
+		r := *newRNG(seed)
 		r.skip(uint64(scale) * uint64(lo))
 		for i := lo; i < hi; i++ {
 			var u, v uint64
-			for bit := n >> 1; bit > 0; bit >>= 1 {
+			for range scale {
 				x := r.next() >> 11
-				switch {
-				case x < ta:
-					// top-left quadrant: no bits set
-				case x < tb:
-					v |= bit
-				case x < tc:
-					u |= bit
-				default:
-					u |= bit
-					v |= bit
-				}
+				ub := b2u(x >= tb)
+				u = u<<1 | ub
+				v = v<<1 | (b2u(x >= ta) ^ ub ^ b2u(x >= tc))
 			}
 			edges[i] = Edge{Vertex(u), Vertex(v)}
 		}
 	})
 	return edges
+}
+
+// b2u is 1 for true and 0 for false; the compiler emits it as a SETcc.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // drawBelow returns the integer threshold t for which a 53-bit draw x has
@@ -110,8 +116,12 @@ func BarabasiAlbertEdges(n, k int, seed uint64) []Edge {
 	return edges
 }
 
-// ErdosRenyi generates a uniform random graph with n vertices and m edges.
+// ErdosRenyi generates a uniform random graph with n vertices and m edges;
+// with no vertices it is the empty graph.
 func ErdosRenyi(n, m int, seed uint64) *Graph {
+	if n == 0 {
+		return Build(0, nil)
+	}
 	r := newRNG(seed)
 	edges := make([]Edge, m)
 	for i := range edges {
@@ -141,7 +151,7 @@ func Grid2D(rows, cols int) *Graph {
 
 // Path generates a path graph on n vertices.
 func Path(n int) *Graph {
-	edges := make([]Edge, 0, n-1)
+	edges := make([]Edge, 0, max(n-1, 0))
 	for i := 0; i+1 < n; i++ {
 		edges = append(edges, Edge{Vertex(i), Vertex(i + 1)})
 	}
@@ -159,7 +169,7 @@ func Cycle(n int) *Graph {
 
 // Star generates a star with center 0 and n-1 leaves.
 func Star(n int) *Graph {
-	edges := make([]Edge, 0, n-1)
+	edges := make([]Edge, 0, max(n-1, 0))
 	for i := 1; i < n; i++ {
 		edges = append(edges, Edge{0, Vertex(i)})
 	}

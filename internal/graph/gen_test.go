@@ -35,11 +35,15 @@ func rmatEdgesSequential(scale int, m int, a, b, c float64, seed uint64) []Edge 
 // TestRMATEdgesMatchesSequentialReference: the parallel generator emits the
 // sequential stream bit for bit, at edge counts that are not a multiple of
 // its chunk, for both parameter sets the repo uses and for probabilities of
-// 0 and 1. CI runs it at -cpu 1,4.
+// 0 and 1, and at scales 31 and 32, whose first draws set the top bits of
+// a 32-bit vertex. CI runs it at -cpu 1,4.
 func TestRMATEdgesMatchesSequentialReference(t *testing.T) {
-	for _, scale := range []int{1, 12, 19} {
+	for _, scale := range []int{1, 12, 19, 31, 32} {
 		for _, seed := range []uint64{0, 42, 1<<63 + 12345} {
 			for _, m := range []int{0, 1, 4095, 4097, 3*4096 + 1234, 100_003} {
+				if scale > 19 && m > 4097 {
+					continue
+				}
 				for _, abc := range [][3]float64{{0.57, 0.19, 0.19}, {0.5, 0.1, 0.1}, {0, 0, 1}, {1, 0, 0}} {
 					got := RMATEdges(scale, m, abc[0], abc[1], abc[2], seed)
 					want := rmatEdgesSequential(scale, m, abc[0], abc[1], abc[2], seed)
@@ -63,5 +67,13 @@ func TestRNGSkip(t *testing.T) {
 		if drawn.next() != skipped.next() {
 			t.Fatalf("skip(%d) diverges from %d draws", k, k)
 		}
+	}
+}
+
+// BenchmarkRMATEdges generates the scale-16 stream BenchmarkBuild builds,
+// the generator half of every RMAT set-up.
+func BenchmarkRMATEdges(b *testing.B) {
+	for b.Loop() {
+		RMATEdges(16, 16*(1<<16), 0.57, 0.19, 0.19, 2)
 	}
 }
