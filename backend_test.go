@@ -9,26 +9,15 @@ import (
 )
 
 // TestBackendEquivalenceAllAlgorithms runs every registered finish
-// algorithm on all three backends over the standard graph panel and checks
-// that CSR, compressed, and segmented produce the same partition (and the
-// true one). With sampling disabled every algorithm traverses the whole
-// edge set, so the compressed decode path — including the multi-segment
-// resolution path — is exercised end to end.
+// algorithm on both backends over the standard graph panel and checks that
+// CSR and compressed produce the same partition (and the true one). With
+// sampling disabled every algorithm traverses the whole edge set, so the
+// compressed decode path is exercised end to end.
 func TestBackendEquivalenceAllAlgorithms(t *testing.T) {
 	panel := testutil.Panel()
 	for name, g := range panel {
 		truth := testutil.Components(g)
 		c := Compress(g)
-		// 512-byte segments split every non-trivial panel graph; the rmat
-		// entry must land well past the 3-segment mark so the segmented rows
-		// genuinely cross segment boundaries.
-		seg, err := TrySegment(g, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "rmat" && seg.NumSegments() < 3 {
-			t.Fatalf("rmat panel graph split into %d segments, want >= 3", seg.NumSegments())
-		}
 		for _, a := range Algorithms() {
 			solver, err := Compile(Config{Algorithm: a, Seed: 7})
 			if err != nil {
@@ -41,14 +30,8 @@ func TestBackendEquivalenceAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compLabels = append([]uint32(nil), compLabels...)
-			segLabels, err := solver.ComponentsOn(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			testutil.CheckPartition(t, name+"/"+a.Name()+"/csr", csrLabels, truth)
 			testutil.CheckPartition(t, name+"/"+a.Name()+"/compressed", compLabels, truth)
-			testutil.CheckPartition(t, name+"/"+a.Name()+"/segmented", segLabels, truth)
 		}
 	}
 }
@@ -75,10 +58,6 @@ func TestBackendEquivalenceSampled(t *testing.T) {
 	for name, g := range panel {
 		truth := testutil.Components(g)
 		c := Compress(g)
-		seg, err := TrySegment(g, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
 		for _, spec := range sampledSpecs {
 			cfg, err := ParseConfig(spec)
 			if err != nil {
@@ -91,53 +70,36 @@ func TestBackendEquivalenceSampled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compLabels = append([]uint32(nil), compLabels...)
-			segLabels, err := solver.ComponentsOn(seg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			testutil.CheckPartition(t, name+"/"+spec+"/csr", csrLabels, truth)
 			testutil.CheckPartition(t, name+"/"+spec+"/compressed", compLabels, truth)
-			testutil.CheckPartition(t, name+"/"+spec+"/segmented", segLabels, truth)
 		}
 	}
 }
 
-// TestBackendEquivalenceMappedSegmented is the acceptance chain for the
-// out-of-core path end to end: a graph forced past the single-segment cap
-// splits into many segments, round-trips through a .cbin file, loads
-// back memory-mapped, and produces labels identical to the CSR backend for
-// every registered algorithm.
-func TestBackendEquivalenceMappedSegmented(t *testing.T) {
+// TestBackendEquivalenceMapped is the acceptance chain for the out-of-core
+// path end to end: a compressed graph round-trips through a .cbin file,
+// loads back memory-mapped, and produces labels identical to the CSR
+// backend for every registered algorithm.
+func TestBackendEquivalenceMapped(t *testing.T) {
 	g := NewRMAT(11, 12000, 4)
 	truth := testutil.Components(g)
-	seg, err := TrySegment(g, 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg.NumSegments() < 3 {
-		t.Fatalf("split into %d segments, want >= 3", seg.NumSegments())
-	}
-	path := t.TempDir() + "/seg.cbin"
-	if err := SaveCBIN(path, seg); err != nil {
+	path := t.TempDir() + "/g.cbin"
+	if err := SaveCBIN(path, Compress(g)); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadCBIN(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, ok := loaded.(*SegmentedGraph)
+	mapped, ok := loaded.(*CompressedGraph)
 	if !ok {
-		t.Fatalf("loaded as %T, want *SegmentedGraph", loaded)
+		t.Fatalf("loaded as %T, want *CompressedGraph", loaded)
 	}
 	defer func() {
 		if err := mapped.Close(); err != nil {
 			t.Errorf("Close: %v", err)
 		}
 	}()
-	if got, want := mapped.NumSegments(), seg.NumSegments(); got != want {
-		t.Fatalf("loaded %d segments, want %d", got, want)
-	}
 	for _, a := range Algorithms() {
 		solver, err := Compile(Config{Algorithm: a, Seed: 7})
 		if err != nil {
@@ -147,12 +109,12 @@ func TestBackendEquivalenceMappedSegmented(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		testutil.CheckPartition(t, a.Name()+"/mapped-segmented", labels, truth)
+		testutil.CheckPartition(t, a.Name()+"/mapped", labels, truth)
 	}
 }
 
 // foreignRep is a GraphRep that is none of the built-in backends: the
-// embedded *Graph supplies the methods, but no type switch on the three
+// embedded *Graph supplies the methods, but no type switch on the two
 // concrete types matches it.
 type foreignRep struct{ *Graph }
 
@@ -202,8 +164,8 @@ func TestComponentsOnForeignRep(t *testing.T) {
 // TestSpanningForestEveryBackend: Algorithm 2 reads the graph only through
 // GraphRep, so each forest mechanism — union-find's per-root witnesses and
 // the SV and LT edge runners a Type (ii) stream applies its batches with —
-// yields a spanning forest of real graph edges on the CSR, compressed,
-// multi-segment and foreign representations, under every sampling mode,
+// yields a spanning forest of real graph edges on the CSR, compressed and
+// foreign representations, under every sampling mode,
 // from Solver.SpanningForest and from the forest-backed Solver.Query.
 func TestSpanningForestEveryBackend(t *testing.T) {
 	type rep struct {
@@ -213,14 +175,7 @@ func TestSpanningForestEveryBackend(t *testing.T) {
 	panel := testutil.Panel()
 	reps := make(map[string][]rep, len(panel))
 	for name, g := range panel {
-		seg, err := TrySegment(g, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if name == "rmat" && seg.NumSegments() < 2 {
-			t.Fatalf("rmat panel graph split into %d segments, want >= 2", seg.NumSegments())
-		}
-		reps[name] = []rep{{"csr", g}, {"compressed", Compress(g)}, {"segmented", seg}, {"foreign", foreignRep{g}}}
+		reps[name] = []rep{{"csr", g}, {"compressed", Compress(g)}, {"foreign", foreignRep{g}}}
 	}
 	for _, sampling := range []string{"none", "kout", "bfs", "ldd"} {
 		for _, alg := range []string{"uf;rem-cas;naive;split-one", "sv", "lt;CRFA", "lt;PRSA"} {
@@ -252,7 +207,7 @@ func TestSpanningForestEveryBackend(t *testing.T) {
 // TestConcurrentSolversAcrossBackends runs four Solvers on four goroutines
 // at once, each cycling one retained finish hook (DSU, Liu-Tarjan
 // EdgeRunner, label and skip scratch) through the CSR, compressed,
-// segmented, and again CSR copy of its own panel graph. Every labeling is
+// foreign, and again CSR copy of its own panel graph. Every labeling is
 // checked against the oracle, so state leaking between solves — across
 // goroutines through the worker pool, or across backends through the
 // Solver's retained scratch — shows up as a wrong partition or, under
@@ -266,23 +221,19 @@ func TestConcurrentSolversAcrossBackends(t *testing.T) {
 		{"ba", "ldd;sv"},
 	}
 	// CSR twice: the second run follows two runs on other representations.
-	repNames := []string{"csr", "compressed", "segmented", "csr-again"}
+	repNames := []string{"csr", "compressed", "foreign", "csr-again"}
 	const rounds = 3
 	results := make([][][]uint32, len(jobs))
 	var wg sync.WaitGroup
 	for i, job := range jobs {
 		g := panel[job.graph]
-		seg, err := TrySegment(g, 512)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg, err := ParseConfig(job.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Seed = uint64(i)
 		solver := MustCompile(cfg)
-		reps := []GraphRep{g, Compress(g), seg, g}
+		reps := []GraphRep{g, Compress(g), foreignRep{g}, g}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()

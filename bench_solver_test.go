@@ -47,15 +47,12 @@ func BenchmarkSolverReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverBackends compares the three graph representations on the
+// BenchmarkSolverBackends compares the two graph representations on the
 // paper's compressed-graph axis (RMAT at scale 20): resident graph bytes
-// and solve throughput — CSR, running directly on the byte-compressed
-// encoding, and the multi-segment encoding (split well below the 4 GiB
-// cap so segment resolution genuinely fires on the finish hot path). The
-// graph-bytes and bytes/directed-edge metrics make the space/throughput
-// tradeoff diffable across PRs — compressed should hold ≥2x smaller
-// resident bytes at no more than ~2x slowdown, and segmented should track
-// compressed closely (the hint makes resolution a predictable branch).
+// and solve throughput on CSR and running directly on the byte-compressed
+// encoding. The graph-bytes and bytes/directed-edge metrics make the
+// space/throughput tradeoff diffable across PRs — compressed should hold
+// ≥2x smaller resident bytes at no more than ~2x slowdown.
 func BenchmarkSolverBackends(b *testing.B) {
 	scale := 20
 	if testing.Short() {
@@ -63,12 +60,6 @@ func BenchmarkSolverBackends(b *testing.B) {
 	}
 	g := NewRMAT(scale, 16*(1<<scale), 3)
 	c := Compress(g)
-	// Split into ~16 segments so cross-segment traffic is real at either
-	// scale.
-	seg, err := TrySegment(g, uint64(c.SizeBytes()/16))
-	if err != nil {
-		b.Fatal(err)
-	}
 	report := func(b *testing.B, rep GraphRep) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(rep.SizeBytes()), "graph-bytes")
@@ -98,16 +89,6 @@ func BenchmarkSolverBackends(b *testing.B) {
 			report(b, c)
 			for i := 0; i < b.N; i++ {
 				if _, err := solver.ComponentsOn(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(spec+"/Segmented", func(b *testing.B) {
-			solver := MustCompile(cfg)
-			report(b, seg)
-			b.ReportMetric(float64(seg.NumSegments()), "segments")
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.ComponentsOn(seg); err != nil {
 					b.Fatal(err)
 				}
 			}

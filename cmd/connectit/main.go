@@ -12,13 +12,10 @@
 //
 // The graph representation is selected with -format: "csr" (flat CSR,
 // default), "compressed" (byte-compressed CSR; every algorithm, and
-// -forest, runs directly on the encoding), "segmented" (multi-segment
-// byte-compressed, split at -segment-bytes; the out-of-core backend), or
-// "bin" (memory-map a .cbin file named by -path, opening in O(index);
-// multi-segment files map each segment independently). -convert writes the
-// graph to a .cbin (v3) file and exits — combined with -format bin it
-// re-encodes an existing file, and -segment-bytes re-segments at a new
-// granularity. A v1 or v2 .cbin is refused, not converted: re-create it
+// -forest, runs directly on the encoding), or "bin" (memory-map the .cbin
+// file named by -path in one lazy mapping, opening in O(index); the
+// out-of-core path). -convert writes the graph to a .cbin (v4) file and
+// exits. A .cbin of version 1 to 3 is refused, not converted: re-create it
 // from its source edge list (-graph file -path edges.txt -convert). -v
 // prints the per-backend memory footprint (SizeBytes and bytes/edge) so the
 // space/throughput tradeoff is visible:
@@ -27,8 +24,6 @@
 //	connectit -format bin -path rmat20.cbin -v -algo "uf;rem-cas;naive;split-one"
 //	connectit -graph rmat -scale 18 -format compressed -v
 //	connectit -format bin -path rmat20.cbin -algo "lt;CRFA" -forest
-//	connectit -graph rmat -scale 20 -convert big.cbin -segment-bytes 268435456
-//	connectit -format bin -path big.cbin -convert coarse.cbin -segment-bytes 1073741824
 //
 // -serve runs the HTTP connectivity service over -n initially isolated
 // vertices: POST /v1/update ingests edges (group-committed through the
@@ -84,10 +79,9 @@ var (
 	withStats = flag.Bool("stats", false, "report union-find path-length statistics")
 	list      = flag.Bool("list", false, "list every registered finish algorithm and exit")
 
-	format   = flag.String("format", "csr", "graph representation: csr|compressed|segmented|bin (bin memory-maps the .cbin file named by -path)")
-	convert  = flag.String("convert", "", "write the graph to this .cbin (v3) file and exit")
-	segBytes = flag.Uint64("segment-bytes", 0, "per-segment encoded-adjacency byte target for -format segmented and -convert re-segmentation (0 = the 4 GiB cap)")
-	verbose  = flag.Bool("v", false, "print per-backend memory footprint (SizeBytes, bytes/edge)")
+	format  = flag.String("format", "csr", "graph representation: csr|compressed|bin (bin memory-maps the .cbin file named by -path)")
+	convert = flag.String("convert", "", "write the graph to this .cbin (v4) file and exit")
+	verbose = flag.Bool("v", false, "print per-backend memory footprint (SizeBytes, bytes/edge)")
 
 	serve         = flag.Bool("serve", false, "run the HTTP connectivity service over -n vertices (see -addr, -wal-dir)")
 	addr          = flag.String("addr", ":8080", "listen address for -serve")
@@ -213,9 +207,9 @@ func validateFlags() error {
 		}
 	}
 	switch *format {
-	case "csr", "compressed", "segmented", "bin":
+	case "csr", "compressed", "bin":
 	default:
-		return fmt.Errorf("unknown -format %q (want csr|compressed|segmented|bin)", *format)
+		return fmt.Errorf("unknown -format %q (want csr|compressed|bin)", *format)
 	}
 	if *format == "bin" && *path == "" {
 		return errors.New("-format bin requires -path naming a .cbin file")
@@ -263,34 +257,17 @@ func run() error {
 	}
 
 	if *convert != "" {
-		out := rep
-		_, isCSR := rep.(*connectit.Graph)
-		if isCSR || (*segBytes > 0 && *format == "bin") {
-			// CSR input needs encoding; a loaded .cbin re-encodes only when
-			// -segment-bytes asks for a different granularity.
-			src := csr
-			if src == nil {
-				if src, err = connectit.Materialize(rep); err != nil {
-					return err
-				}
-			}
-			if *segBytes > 0 {
-				out, err = connectit.TrySegment(src, *segBytes)
-			} else {
-				out, err = connectit.TryCompress(src)
-			}
-			if err != nil {
+		// -format compressed and bin hold the encoding already; csr encodes.
+		out, ok := rep.(*connectit.CompressedGraph)
+		if !ok {
+			if out, err = connectit.TryCompress(csr); err != nil {
 				return err
 			}
 		}
 		if err := connectit.SaveCBIN(*convert, out); err != nil {
 			return err
 		}
-		segInfo := ""
-		if s, ok := out.(*connectit.SegmentedGraph); ok {
-			segInfo = fmt.Sprintf(" (%d segments)", s.NumSegments())
-		}
-		fmt.Printf("wrote %s: n=%d m=%d%s, %s\n", *convert, out.NumVertices(), out.NumEdges(), segInfo, footprint(out))
+		fmt.Printf("wrote %s: n=%d m=%d, %s\n", *convert, out.NumVertices(), out.NumEdges(), footprint(out))
 		return nil
 	}
 
@@ -304,12 +281,6 @@ func run() error {
 			fmt.Printf("footprint[compressed]: %s\n", footprint(c))
 			if csr != nil {
 				fmt.Printf("footprint ratio: %.2fx smaller\n", float64(csr.SizeBytes())/float64(c.SizeBytes()))
-			}
-		}
-		if s, ok := rep.(*connectit.SegmentedGraph); ok {
-			fmt.Printf("footprint[segmented]: %s, %d segments\n", footprint(s), s.NumSegments())
-			if csr != nil {
-				fmt.Printf("footprint ratio: %.2fx smaller\n", float64(csr.SizeBytes())/float64(s.SizeBytes()))
 			}
 		}
 	}
@@ -404,13 +375,6 @@ func makeRep() (rep connectit.GraphRep, csr *connectit.Graph, err error) {
 			return nil, nil, err
 		}
 		return c, g, nil
-	}
-	if *format == "segmented" {
-		s, err := connectit.TrySegment(g, *segBytes)
-		if err != nil {
-			return nil, nil, err
-		}
-		return s, g, nil
 	}
 	return g, g, nil
 }

@@ -12,10 +12,10 @@ import (
 // evaluation.
 
 // GraphRep is the pluggable graph-representation interface: the flat CSR
-// Graph, the byte-compressed CompressedGraph, and the multi-segment
-// SegmentedGraph all satisfy it, and Solver.ComponentsOn runs on whichever
-// representation was built or loaded — or on any other implementation. See
-// internal/graph.Rep for the iteration contract.
+// Graph and the byte-compressed CompressedGraph both satisfy it, and
+// Solver.ComponentsOn runs on whichever representation was built or loaded
+// — or on any other implementation. See internal/graph.Rep for the
+// iteration contract.
 type GraphRep = graph.Rep
 
 // CompressedGraph is the byte-compressed CSR backend (Ligra+'s block-coded
@@ -25,13 +25,11 @@ type GraphRep = graph.Rep
 // with LoadCBIN.
 type CompressedGraph = graph.CompressedGraph
 
-// SegmentedGraph is the multi-segment byte-compressed backend: k
-// independently encoded segments, each under its own 4 GiB offset-index
-// cap, so graphs whose encoding exceeds a single segment still compress —
-// and, loaded from a .cbin file, each segment memory-maps independently,
-// letting a graph larger than RAM execute out of core. TryCompress returns
-// one automatically past the cap; TrySegment forces the representation.
-type SegmentedGraph = graph.SegmentedGraph
+// SegmentedGraph is CompressedGraph.
+//
+// Deprecated: the 64-bit offset index lifted the 4 GiB cap that segments
+// worked around; use CompressedGraph.
+type SegmentedGraph = CompressedGraph
 
 // BuildGraph constructs a symmetric CSR graph with n vertices from an
 // undirected edge list, dropping self loops and duplicate edges. It panics
@@ -42,51 +40,43 @@ func BuildGraph(n int, edges []Edge) *Graph { return graph.Build(n, edges) }
 // error, for edge lists from untrusted sources.
 func TryBuildGraph(n int, edges []Edge) (*Graph, error) { return graph.TryBuild(n, edges) }
 
-// Compress byte-encodes g into the compressed backend. It panics if the
-// encoded adjacency would exceed the backend's 4 GiB single-segment
-// offset-index cap; TryCompress auto-segments instead.
+// Compress byte-encodes g into the compressed backend. It panics if one
+// vertex's encoded list would exceed the 4 GiB per-list cap; TryCompress
+// reports that as an error instead.
 func Compress(g *Graph) *CompressedGraph { return graph.Compress(g) }
 
-// TryCompress byte-encodes g into whichever compressed representation
-// fits: a *CompressedGraph while the encoding stays within the 4 GiB
-// single-segment offset-index cap, a *SegmentedGraph beyond it. Both
-// satisfy GraphRep and run every registered algorithm, so callers with
-// inputs of unknown size (file conversions) need no cap logic.
-func TryCompress(g *Graph) (GraphRep, error) { return graph.TryCompress(g) }
+// TryCompress is Compress with the per-list cap reported as an error, for
+// inputs of unknown size (file conversions).
+func TryCompress(g *Graph) (*CompressedGraph, error) { return graph.TryCompress(g) }
 
-// TrySegment byte-encodes g as a SegmentedGraph with at most segmentBytes
-// of encoded adjacency per segment (0 selects the 4 GiB cap), always
-// returning the segmented representation even when one segment would do —
-// the forced path behind the CLI's -format segmented and benchmarks.
-func TrySegment(g *Graph, segmentBytes uint64) (*SegmentedGraph, error) {
-	return graph.TrySegment(g, segmentBytes)
-}
-
-// Materialize returns the flat CSR form of any representation: CSR graphs
-// pass through, compressed and segmented graphs decompress. It backs format
-// conversions that need to re-encode a loaded graph (the CLI's -convert
-// between segment granularities).
-func Materialize(r GraphRep) (*Graph, error) { return graph.Materialize(r) }
+// TrySegment returns TryCompress(g); segmentBytes is ignored.
+//
+// Deprecated: there are no segments any more; use TryCompress.
+func TrySegment(g *Graph, segmentBytes uint64) (*SegmentedGraph, error) { return TryCompress(g) }
 
 // LoadEdgeListFile reads a whitespace-separated edge-list file ("u v" per
 // line, '#'/'%' comments) and builds a symmetric graph. Malformed input is
 // reported as an error carrying the offending line number.
 func LoadEdgeListFile(path string) (*Graph, error) { return graph.LoadEdgeListFile(path) }
 
-// SaveCBIN writes a compressed representation (*CompressedGraph or
-// *SegmentedGraph) to path in the versioned .cbin binary format (v3), the
+// SaveCBIN writes c to path in the versioned .cbin binary format (v4), the
 // companion of LoadCBIN.
-func SaveCBIN(path string, r GraphRep) error { return graph.SaveCBIN(path, r) }
+func SaveCBIN(path string, c *CompressedGraph) error { return graph.SaveCBIN(path, c) }
 
-// LoadCBIN memory-maps a .cbin file written by SaveCBIN: the encoded
-// adjacency is never copied and pages in on demand as it is traversed
-// (only the much smaller offset index is scanned for validity), so a file
-// larger than RAM opens in O(segment table) and executes out of core.
-// Single-segment files return a *CompressedGraph; multi-segment files
-// return a *SegmentedGraph. Files of the unblocked versions 1 and 2 are
-// refused with an error naming the version. Call Close on the result to
-// release the mapping(s).
-func LoadCBIN(path string) (GraphRep, error) { return graph.LoadCBIN(path) }
+// LoadCBIN memory-maps a .cbin file written by SaveCBIN and returns the
+// *CompressedGraph it holds: the encoded adjacency is never copied and
+// pages in on demand as it is traversed (only the much smaller offset
+// index is scanned for validity), so a file larger than RAM opens in
+// O(index) and executes out of core. Files of versions 1 to 3 are refused
+// with an error naming the version. Call Close on the result to release
+// the mapping.
+func LoadCBIN(path string) (GraphRep, error) {
+	c, err := graph.LoadCBIN(path)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
+}
 
 // ReadEdgeList parses an edge list from r and returns the edges plus the
 // implied vertex count.

@@ -34,7 +34,7 @@ type Capabilities struct {
 // A Compiled carries one finish hook and at most one forest hook, both over
 // graph.Rep, so the same instance — and the same retained scratch — runs
 // directly on whichever representation was built or loaded: flat CSR,
-// byte-compressed, segmented, or any other graph.Rep.
+// byte-compressed, or any other graph.Rep.
 //
 // A Compiled is not safe for concurrent use — it owns scratch state.
 // Compile one instance per goroutine; compilation is cheap.
@@ -137,9 +137,9 @@ func (c *Compiled) prepare(g graph.Rep, forest bool) ([]uint32, []bool, []graph.
 // Components runs the compiled combination over g (Algorithm 1) and
 // returns a connectivity labeling: labels[u] == labels[v] iff u and v are
 // connected. It cannot fail — all validation happened in Compile. Sampling
-// and finish read g only through graph.Rep, so compressed and segmented
-// (possibly memory-mapped) graphs are decoded in place, never materialized
-// as a flat CSR.
+// and finish read g only through graph.Rep, so compressed (possibly
+// memory-mapped) graphs are decoded in place, never materialized as a flat
+// CSR.
 //
 // In the NoSampling configuration the returned slice is scratch owned by
 // the instance and is overwritten by the next run; copy it if it must

@@ -17,7 +17,7 @@ import (
 // Stergiou, and Label-Propagation.
 //
 // Every family contributes one finish hook over graph.Rep, so the same
-// compiled hook runs on flat CSR, byte-compressed, segmented, or any other
+// compiled hook runs on flat CSR, byte-compressed, or any other
 // representation — the compressed paths decode neighbors straight off the
 // encoding, one NeighborsInto call per adjacency list.
 

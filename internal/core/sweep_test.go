@@ -19,14 +19,9 @@ func ufAlgorithms() []Algorithm {
 	return out
 }
 
-// backends returns g on each of the three representations.
-func backends(t *testing.T, g *graph.Graph) map[string]graph.Rep {
-	t.Helper()
-	seg, err := graph.TrySegment(g, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]graph.Rep{"csr": g, "compressed": graph.Compress(g), "segmented": seg}
+// backends returns g on both representations.
+func backends(g *graph.Graph) map[string]graph.Rep {
+	return map[string]graph.Rep{"csr": g, "compressed": graph.Compress(g)}
 }
 
 // shuffledPath is a path on n vertices whose ids are visited in a
@@ -59,7 +54,7 @@ func TestSweepUnionsEachEdgeOnce(t *testing.T) {
 	}
 	for name, g := range panel {
 		want := testutil.Components(g)
-		reps := backends(t, g)
+		reps := backends(g)
 		for _, alg := range ufAlgorithms() {
 			var st unionfind.Stats
 			c, err := Compile(Config{Algorithm: alg, Stats: &st})
@@ -136,7 +131,7 @@ func TestSweepAppliesEdgesIntoSkippedComponent(t *testing.T) {
 		if (frequent == 0) != giantLow {
 			t.Fatalf("giantLow=%v: skipped component is rooted at %d", giantLow, frequent)
 		}
-		reps := backends(t, g)
+		reps := backends(g)
 		for _, base := range samplings {
 			for _, alg := range ufAlgorithms() {
 				cfg := base

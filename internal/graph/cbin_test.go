@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -66,9 +68,6 @@ func TestCBINRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load: %v", name, err)
 		}
-		if _, ok := mapped.(*CompressedGraph); !ok {
-			t.Fatalf("%s: single-segment file loaded as %T, want *CompressedGraph", name, mapped)
-		}
 		checkSameGraph(t, name+"/mmap", g, mapped)
 		closeTwice(t, name, mapped)
 
@@ -86,55 +85,10 @@ func TestCBINRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCBINSegmentedRoundTrip saves multi-segment graphs and loads them back
-// through both paths, asserting the segmentation itself survives the file.
-func TestCBINSegmentedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	for name, g := range compressPanel() {
-		s, err := TrySegment(g, 64)
-		if err != nil {
-			t.Fatalf("%s: segment: %v", name, err)
-		}
-		path := filepath.Join(dir, name+".cbin")
-		if err := SaveCBIN(path, s); err != nil {
-			t.Fatalf("%s: save: %v", name, err)
-		}
-
-		mapped, err := LoadCBIN(path)
-		if err != nil {
-			t.Fatalf("%s: load: %v", name, err)
-		}
-		if s.NumSegments() > 1 {
-			sg, ok := mapped.(*SegmentedGraph)
-			if !ok {
-				t.Fatalf("%s: %d-segment file loaded as %T, want *SegmentedGraph", name, s.NumSegments(), mapped)
-			}
-			if sg.NumSegments() != s.NumSegments() {
-				t.Fatalf("%s: loaded %d segments, saved %d", name, sg.NumSegments(), s.NumSegments())
-			}
-		}
-		checkSameGraph(t, name+"/mmap", g, mapped)
-		closeTwice(t, name, mapped)
-
-		f, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streamed, err := ReadCBIN(f)
-		f.Close()
-		if err != nil {
-			t.Fatalf("%s: read: %v", name, err)
-		}
-		checkSameGraph(t, name+"/stream", g, streamed)
-		closeTwice(t, name+"/stream", streamed)
-	}
-}
-
-// TestCBINCornerGraphs covers the explicit corner cases of the issue:
-// empty graphs, isolated vertices, and single-vertex stars.
-func TestCBINCornerGraphs(t *testing.T) {
-	dir := t.TempDir()
-	for name, g := range map[string]*Graph{
+// cornerGraphs are the explicit corner cases of the format: empty graphs,
+// isolated vertices, and single-vertex stars.
+func cornerGraphs() map[string]*Graph {
+	return map[string]*Graph{
 		"empty":          Build(0, nil),
 		"one-isolated":   Build(1, nil),
 		"all-isolated":   Build(100, nil),
@@ -142,7 +96,13 @@ func TestCBINCornerGraphs(t *testing.T) {
 		"tiny-star":      Star(1), // a star reduced to a single vertex
 		"center-only":    Build(6, []Edge{{U: 0, V: 5}}),
 		"self-loop-only": Build(3, []Edge{{U: 1, V: 1}}),
-	} {
+	}
+}
+
+// TestCBINCornerGraphs round-trips every corner graph through a file.
+func TestCBINCornerGraphs(t *testing.T) {
+	dir := t.TempDir()
+	for name, g := range cornerGraphs() {
 		c := Compress(g)
 		checkSameGraph(t, name+"/compress", g, c)
 		path := filepath.Join(dir, name+".cbin")
@@ -155,38 +115,26 @@ func TestCBINCornerGraphs(t *testing.T) {
 		}
 		checkSameGraph(t, name+"/load", g, back)
 		closeTwice(t, name, back)
-
-		// The same corners through the forced-segmented path: a 1-byte
-		// target makes every nonempty adjacency its own segment.
-		s, err := TrySegment(g, 1)
-		if err != nil {
-			t.Fatalf("%s: segment: %v", name, err)
-		}
-		checkSameGraph(t, name+"/segmented", g, s)
-		if err := SaveCBIN(path, s); err != nil {
-			t.Fatalf("%s: save segmented: %v", name, err)
-		}
-		back, err = LoadCBIN(path)
-		if err != nil {
-			t.Fatalf("%s: load segmented: %v", name, err)
-		}
-		checkSameGraph(t, name+"/load-segmented", g, back)
-		closeTwice(t, name+"/segmented", back)
 	}
 }
 
-// TestCBINRefusesOldVersions: a file whose header says version 1 or 2 codes
-// its lists without blocks, so both loaders must refuse it with ErrBadCBIN,
-// naming the version and the way forward, rather than decode it as v3.
+// oldVersions are the .cbin versions the loaders refuse by name: 1 and 2
+// code their lists without blocks, and 3 holds a segment table.
+var oldVersions = []uint32{1, 2, 3}
+
+// TestCBINRefusesOldVersions: a file whose header says version 1, 2 or 3
+// lays its graph out differently, so both loaders must refuse it with
+// ErrBadCBIN, naming the version and the way forward, rather than decode it
+// as v4.
 func TestCBINRefusesOldVersions(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteCBIN(&buf, Compress(RMAT(9, 3000, 0.57, 0.19, 0.19, 8))); err != nil {
 		t.Fatal(err)
 	}
-	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 3 {
-		t.Fatalf("WriteCBIN wrote version %d, want 3", v)
+	if v := binary.LittleEndian.Uint32(buf.Bytes()[4:8]); v != 4 {
+		t.Fatalf("WriteCBIN wrote version %d, want 4", v)
 	}
-	for _, old := range []uint32{1, 2} {
+	for _, old := range oldVersions {
 		b := append([]byte(nil), buf.Bytes()...)
 		binary.LittleEndian.PutUint32(b[4:8], old)
 		path := filepath.Join(t.TempDir(), "old.cbin")
@@ -231,19 +179,33 @@ func corruptCase(t *testing.T, valid []byte, c cbinMutation) {
 	}
 }
 
-// singleSegmentCorruptions returns a valid single-segment image and a
-// corruption of every header, table, and index field in it.
-func singleSegmentCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
+// shiftOffset moves vertex v's offset in a v4 image up by delta bytes.
+func shiftOffset(b []byte, v int, delta uint64) {
+	at := cbinHeader + 8*v
+	binary.LittleEndian.PutUint64(b[at:], binary.LittleEndian.Uint64(b[at:])+delta)
+}
+
+// cbinCorruptions returns a valid image and a corruption of every header
+// and index field in it.
+func cbinCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
 	g := RMAT(9, 3000, 0.57, 0.19, 0.19, 8)
 	var buf bytes.Buffer
 	if err := WriteCBIN(&buf, Compress(g)); err != nil {
 		tb.Fatal(err)
 	}
+	n := g.NumVertices()
+	// The first vertex after 0 whose list has a block header.
+	hub := 1
+	for hub < n && g.Degree(Vertex(hub)) <= blockSize {
+		hub++
+	}
+	if hub == n {
+		tb.Fatal("matrix graph has no list of more than one block")
+	}
 
-	// Single-segment layout: 32-byte header, one table entry at 32
-	// {first, count, dataLen, m}, blob (offsets, degrees, data) at 64.
-	const table = cbinHeader
-	const blob = cbinHeader + cbinSegEntry
+	// Layout: 32-byte header, offsets (n+1)×u64 at 32, degrees n×u32.
+	const offsets = cbinHeader
+	degrees := cbinHeader + 8*(n+1)
 
 	return buf.Bytes(), []cbinMutation{
 		{"bad-magic", func(b []byte) []byte { b[0] = 'X'; return b }},
@@ -257,137 +219,52 @@ func singleSegmentCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
 			binary.LittleEndian.PutUint64(b[8:16], 1<<60)
 			return b
 		}},
-		{"zero-segments", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[24:32], 0)
-			return b
-		}},
-		{"absurd-segment-count", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[24:32], 1<<40)
+		{"vertex-count-short", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[8:16], uint64(n-1))
 			return b
 		}},
 		{"edges-exceed-data", func(b []byte) []byte {
-			// Header edge count no segment can account for.
+			// A header edge count the degrees cannot account for.
 			binary.LittleEndian.PutUint64(b[16:24], 1<<40)
 			return b
 		}},
-		{"segment-not-at-zero", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[table:], 3)
-			return b
-		}},
-		{"segment-count-short", func(b []byte) []byte {
-			// The lone segment covers fewer vertices than the header's n.
-			c := binary.LittleEndian.Uint64(b[table+8:])
-			binary.LittleEndian.PutUint64(b[table+8:], c-1)
-			return b
-		}},
-		{"segment-data-overflow", func(b []byte) []byte {
-			// Per-segment data length past the uint32 offset-index cap.
-			binary.LittleEndian.PutUint64(b[table+16:], 1<<33)
-			return b
-		}},
 		{"data-len-mismatch", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[table+16:], binary.LittleEndian.Uint64(b[table+16:])+8)
+			binary.LittleEndian.PutUint64(b[24:32], binary.LittleEndian.Uint64(b[24:32])+8)
 			return b
 		}},
-		{"segment-edges-exceed-data", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(b[table+24:], binary.LittleEndian.Uint64(b[table+16:])+1)
+		{"data-len-huge", func(b []byte) []byte {
+			binary.LittleEndian.PutUint64(b[24:32], 1<<62)
 			return b
 		}},
 		{"offset-span", func(b []byte) []byte {
 			// First offset must be 0; a nonzero value breaks the index span.
-			binary.LittleEndian.PutUint32(b[blob:], 7)
+			binary.LittleEndian.PutUint64(b[offsets:], 7)
 			return b
 		}},
 		{"offset-monotonicity", func(b []byte) []byte {
 			// An interior offset past its successor breaks the monotonic index.
-			binary.LittleEndian.PutUint32(b[blob+4*100:], 1<<31)
+			binary.LittleEndian.PutUint64(b[offsets+8*100:], 1<<40)
 			return b
 		}},
 		{"degree-exceeds-span", func(b []byte) []byte {
 			// A degree larger than its vertex's byte span cannot decode (every
 			// neighbor needs at least one byte); it also breaks the degree sum.
-			binary.LittleEndian.PutUint32(b[blob+4*(g.NumVertices()+1):], 1<<30)
+			binary.LittleEndian.PutUint32(b[degrees:], 1<<30)
+			return b
+		}},
+		{"list-shorter-than-its-header", func(b []byte) []byte {
+			// The hub's span still holds a byte per neighbor but no longer
+			// its block header as well: decoding it would read past its end.
+			shiftOffset(b, hub, 4)
 			return b
 		}},
 	}
 }
 
-// TestCBINRejectsCorruption corrupts a valid single-segment image in every
-// header, table, and index field and checks that both loaders reject it with
-// ErrBadCBIN.
+// TestCBINRejectsCorruption corrupts a valid image in every header and index
+// field and checks that both loaders reject it with ErrBadCBIN.
 func TestCBINRejectsCorruption(t *testing.T) {
-	valid, cases := singleSegmentCorruptions(t)
-	for _, c := range cases {
-		corruptCase(t, valid, c)
-	}
-}
-
-// multiSegmentCorruptions returns a valid image of at least three segments
-// and the segment-table corruptions: truncated segment table, vertex-range
-// overlap and gap between segments, and a degree index broken inside a
-// non-first segment.
-func multiSegmentCorruptions(tb testing.TB) ([]byte, []cbinMutation) {
-	g := RMAT(9, 3000, 0.57, 0.19, 0.19, 8)
-	s, err := TrySegment(g, 2048)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	if s.NumSegments() < 3 {
-		tb.Fatalf("panel graph split into %d segments, need >= 3 for the table matrix", s.NumSegments())
-	}
-	var buf bytes.Buffer
-	if err := WriteCBIN(&buf, s); err != nil {
-		tb.Fatal(err)
-	}
-	entry := func(b []byte, i int) []byte { return b[cbinHeader+i*cbinSegEntry:] }
-
-	return buf.Bytes(), []cbinMutation{
-		{"truncated-table", func(b []byte) []byte {
-			// Cut mid-way through the second table entry.
-			return b[:cbinHeader+cbinSegEntry+16]
-		}},
-		{"segment-overlap", func(b []byte) []byte {
-			// Segment 1 re-covers the last vertex of segment 0.
-			e := entry(b, 1)
-			binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])-1)
-			return b
-		}},
-		{"segment-gap", func(b []byte) []byte {
-			// Segment 1 starts one vertex late, leaving a hole in [0, n).
-			e := entry(b, 1)
-			binary.LittleEndian.PutUint64(e[0:8], binary.LittleEndian.Uint64(e[0:8])+1)
-			return b
-		}},
-		{"segment-count-overlap", func(b []byte) []byte {
-			// Segment 0 claims one vertex more, colliding with segment 1's start.
-			e := entry(b, 0)
-			binary.LittleEndian.PutUint64(e[8:16], binary.LittleEndian.Uint64(e[8:16])+1)
-			return b
-		}},
-		{"mid-segment-data-overflow", func(b []byte) []byte {
-			binary.LittleEndian.PutUint64(entry(b, 1)[16:24], 1<<34)
-			return b
-		}},
-		{"mid-segment-degree-sum", func(b []byte) []byte {
-			// Break segment 1's degree array: its sum no longer matches the
-			// table's per-segment edge count.
-			e := entry(b, 1)
-			count := binary.LittleEndian.Uint64(e[8:16])
-			blobOff := uint64(cbinHeader) + uint64(s.NumSegments())*cbinSegEntry
-			c0 := binary.LittleEndian.Uint64(entry(b, 0)[8:16])
-			d0 := binary.LittleEndian.Uint64(entry(b, 0)[16:24])
-			blobOff += ((4*(c0+1) + 4*c0 + d0) + 7) &^ 7
-			degOff := blobOff + 4*(count+1)
-			binary.LittleEndian.PutUint32(b[degOff:], binary.LittleEndian.Uint32(b[degOff:])+1)
-			return b
-		}},
-	}
-}
-
-// TestCBINRejectsSegmentTableCorruption runs the multi-segment corruption
-// matrix against both loaders.
-func TestCBINRejectsSegmentTableCorruption(t *testing.T) {
-	valid, cases := multiSegmentCorruptions(t)
+	valid, cases := cbinCorruptions(t)
 	for _, c := range cases {
 		corruptCase(t, valid, c)
 	}
@@ -395,25 +272,47 @@ func TestCBINRejectsSegmentTableCorruption(t *testing.T) {
 
 // FuzzReadCBIN: the streaming reader never panics on arbitrary bytes, every
 // failure wraps ErrBadCBIN, and a graph it accepts has exactly the header's
-// vertex and directed-edge counts. The corpus is seeded with valid single-
-// and multi-segment images and every case of both corruption matrices. The
-// payload is not decoded: the loaders validate the header, table and index,
-// never the adjacency bytes.
+// vertex and directed-edge counts and a byte span for every list that
+// holds its block header and a byte per neighbor. The corpus is seeded
+// with valid images, every case of the corruption matrix and every refused
+// old version. The payload is not decoded: the loaders validate the header
+// and index, never the adjacency bytes.
 func FuzzReadCBIN(f *testing.F) {
-	for _, corruptions := range []func(testing.TB) ([]byte, []cbinMutation){singleSegmentCorruptions, multiSegmentCorruptions} {
-		valid, cases := corruptions(f)
-		f.Add(valid)
-		for _, c := range cases {
-			f.Add(c.mutate(append([]byte(nil), valid...)))
+	valid, cases := cbinCorruptions(f)
+	f.Add(valid)
+	for _, c := range cases {
+		f.Add(c.mutate(append([]byte(nil), valid...)))
+	}
+	for _, old := range oldVersions {
+		b := append([]byte(nil), valid...)
+		binary.LittleEndian.PutUint32(b[4:8], old)
+		f.Add(b)
+	}
+	image := func(g *Graph) []byte {
+		var buf bytes.Buffer
+		if err := WriteCBIN(&buf, Compress(g)); err != nil {
+			f.Fatal(err)
 		}
+		return buf.Bytes()
 	}
-	var small bytes.Buffer
-	if err := WriteCBIN(&small, Compress(Star(40))); err != nil {
-		f.Fatal(err)
+	corners := cornerGraphs()
+	for _, name := range slices.Sorted(maps.Keys(corners)) {
+		f.Add(image(corners[name]))
 	}
-	f.Add(small.Bytes())
+	f.Add(image(Star(40)))
+	// Vertex 34 has 33 neighbors, so a two-block list at the end of the
+	// data; its offset moved up by 4 leaves a span of a byte per neighbor
+	// but no room for its header.
+	edges := make([]Edge, 33)
+	for i := range edges {
+		edges[i] = Edge{U: 34, V: Vertex(i)}
+	}
+	short := image(Build(35, edges))
+	f.Add(slices.Clone(short))
+	shiftOffset(short, 34, 4)
+	f.Add(short)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := ReadCBIN(bytes.NewReader(data))
+		c, err := ReadCBIN(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrBadCBIN) {
 				t.Fatalf("error %v does not wrap ErrBadCBIN", err)
@@ -421,8 +320,14 @@ func FuzzReadCBIN(f *testing.F) {
 			return
 		}
 		n, m := binary.LittleEndian.Uint64(data[8:16]), binary.LittleEndian.Uint64(data[16:24])
-		if uint64(r.NumVertices()) != n || uint64(r.NumDirectedEdges()) != m {
-			t.Fatalf("accepted graph n %d 2m %d, header says n %d 2m %d", r.NumVertices(), r.NumDirectedEdges(), n, m)
+		if uint64(c.NumVertices()) != n || uint64(c.NumDirectedEdges()) != m {
+			t.Fatalf("accepted graph n %d 2m %d, header says n %d 2m %d", c.NumVertices(), c.NumDirectedEdges(), n, m)
+		}
+		for v := range c.NumVertices() {
+			deg := c.Degree(Vertex(v))
+			if span := c.Offsets[v+1] - c.Offsets[v]; uint64(headerBytes(deg)+deg) > span {
+				t.Fatalf("accepted vertex %d of degree %d in a %d-byte span", v, deg, span)
+			}
 		}
 	})
 }

@@ -23,26 +23,24 @@ import (
 // (Rep): every finish algorithm and sampling scheme runs directly on the
 // encoded form via NeighborsInto's decode-into-scratch path, the same
 // design that lets the paper process 200B+-edge graphs without
-// re-materializing a flat CSR. The per-vertex byte-offset index makes
-// decoding random-access, and the uint32 offsets keep the index half the
-// size of the flat CSR's (the encoded adjacency is capped at 4 GiB per
-// segment — about 2 billion directed edges at typical byte-code rates;
-// TryCompress splits larger inputs into a SegmentedGraph automatically).
+// re-materializing a flat CSR. The per-vertex uint64 byte-offset index
+// makes decoding random-access and puts no bound on the total encoding;
+// only a single list is capped, at 4 GiB, by its uint32 block offsets.
 type CompressedGraph struct {
-	Offsets []uint32 // byte offset of each vertex's encoded list; len n+1
+	Offsets []uint64 // byte offset of each vertex's encoded list; len n+1
 	Degrees []uint32 // degree of each vertex; len n
 	Data    []byte   // block-coded neighbor lists
 
 	m      uint64 // directed edge count (sum of Degrees)
-	mapped []byte // whole mmap'd region when loaded via LoadCBIN; nil otherwise
+	mapped []byte // whole mmap'd file when loaded via LoadCBIN; nil otherwise
 }
 
-// maxCompressedBytes is the per-segment encoded-adjacency cap implied by
-// the uint32 byte-offset index.
-const maxCompressedBytes = 1<<32 - 1
+// maxListBytes is the encoded size one list may not exceed: its block
+// offsets are uint32 and relative to the list's start.
+const maxListBytes = 1<<32 - 1
 
 // blockSize is B, the number of neighbors per block of an encoded list. It
-// is part of the .cbin v3 format, not a tuning knob: a file coded with one B
+// is part of the .cbin format, not a tuning knob: a file coded with one B
 // decodes as garbage under another (DESIGN.md §10 has the measurement that
 // chose it).
 const blockSize = 32
@@ -53,96 +51,55 @@ func headerBytes(deg int) int {
 	return 4 * max((deg+blockSize-1)/blockSize-1, 0)
 }
 
-// Compress byte-encodes g in parallel: a first pass sizes every vertex's
-// encoded list, an exclusive scan places them, and a second pass encodes
-// into the placed slots. Adjacency lists must be sorted ascending, which
-// Build guarantees. It panics if the encoded adjacency would exceed the
-// 4 GiB single-segment offset-index cap; TryCompress auto-segments past the
-// cap instead and is what file-facing paths should call.
+// Compress byte-encodes g. It panics if one vertex's encoded list exceeds
+// the 4 GiB per-list cap; TryCompress reports that as an error instead.
 func Compress(g *Graph) *CompressedGraph {
-	c, err := tryCompress(g, maxCompressedBytes)
+	c, err := TryCompress(g)
 	if err != nil {
 		panic(err.Error())
 	}
 	return c
 }
 
-// TryCompress byte-encodes g into whichever compressed representation fits:
-// a single-segment CompressedGraph while the encoded adjacency stays within
-// the 4 GiB offset-index cap, and a multi-segment SegmentedGraph beyond it,
-// so inputs whose size is not known in advance (files, conversions) always
-// compress — the old "shard the input" error is gone. Both returns satisfy
-// Rep and run every registered algorithm.
-func TryCompress(g *Graph) (Rep, error) {
-	return tryCompressAuto(g, maxCompressedBytes, maxCompressedBytes)
-}
-
-// tryCompressAuto compresses against an injectable single-segment cap and
-// per-segment byte target (tests exercise multi-segment splits and the
-// overflow path without multi-GiB inputs): one segment when the whole
-// encoding fits in capBytes, a segmented split at segBytes otherwise.
-func tryCompressAuto(g *Graph, capBytes, segBytes uint64) (Rep, error) {
-	sizes := encodedSizes(g)
-	total := parallel.ScanExclusive(sizes)
-	if total <= capBytes {
-		offsets, degrees, data := encodeRange(g, sizes, 0, g.NumVertices())
-		return &CompressedGraph{Offsets: offsets, Degrees: degrees, Data: data, m: uint64(len(g.Adj))}, nil
+// TryCompress byte-encodes g in parallel: a first pass sizes every vertex's
+// encoded list, an exclusive scan turns the sizes into the offset index,
+// and a second pass encodes each list into its slot. Adjacency lists must
+// be sorted ascending, which Build guarantees. The only error is a list
+// whose encoding exceeds the 4 GiB per-list cap (checkListSizes).
+func TryCompress(g *Graph) (*CompressedGraph, error) {
+	n := g.NumVertices()
+	offsets := make([]uint64, n+1)
+	parallel.ForGrained(n, 256, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			offsets[v] = encodeList(nil, Vertex(v), g.Neighbors(Vertex(v)))
+		}
+	})
+	if err := checkListSizes(offsets[:n]); err != nil {
+		return nil, err
 	}
-	return segmentBySizes(g, sizes, segBytes, capBytes)
-}
-
-// tryCompress implements single-segment compression against an explicit
-// adjacency-size cap — the injectable hook behind Compress and the
-// overflow-path tests. Unlike TryCompress it never segments: inputs beyond
-// the cap report the single-segment limit as an error.
-func tryCompress(g *Graph, capBytes uint64) (*CompressedGraph, error) {
-	sizes := encodedSizes(g)
-	total := parallel.ScanExclusive(sizes)
-	if total > capBytes {
-		return nil, fmt.Errorf("graph: compressed adjacency needs %d bytes, beyond the %d-byte single-segment offset-index cap", total, capBytes)
-	}
-	offsets, degrees, data := encodeRange(g, sizes, 0, g.NumVertices())
+	data := make([]byte, parallel.ScanExclusive(offsets))
+	degrees := make([]uint32, n)
+	parallel.ForGrained(n, 256, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			nbrs := g.Neighbors(Vertex(v))
+			degrees[v] = uint32(len(nbrs))
+			encodeList(data[offsets[v]:offsets[v+1]], Vertex(v), nbrs)
+		}
+	})
 	return &CompressedGraph{Offsets: offsets, Degrees: degrees, Data: data, m: uint64(len(g.Adj))}, nil
 }
 
-// encodedSizes runs the sizing pass: sizes[v] is the encoded byte length of
-// v's adjacency list, in a slice of length n+1 ready for ScanExclusive.
-func encodedSizes(g *Graph) []uint64 {
-	n := g.NumVertices()
-	sizes := make([]uint64, n+1)
-	parallel.ForGrained(n, 256, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			sizes[v] = encodeList(nil, Vertex(v), g.Neighbors(Vertex(v)))
+// checkListSizes reports the first vertex whose encoded list size exceeds
+// maxListBytes. A list costs at least a byte per neighbor and four per
+// further block of 32, so a hub of about 3.8 billion neighbors reaches the
+// cap even at one byte per gap: rare, but inside the 32-bit vertex space.
+func checkListSizes(sizes []uint64) error {
+	for v, s := range sizes {
+		if s > maxListBytes {
+			return fmt.Errorf("graph: vertex %d's encoded list needs %d bytes, beyond the %d-byte per-list cap of its uint32 block offsets", v, s, uint64(maxListBytes))
 		}
-	})
-	return sizes
-}
-
-// encodeRange runs the placement pass for the vertex range [lo, hi) given
-// the global exclusive scan of encoded sizes: offsets are relative to the
-// range's first byte (so they fit uint32 for any range within the cap),
-// degrees cover the range, and data holds its encoded adjacency. The whole
-// graph is the range [0, n) — single-segment compression and the segmented
-// builder share this pass.
-func encodeRange(g *Graph, prefix []uint64, lo, hi int) (offsets []uint32, degrees []uint32, data []byte) {
-	base := prefix[lo]
-	offsets = make([]uint32, hi-lo+1)
-	parallel.ForGrained(hi-lo+1, 4096, func(a, b int) {
-		for i := a; i < b; i++ {
-			offsets[i] = uint32(prefix[lo+i] - base)
-		}
-	})
-	data = make([]byte, prefix[hi]-base)
-	degrees = make([]uint32, hi-lo)
-	parallel.ForGrained(hi-lo, 256, func(a, b int) {
-		for i := a; i < b; i++ {
-			v := lo + i
-			nbrs := g.Neighbors(Vertex(v))
-			degrees[i] = uint32(len(nbrs))
-			encodeList(data[prefix[v]-base:prefix[v+1]-base], Vertex(v), nbrs)
-		}
-	})
-	return offsets, degrees, data
+	}
+	return nil
 }
 
 // encodeList block-codes v's sorted list nbrs into dst and returns its
@@ -185,8 +142,14 @@ func (c *CompressedGraph) Degree(v Vertex) int { return int(c.Degrees[v]) }
 // SizeBytes returns the resident size of the compressed structure in bytes:
 // the offset index, the degree array, and the encoded adjacency.
 func (c *CompressedGraph) SizeBytes() int {
-	return 4*len(c.Offsets) + 4*len(c.Degrees) + len(c.Data)
+	return 8*len(c.Offsets) + 4*len(c.Degrees) + len(c.Data)
 }
+
+// NumSegments returns 1.
+//
+// Deprecated: a CompressedGraph is one segment. The method remains for
+// callers of the retired SegmentedGraph.
+func (c *CompressedGraph) NumSegments() int { return 1 }
 
 // String summarizes the graph.
 func (c *CompressedGraph) String() string {
@@ -207,11 +170,9 @@ func (c *CompressedGraph) NeighborsAt(v Vertex, pos, out []Vertex) {
 }
 
 // decodeList decodes all count neighbors of v from its encoded list
-// starting at data[pos] into buf, growing buf when its capacity is short —
-// the full-list decode shared by the single-segment and segmented backends
-// (the encoding is identical: only where the bytes live differs). The
-// blocks lie back to back after the header, so a whole-list walk skips the
-// header and never reads it.
+// starting at data[pos] into buf, growing buf when its capacity is short.
+// The blocks lie back to back after the header, so a whole-list walk skips
+// the header and never reads it.
 func decodeList(data []byte, pos int, v Vertex, count int, buf []Vertex) []Vertex {
 	if cap(buf) < count {
 		buf = make([]Vertex, count)

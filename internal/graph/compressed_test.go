@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"strings"
 	"testing"
 
 	"connectit/internal/varint"
@@ -134,11 +135,7 @@ func TestNeighborsAtMatchesNeighbors(t *testing.T) {
 	graphs := compressPanel()
 	graphs["blocks"] = bp
 	for name, g := range graphs {
-		seg, err := TrySegment(g, 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range []Rep{g, Compress(g), seg} {
+		for _, r := range []Rep{g, Compress(g)} {
 			var full []Vertex
 			one := make([]Vertex, 1)
 			for v := 0; v < g.NumVertices(); v++ {
@@ -225,28 +222,22 @@ func TestVarintZigzagRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTryCompressCapExceeded exercises the offset-index overflow path
-// through the injectable cap: encoding must fail with an error (and
-// Compress must panic) instead of silently truncating uint32 offsets.
+// TestTryCompressCapExceeded exercises the per-list cap on a slice of
+// per-vertex encoded sizes, since a real list past it would be a 4 GiB
+// encoding: a size exactly at the cap passes, and the first size beyond it
+// is reported by vertex.
 func TestTryCompressCapExceeded(t *testing.T) {
-	g := Path(4096) // a few KiB encoded
-
-	if _, err := TryCompress(g); err != nil {
-		t.Fatalf("TryCompress under the real cap: %v", err)
+	if err := checkListSizes([]uint64{0, 37, maxListBytes, 5}); err != nil {
+		t.Fatalf("sizes up to the cap: %v", err)
 	}
-
-	if _, err := tryCompress(g, 16); err == nil {
-		t.Fatal("tryCompress with a 16-byte cap succeeded; want error")
+	err := checkListSizes([]uint64{0, maxListBytes, maxListBytes + 1, 1 << 40})
+	if err == nil || !strings.Contains(err.Error(), "vertex 2's encoded list") || !strings.Contains(err.Error(), "per-list cap") {
+		t.Fatalf("size past the cap: err = %v, want the per-list cap error naming vertex 2", err)
 	}
-
-	// The error must be an error return, not a panic, all the way up
-	// through TryCompress-shaped callers; Compress keeps the panic
-	// contract for trusted in-memory graphs.
-	c, err := tryCompress(g, 1<<20)
-	if err != nil || c == nil {
-		t.Fatalf("tryCompress with a roomy cap: %v", err)
+	g := Path(4096)
+	c, err := TryCompress(g)
+	if err != nil {
+		t.Fatalf("TryCompress under the cap: %v", err)
 	}
-	if got := c.Decompress(); got.NumEdges() != g.NumEdges() {
-		t.Fatalf("round trip after cap check lost edges: %d != %d", got.NumEdges(), g.NumEdges())
-	}
+	checkSameGraph(t, "path", g, c)
 }

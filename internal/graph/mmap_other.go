@@ -7,10 +7,10 @@ import (
 	"os"
 )
 
-// mmapRegion always fails on platforms without a unix mmap, routing
-// per-segment loads to LoadCBIN's heap-read fallback.
-func mmapRegion(f *os.File, off int64, length int) (view, region []byte, err error) {
-	return nil, nil, errors.New("graph: mmap unsupported on this platform")
+// mmap always fails on platforms without a unix mmap, routing LoadCBIN to
+// its ReadCBIN fallback.
+func mmap(f *os.File, length int) ([]byte, error) {
+	return nil, errors.New("graph: mmap unsupported on this platform")
 }
 
 // munmap releases nothing on this platform: graphs loaded through the read

@@ -1,7 +1,7 @@
 package graph
 
 // Rep is the pluggable graph-representation abstraction: the contract every
-// backend (flat CSR, byte-compressed CSR, segmented, and any user-defined
+// backend (flat CSR, byte-compressed CSR, and any user-defined
 // representation) satisfies, and the type every algorithm kernel takes.
 //
 // Kernels take a plain Rep interface value: the per-vertex NeighborsInto
@@ -22,8 +22,8 @@ package graph
 //	}
 //
 // which is allocation-free in steady state for both backends: CSR ignores
-// buf and returns its internal slice; compressed representations decode into
-// buf and return it (possibly grown), so reassigning keeps the scratch
+// buf and returns its internal slice; the compressed representation decodes
+// into buf and return it (possibly grown), so reassigning keeps the scratch
 // alive across iterations.
 type Rep interface {
 	// NumVertices returns the number of vertices n.
@@ -44,7 +44,7 @@ type Rep interface {
 	// list into out[i], for every pos[i] < Degree(v); out must be at least
 	// as long as pos, and positions may repeat or come in any order. Kernels
 	// that read a few positions of a list (k-out sampling) use it: CSR
-	// indexes its flat array, and the block-coded backends decode only the
+	// indexes its flat array, and the block-coded backend decodes only the
 	// block holding each position.
 	NeighborsAt(v Vertex, pos, out []Vertex)
 	// SizeBytes returns the resident size of the adjacency structure in
@@ -57,7 +57,6 @@ type Rep interface {
 var (
 	_ Rep = (*Graph)(nil)
 	_ Rep = (*CompressedGraph)(nil)
-	_ Rep = (*SegmentedGraph)(nil)
 )
 
 // NeighborsInto returns the adjacency list of v. The CSR representation

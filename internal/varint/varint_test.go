@@ -1,6 +1,7 @@
 package varint
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -102,4 +103,41 @@ func TestGetNonMinimal(t *testing.T) {
 	if v, n := Get([]byte{0x00}); n != 1 || v != 0 {
 		t.Fatalf("Get(00) = (%d, %d), want (0, 1)", v, n)
 	}
+}
+
+// FuzzVarint: Get never panics on arbitrary bytes, a rejection is n == 0
+// with x == 0, and every value it accepts re-encodes through Append to
+// exactly the bytes it consumed — the one accepted encoding per value that
+// Get's doc promises. The corpus is seeded with minimal encodings and every
+// rejected shape the tests above pin.
+func FuzzVarint(f *testing.F) {
+	for _, v := range []uint64{0, 1, 127, 128, 16384, 1 << 40, math.MaxUint64} {
+		f.Add(Append(nil, v))
+	}
+	for _, b := range [][]byte{
+		{},
+		{0x80},
+		{0x80, 0x00},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x00},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02},
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01},
+		{0x05, 0xff}, // a complete varint followed by more bytes
+	} {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		x, n := Get(b)
+		if n == 0 {
+			if x != 0 {
+				t.Fatalf("Get(%x) rejected the input but returned x = %d", b, x)
+			}
+			return
+		}
+		if n > len(b) || n > MaxLen {
+			t.Fatalf("Get(%x) consumed %d bytes", b, n)
+		}
+		if enc := Append(nil, x); !bytes.Equal(enc, b[:n]) {
+			t.Fatalf("Get(%x) = %d from %d bytes, which Append encodes as %x", b, x, n, enc)
+		}
+	})
 }

@@ -56,9 +56,9 @@ func QueryLabels(labels []uint32) *Query {
 //     return the ErrUnsupported error captured at compile time — use
 //     ComponentsOn + QueryLabels for a label-only view of those.
 //   - Every other combination yields a forest-backed handle on any GraphRep
-//     (*Graph, *CompressedGraph, *SegmentedGraph, or a user-defined
-//     representation): every query works, including PathBetween and
-//     SpanningForest (Algorithm 2). A nil GraphRep returns ErrUnsupported.
+//     (*Graph, *CompressedGraph, or a user-defined representation):
+//     every query works, including PathBetween and SpanningForest
+//     (Algorithm 2). A nil GraphRep returns ErrUnsupported.
 //
 // The handle owns a snapshot of the result and stays valid after further
 // Solver runs.

@@ -55,12 +55,12 @@ func (s *Solver) Capabilities() Capabilities { return s.c.Capabilities() }
 // ComponentsOn computes the connected components of g: the returned
 // labeling satisfies labels[u] == labels[v] iff u and v are connected. g
 // is whichever representation was built or loaded — a *Graph, a
-// *CompressedGraph, a *SegmentedGraph (-format in the CLI, or a
-// LoadCBIN-mapped file), or any other GraphRep implementation. The kernels
-// reach g only through the interface (one NeighborsInto call per adjacency
-// list, DESIGN.md §10), so there is no per-representation dispatch, and all
-// validation happened at Compile time: the only rejected input is a nil
-// GraphRep, which returns ErrUnsupported.
+// *CompressedGraph (-format in the CLI, or a LoadCBIN-mapped file), or any
+// other GraphRep implementation. The kernels reach g only through the
+// interface (one NeighborsInto call per adjacency list, DESIGN.md §10), so
+// there is no per-representation dispatch, and all validation happened at
+// Compile time: the only rejected input is a nil GraphRep, which returns
+// ErrUnsupported.
 //
 // In the NoSampling configuration the returned slice is scratch owned by
 // the Solver and is overwritten by the next run; copy it if it must
