@@ -2,8 +2,7 @@ package connectit
 
 // Shared fixtures for the benchmark harness (bench_*.go). Each benchmark
 // regenerates one table or figure of the paper's evaluation; DESIGN.md §6
-// maps experiment IDs to bench targets, and EXPERIMENTS.md records the
-// paper-shape vs measured-shape comparison.
+// maps experiment IDs to bench targets and cmd/experiments runs.
 
 import (
 	"sync"

@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"connectit/internal/ingest"
+	"connectit/internal/core"
 	"connectit/internal/stinger"
 )
 
@@ -22,13 +22,13 @@ const benchIngestProducers = 8
 // benchmark's producer count and returns the number of queries issued.
 func driveMixed(update func(u, v uint32), connected func(u, v uint32) bool,
 	edges []Edge, n int, mix float64) uint64 {
-	return ingest.Drive(update, connected, edges, n, benchIngestProducers, mix)
+	return core.Drive(update, connected, edges, n, benchIngestProducers, mix)
 }
 
 // driveStream is driveMixed against a Stream's error-returning lifecycle
 // surface.
 func driveStream(st *Stream, edges []Edge, n int, mix float64) uint64 {
-	return ingest.DriveStream(st, edges, n, benchIngestProducers, mix)
+	return core.DriveStream(st, edges, n, benchIngestProducers, mix)
 }
 
 // BenchmarkStreamMixedRatio measures the concurrent ingest engine at

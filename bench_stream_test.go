@@ -57,7 +57,7 @@ func BenchmarkTable4StreamingThroughput(b *testing.B) {
 				b.SetBytes(int64(len(edges))) // bytes/op metric = edges/op
 				solver := MustCompile(Config{Algorithm: alg})
 				for i := 0; i < b.N; i++ {
-					inc, err := solver.NewIncremental(n)
+					inc, err := solver.Stream(n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -83,7 +83,7 @@ func BenchmarkFigure4ThroughputVsBatch(b *testing.B) {
 				b.SetBytes(int64(len(edges)))
 				solver := MustCompile(Config{Algorithm: alg})
 				for i := 0; i < b.N; i++ {
-					inc, err := solver.NewIncremental(n)
+					inc, err := solver.Stream(n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -125,7 +125,7 @@ func BenchmarkFigure17MixedBatch(b *testing.B) {
 				b.SetBytes(int64(len(edges) + nq))
 				solver := MustCompile(Config{Algorithm: alg})
 				for i := 0; i < b.N; i++ {
-					inc, err := solver.NewIncremental(n)
+					inc, err := solver.Stream(n)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -143,7 +143,7 @@ func BenchmarkFigure18Latency(b *testing.B) {
 	solver := MustCompile(Config{Algorithm: MustParseAlgorithm("uf;rem-cas;naive;split-one")})
 	for _, batch := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
-			inc, err := solver.NewIncremental(n)
+			inc, err := solver.Stream(n)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -182,7 +182,7 @@ func BenchmarkTable5Stinger(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("ConnectIt/batch=%d", batch), func(b *testing.B) {
-			inc, err := NewIncremental(n, Config{Algorithm: MustParseAlgorithm("uf;rem-cas;naive;split-one")})
+			inc, err := NewStream(n, Config{Algorithm: MustParseAlgorithm("uf;rem-cas;naive;split-one")})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -222,7 +222,7 @@ func BenchmarkStreamTypeDispatch(b *testing.B) {
 			b.SetBytes(int64(len(edges) + len(queries)))
 			solver := MustCompile(Config{Algorithm: c.alg})
 			for i := 0; i < b.N; i++ {
-				inc, err := solver.NewIncremental(n)
+				inc, err := solver.Stream(n)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -56,7 +56,7 @@ import (
 	"time"
 
 	"connectit"
-	"connectit/internal/ingest"
+	"connectit/internal/core"
 	"connectit/internal/parallel"
 )
 
@@ -455,7 +455,7 @@ func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	edges := g.Edges()
 	fmt.Printf("stream: %v, %d workers, %.0f%% queries\n", st.Type(), *workers, *qmix*100)
 	start := time.Now()
-	queries := ingest.DriveStream(st, edges, g.NumVertices(), *workers, *qmix)
+	queries := core.DriveStream(st, edges, g.NumVertices(), *workers, *qmix)
 	st.Sync()
 	elapsed := time.Since(start)
 

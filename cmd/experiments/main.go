@@ -1,8 +1,7 @@
 // Command experiments regenerates the paper's tables and figures
-// (DESIGN.md §6 maps each experiment to its implementation). Each
-// experiment prints the same rows/series the paper reports, at container
-// scale; EXPERIMENTS.md records the paper-shape vs measured-shape
-// comparison produced by this tool.
+// (DESIGN.md §6 maps each experiment to its implementation and its
+// benchmark). Each experiment prints the same rows/series the paper
+// reports, at container scale.
 //
 // Usage:
 //
@@ -26,7 +25,6 @@ import (
 	"connectit/internal/bfs"
 	"connectit/internal/core"
 	"connectit/internal/graph"
-	"connectit/internal/ingest"
 	"connectit/internal/liutarjan"
 	"connectit/internal/parallel"
 	"connectit/internal/sample"
@@ -429,7 +427,7 @@ func table4() {
 		for _, n := range names {
 			st := data[n]
 			d := timeIt(func() {
-				inc, err := solver.NewIncremental(st.n)
+				inc, err := solver.Stream(st.n)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -459,7 +457,7 @@ func figure4() {
 		for _, alg := range algos {
 			solver := connectit.MustCompile(connectit.Config{Algorithm: alg})
 			d := timeIt(func() {
-				inc, err := solver.NewIncremental(st.n)
+				inc, err := solver.Stream(st.n)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -504,7 +502,7 @@ func figure17() {
 		for _, alg := range variants {
 			solver := connectit.MustCompile(connectit.Config{Algorithm: alg})
 			d := timeIt(func() {
-				inc, err := solver.NewIncremental(st.n)
+				inc, err := solver.Stream(st.n)
 				if err != nil {
 					log.Fatal(err)
 				}
@@ -522,7 +520,7 @@ func figure18() {
 	solver := connectit.MustCompile(connectit.Config{Algorithm: connectit.MustParseAlgorithm("uf;rem-cas;naive;split-one")})
 	fmt.Printf("%-10s %14s %14s %14s\n", "BatchSize", "median(s)", "mean(s)", "max(s)")
 	for _, batch := range []int{1000, 10_000, 100_000} {
-		inc, err := solver.NewIncremental(st.n)
+		inc, err := solver.Stream(st.n)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -562,7 +560,7 @@ func table5() {
 		}
 		stingerRate := float64(nBatches*batch) / time.Since(start).Seconds()
 
-		inc, err := connectit.NewIncremental(n, connectit.Config{
+		inc, err := connectit.NewStream(n, connectit.Config{
 			Algorithm: connectit.MustParseAlgorithm("uf;rem-cas;naive;split-one"),
 		})
 		if err != nil {
@@ -690,7 +688,7 @@ func compressedBackend() {
 	}
 }
 
-// ingestMixed drives the concurrent ingest engine (internal/ingest) with 8
+// ingestMixed drives a concurrent Stream (DESIGN.md §9) with 8
 // producers at 90/10, 50/50, and 10/90 update:query mixes on one
 // representative algorithm per stream type, against a coarse-locked STINGER
 // baseline — the hybrid transactional/analytical regime Polynesia targets.
@@ -713,7 +711,7 @@ func ingestMixed() {
 				log.Fatal(err)
 			}
 			start := time.Now()
-			queries := ingest.DriveStream(st, edges, n, producers, mix)
+			queries := core.DriveStream(st, edges, n, producers, mix)
 			st.Sync()
 			elapsed := time.Since(start)
 			stats := st.Stats()
@@ -727,7 +725,7 @@ func ingestMixed() {
 		// Coarse-locked STINGER: concurrent producers serialize on one lock.
 		sti := stinger.NewCoarse(n)
 		start := time.Now()
-		q := ingest.Drive(sti.Update, sti.Connected, edges, n, producers, mix)
+		q := core.Drive(sti.Update, sti.Connected, edges, n, producers, mix)
 		elapsed := time.Since(start)
 		fmt.Printf("%-36s %.0f/%.0f %14.3g %14.3g %12s\n", "STINGER (coarse lock)", 100*(1-mix), 100*mix,
 			float64(len(edges))/elapsed.Seconds(), float64(q)/elapsed.Seconds(), "-")
@@ -745,7 +743,7 @@ func ingestMixed() {
 			log.Fatal(err)
 		}
 		start := time.Now()
-		ingest.DriveStream(st, edges, n, producers, 0.1)
+		core.DriveStream(st, edges, n, producers, 0.1)
 		st.Sync()
 		rate := float64(len(edges)) / time.Since(start).Seconds()
 		perRound := "-"

@@ -42,8 +42,19 @@
 //
 // and every algorithm reports its spec with Algorithm.Name (Config.Name for
 // the full combination), which parses back to the same algorithm. The
-// one-shot helpers Connectivity, SpanningForest, and NewIncremental remain
-// as thin wrappers over Compile for single runs.
+// one-shot helpers Connectivity, SpanningForest, and NewStream remain as
+// thin wrappers over Compile for single runs.
+//
+// # Streaming
+//
+// A Stream maintains connectivity while edges arrive (§3.5). Its
+// ProcessBatch is the paper's batch-incremental call; Update, UpdateBatch
+// and Connected serve the same state to concurrent producers and
+// queriers, and NewServer puts one behind HTTP and TCP with a write-ahead
+// log:
+//
+//	st, err := solver.Stream(n)
+//	answers, err := st.ProcessBatch(edges, [][2]uint32{{0, 2}})
 //
 // # Graph representations
 //
@@ -61,8 +72,7 @@
 // pages in on demand.
 //
 // See DESIGN.md for the registry/Solver architecture and the full system
-// inventory, and EXPERIMENTS.md for the reproduction of the paper's
-// evaluation.
+// inventory; its §6 maps the paper's experiments to cmd/experiments.
 package connectit
 
 import (
@@ -110,10 +120,6 @@ const (
 // Stats collects union-find path-length instrumentation (TPL/MPL).
 type Stats = unionfind.Stats
 
-// Incremental maintains connectivity under batches of edge insertions mixed
-// with connectivity queries.
-type Incremental = core.Incremental
-
 // Sampling modes (§3.2 of the paper).
 const (
 	NoSampling   = core.NoSampling
@@ -160,12 +166,7 @@ var ErrBadSpec = core.ErrBadSpec
 // DefaultConfig returns the paper's recommended robust configuration:
 // k-out sampling (hybrid, k = 2) finished by Union-Rem-CAS with
 // SplitAtomicOne and no extra find compression (§4.2 takeaways).
-func DefaultConfig() Config {
-	return Config{
-		Sampling:  core.KOutSampling,
-		Algorithm: UnionFindAlgorithm(UnionRemCAS, FindNaive, SplitAtomicOne),
-	}
-}
+func DefaultConfig() Config { return core.DefaultConfig() }
 
 // ParseAlgorithm parses a canonical algorithm spec string — e.g.
 // "uf;rem-cas;naive;split-one", "lt;CRFA", "sv", "stergiou", "lp" — into
@@ -255,15 +256,4 @@ func SpanningForest(g GraphRep, cfg Config) ([]Edge, error) {
 		return nil, err
 	}
 	return s.SpanningForest(g)
-}
-
-// NewIncremental creates a streaming connectivity structure over n
-// initially isolated vertices (§3.5). It is a thin wrapper over Compile +
-// Solver.NewIncremental.
-func NewIncremental(n int, cfg Config) (*Incremental, error) {
-	s, err := Compile(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return s.NewIncremental(n)
 }

@@ -96,27 +96,34 @@ func TestSpanningForestUnsupportedSurfaces(t *testing.T) {
 	}
 }
 
+// TestIncrementalPublic drives the batch-incremental call through the
+// public surface.
 func TestIncrementalPublic(t *testing.T) {
-	inc, err := NewIncremental(6, DefaultConfig())
+	st, err := NewStream(6, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := inc.ProcessBatch(
+	res, err := st.ProcessBatch(
 		[]Edge{{U: 0, V: 1}, {U: 2, V: 3}},
 		[][2]uint32{{4, 5}},
 	)
-	if res[0] {
-		t.Fatal("4 and 5 should not be connected")
+	if err != nil || res[0] {
+		t.Fatalf("ProcessBatch = %v, %v; 4 and 5 should not be connected", res, err)
 	}
-	if !inc.Connected(0, 1) || inc.Connected(0, 2) {
+	conn := func(u, v uint32) bool { c, _ := st.Connected(u, v); return c }
+	if !conn(0, 1) || conn(0, 2) {
 		t.Fatal("post-batch connectivity wrong")
 	}
-	inc.ProcessBatch([]Edge{{U: 1, V: 2}}, nil)
-	if !inc.Connected(0, 3) {
+	st.ProcessBatch([]Edge{{U: 1, V: 2}}, nil)
+	if !conn(0, 3) {
 		t.Fatal("0 and 3 should be connected after second batch")
 	}
-	if inc.NumComponents() != 3 {
-		t.Fatalf("components = %d, want 3 ({0..3}, {4}, {5})", inc.NumComponents())
+	if st.NumComponents() != 3 {
+		t.Fatalf("components = %d, want 3 ({0..3}, {4}, {5})", st.NumComponents())
+	}
+	st.Close()
+	if _, err := st.ProcessBatch([]Edge{{U: 4, V: 5}}, nil); err != ErrStreamClosed {
+		t.Fatalf("ProcessBatch after Close: err = %v, want ErrStreamClosed", err)
 	}
 }
 

@@ -168,19 +168,25 @@ func ExampleStream_Query() {
 	// true
 }
 
-// Batch-incremental connectivity: insertions and queries in one batch.
-func ExampleNewIncremental() {
-	inc, err := connectit.NewIncremental(4, connectit.DefaultConfig())
+// Batch-incremental connectivity (Algorithm 3): insertions and queries in
+// one batch.
+func ExampleStream_ProcessBatch() {
+	st, err := connectit.NewStream(4, connectit.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
-	answers := inc.ProcessBatch(
-		[]connectit.Edge{{U: 0, V: 1}},
+	answers, err := st.ProcessBatch(
+		[]connectit.Edge{{U: 0, V: 1}, {U: 1, V: 2}},
 		[][2]uint32{{2, 3}},
 	)
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println(answers[0])
-	fmt.Println(inc.Connected(0, 1))
+	fmt.Println(st.Connected(0, 2))
+	fmt.Println(st.NumComponents())
 	// Output:
 	// false
-	// true
+	// true <nil>
+	// 2
 }

@@ -137,7 +137,7 @@ func TestPropertyStreamingAgreesWithStatic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		inc, err := NewIncremental(n, DefaultConfig())
+		inc, err := NewStream(n, DefaultConfig())
 		if err != nil {
 			return false
 		}

@@ -55,7 +55,7 @@ type Compiled struct {
 // Compile validates cfg against the registry and returns an executable
 // instance. Every ErrUnsupported case surfaces at compile time: invalid
 // combinations fail here, and the forest/streaming restrictions are
-// captured once and returned unchanged by SpanningForest/NewIncremental
+// captured once and returned unchanged by SpanningForest/NewStream
 // instead of being re-derived mid-run.
 func Compile(cfg Config) (*Compiled, error) {
 	f, ok := familiesByKind[cfg.Algorithm.Kind]
@@ -168,23 +168,4 @@ func (c *Compiled) SpanningForest(g graph.Rep) ([]graph.Edge, error) {
 	}
 	labels, skip, acc := c.prepare(g, true)
 	return c.forest(g, labels, skip, acc), nil
-}
-
-// NewIncremental creates a batch-incremental streaming structure over n
-// initially isolated vertices (§3.5) running the compiled finish
-// algorithm. Combinations that cannot stream return the ErrUnsupported
-// error captured at compile time.
-//
-// Witness capture follows the stream type (DESIGN.md §12): Type (i) and
-// Type (ii) structures deposit every accepted union's witness edge, feeding
-// the live forest behind the query layer, and Type (iii) — the one
-// streaming combination without forest support — carries the compile-time
-// verdict, surfaced by Incremental.ForestErr.
-func (c *Compiled) NewIncremental(n int) (*Incremental, error) {
-	if c.streamErr != nil {
-		return nil, c.streamErr
-	}
-	inc := c.family.NewIncremental(n, c.cfg, c.streamType)
-	inc.forestErr = c.forestErr
-	return inc, nil
 }

@@ -115,6 +115,17 @@ type Config struct {
 	Stats *unionfind.Stats
 }
 
+// DefaultConfig returns the paper's recommended robust configuration:
+// k-out sampling (hybrid, k = 2) finished by Union-Rem-CAS with
+// SplitAtomicOne and no extra find compression (§4.2 takeaways).
+func DefaultConfig() Config {
+	return Config{
+		Sampling: KOutSampling,
+		Algorithm: Algorithm{Kind: FinishUnionFind, UF: unionfind.Variant{
+			Union: unionfind.UnionRemCAS, Find: unionfind.FindNaive, Splice: unionfind.SplitAtomicOne}},
+	}
+}
+
 // ErrUnsupported reports a framework combination the paper excludes.
 var ErrUnsupported = errors.New("connectit: unsupported combination")
 

@@ -79,17 +79,12 @@ func init() {
 		},
 		NewFinish: newUFFinish,
 		NewForest: newUFForest,
-		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
+		NewStream: func(s *Stream, cfg Config) {
 			// Type (i) logs every union's witness edge; the Type (iii)
 			// combination cannot (Validate rejects it with a log).
 			opt := ufOptions(cfg)
-			opt.WitnessLog = st == TypeAsync
-			return &Incremental{
-				kind:  FinishUnionFind,
-				stype: st,
-				dsu:   unionfind.MustNew(n, opt),
-				n:     n,
-			}
+			opt.WitnessLog = s.stype == TypeAsync
+			s.dsu = unionfind.MustNew(s.n, opt)
 		},
 	})
 
@@ -113,9 +108,8 @@ func init() {
 				return acc
 			}
 		},
-		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
-			return &Incremental{kind: FinishShiloachVishkin, stype: st, parent: Identity(n), n: n,
-				svForest: shiloachvishkin.NewEdgeForestRunner(n)}
+		NewStream: func(s *Stream, _ Config) {
+			s.parent, s.svForest = Identity(s.n), shiloachvishkin.NewEdgeForestRunner(s.n)
 		},
 	})
 
@@ -159,9 +153,8 @@ func init() {
 				return acc
 			}
 		},
-		NewIncremental: func(n int, cfg Config, st StreamType) *Incremental {
-			return &Incremental{kind: FinishLiuTarjan, stype: st, parent: Identity(n), n: n,
-				ltForest: newLTForestRunner(cfg.Algorithm.LT)}
+		NewStream: func(s *Stream, cfg Config) {
+			s.parent, s.ltForest = Identity(s.n), newLTForestRunner(cfg.Algorithm.LT)
 		},
 	})
 

@@ -44,9 +44,10 @@ type Family struct {
 	// hook runs on every representation. nil when ForestSupport always
 	// fails.
 	NewForest func(cfg Config) ForestFunc
-	// NewIncremental constructs the streaming structure for a validated
-	// configuration whose StreamSupport succeeded with st.
-	NewIncremental func(n int, cfg Config, st StreamType) *Incremental
+	// NewStream sets the connectivity state of s — its DSU, or its parent
+	// array and edge runner — for a validated configuration whose
+	// StreamSupport succeeded with s.Type().
+	NewStream func(s *Stream, cfg Config)
 }
 
 // FinishFunc is the compiled finish-phase hook of one algorithm
@@ -111,7 +112,7 @@ type StreamingAlgorithm struct {
 
 // StreamingAlgorithms enumerates, in registry order, every finish algorithm
 // that supports batch-incremental execution, paired with its stream type.
-// The ingest engine's tests and benchmarks iterate this to cover all three
+// The stream tests and benchmarks iterate this to cover all three
 // scheduling disciplines.
 func StreamingAlgorithms() []StreamingAlgorithm {
 	var out []StreamingAlgorithm

@@ -1,4 +1,4 @@
-package ingest
+package core
 
 import (
 	"errors"
@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"connectit/internal/core"
 	"connectit/internal/graph"
 )
 
@@ -22,8 +21,8 @@ func TestSlotIsWholeCacheLines(t *testing.T) {
 	}
 }
 
-// TestStatsExactUnderConcurrency drives every stream type from more
-// goroutines than there are slots (Shards: 1 puts every token on one line;
+// TestStatsExactUnderConcurrency drives every stream type, through Update,
+// UpdateBatch and ProcessBatch, from more goroutines than there are slots (Shards: 1 puts every token on one line;
 // 3 leaves some shared, some not) and checks the derived counters are
 // exact: slot choice is a cost matter only, never a correctness one.
 func TestStatsExactUnderConcurrency(t *testing.T) {
@@ -40,7 +39,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 		for _, shards := range []int{1, 3} {
 			t.Run(fmt.Sprintf("%s/shards=%d", tc.spec, shards), func(t *testing.T) {
 				t.Parallel()
-				s := mustStream(t, n, tc.spec, Options{EpochSize: 64, Shards: shards})
+				s := mustStream(t, n, tc.spec, StreamOptions{EpochSize: 64, Shards: shards})
 				var wg sync.WaitGroup
 				for p := 0; p < producers; p++ {
 					wg.Add(1)
@@ -51,8 +50,9 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 							rng = graph.Hash64(rng)
 							return uint32(rng % n)
 						}
-						// Half the updates go one at a time, half through
-						// UpdateBatch, with the queries spread between.
+						// Half the updates go one at a time, half in
+						// groups that alternate between UpdateBatch and
+						// ProcessBatch, with the queries spread between.
 						group := make([]graph.Edge, 0, batch)
 						for i := 0; i < updates/2; i++ {
 							if err := s.Update(next(), next()); err != nil {
@@ -61,8 +61,14 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 							}
 							group = append(group, graph.Edge{U: next(), V: next()})
 							if len(group) == batch {
-								if err := s.UpdateBatch(group); err != nil {
-									t.Errorf("UpdateBatch: %v", err)
+								var err error
+								if i%(2*batch) < batch {
+									err = s.UpdateBatch(group)
+								} else {
+									_, err = s.ProcessBatch(group, [][2]uint32{{next(), next()}})
+								}
+								if err != nil {
+									t.Errorf("UpdateBatch/ProcessBatch: %v", err)
 									return
 								}
 								group = group[:0]
@@ -101,7 +107,7 @@ func TestStatsExactUnderConcurrency(t *testing.T) {
 // bounds the merges from above.
 func TestStatsTypeIAppliedIsMerges(t *testing.T) {
 	const n = 256
-	s := mustStream(t, n, "uf;async;naive;split-one", Options{})
+	s := mustStream(t, n, "uf;async;naive;split-one", StreamOptions{})
 	for v := n - 2; v >= 0; v-- {
 		s.Update(uint32(v), uint32(v+1))
 	}
@@ -118,7 +124,7 @@ func TestStatsTypeIAppliedIsMerges(t *testing.T) {
 	for _, tc := range typeSpecs {
 		t.Run(tc.spec, func(t *testing.T) {
 			t.Parallel()
-			s := mustStream(t, m, tc.spec, Options{EpochSize: 64})
+			s := mustStream(t, m, tc.spec, StreamOptions{EpochSize: 64})
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)
@@ -137,7 +143,7 @@ func TestStatsTypeIAppliedIsMerges(t *testing.T) {
 			wg.Wait()
 			merges := uint64(m - s.NumComponents())
 			st := s.Stats()
-			if tc.want != core.TypeAsync {
+			if tc.want != TypeAsync {
 				if st.Applied < merges {
 					t.Errorf("Applied %d < n − #components = %d", st.Applied, merges)
 				}
@@ -150,10 +156,11 @@ func TestStatsTypeIAppliedIsMerges(t *testing.T) {
 	}
 }
 
-// TestCloseGateRace races producers against Close on short-lived streams,
+// TestCloseGateRace races producers — Update, UpdateBatch and ProcessBatch
+// calls — against Close on short-lived streams,
 // so that Close lands inside the gate's check / enter / re-check window as
 // often as possible. Every Update that returned nil must be in the final
-// labels, a producer that has seen ErrClosed must never be accepted again,
+// labels, a producer that has seen ErrStreamClosed must never be accepted again,
 // and the gate must be empty once the producers have stopped.
 func TestCloseGateRace(t *testing.T) {
 	const (
@@ -168,7 +175,7 @@ func TestCloseGateRace(t *testing.T) {
 		t.Run(tc.spec, func(t *testing.T) {
 			t.Parallel()
 			for round := 0; round < rounds; round++ {
-				s := mustStream(t, n, tc.spec, Options{EpochSize: 8, Shards: 2})
+				s := mustStream(t, n, tc.spec, StreamOptions{EpochSize: 8, Shards: 2})
 				accepted := make([][]graph.Edge, producers)
 				var wg sync.WaitGroup
 				start := make(chan struct{})
@@ -183,18 +190,27 @@ func TestCloseGateRace(t *testing.T) {
 							rng = graph.Hash64(rng)
 							e := graph.Edge{U: uint32(rng % n), V: uint32((rng >> 32) % n)}
 							var err error
-							if i%4 == 3 {
+							switch i % 4 {
+							case 3:
 								err = s.UpdateBatch([]graph.Edge{e})
-							} else {
+							case 2:
+								var res []bool
+								res, err = s.ProcessBatch([]graph.Edge{e}, [][2]uint32{{e.U, e.V}})
+								// A buffered round answers after its updates.
+								if err == nil && tc.want != TypeAsync && !res[0] {
+									t.Errorf("ProcessBatch did not see its own update")
+									return
+								}
+							default:
 								err = s.Update(e.U, e.V)
 							}
 							switch {
 							case err == nil && refused:
-								t.Errorf("update accepted after an earlier one returned ErrClosed")
+								t.Errorf("update accepted after an earlier one returned ErrStreamClosed")
 								return
 							case err == nil:
 								accepted[p] = append(accepted[p], e)
-							case errors.Is(err, ErrClosed):
+							case errors.Is(err, ErrStreamClosed):
 								refused = true
 							default:
 								t.Errorf("unexpected error %v", err)
@@ -243,40 +259,73 @@ func TestCloseGateRace(t *testing.T) {
 	}
 }
 
-// TestClosePanickedUpdateDoesNotWedge: an Update that panics (a vertex out
-// of range on a Type i stream indexes past the parent array) has entered
-// the gate; it must still leave it, or Close would wait for ever.
+// TestClosePanickedUpdateDoesNotWedge: an update or query naming a vertex
+// out of range panics in the caller, on every stream type, before it can
+// reach a buffer, a lock or a pool worker. A panicked update has entered
+// the gate; it must still leave it, or Close would wait for ever, and the
+// round after the panics must still get every lock — a bad edge a buffered
+// round applied used to panic inside it with roundMu held, and a Type iii
+// query used to panic holding the phase read lock.
 func TestClosePanickedUpdateDoesNotWedge(t *testing.T) {
 	const n = 64
-	s := mustStream(t, n, "uf;rem-cas;naive;split-one", Options{})
-	panicked := func(f func()) (did bool) {
-		defer func() { did = recover() != nil }()
-		f()
-		return false
-	}
-	if !panicked(func() { s.Update(1, n+7) }) {
-		t.Fatal("Update with a vertex out of range did not panic")
-	}
-	// Two edges of the batch land before the bad one; the fourth never runs.
-	batch := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 3}, {U: 4, V: n + 7}, {U: 5, V: 6}}
-	if !panicked(func() { s.UpdateBatch(batch) }) {
-		t.Fatal("UpdateBatch with a vertex out of range did not panic")
-	}
-	if got := s.tally().inFlight(); got != 0 {
-		t.Fatalf("%d updates still in the gate after their calls panicked", got)
-	}
-	closed := make(chan error, 1)
-	go func() { closed <- s.Close() }()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Close wedged behind an Update that panicked")
-	}
-	st := s.Stats()
-	if st.Updates != 2 || st.Applied != 1 || st.Filtered != 1 {
-		t.Fatalf("Stats after the panics = %+v, want the batch's first two edges only", st)
+	for _, spec := range []string{"uf;rem-cas;naive;split-one", "sv", "uf;rem-cas;naive;splice"} {
+		t.Run(spec, func(t *testing.T) {
+			s := mustStream(t, n, spec, StreamOptions{EpochSize: 4})
+			panicked := func(f func()) (did bool) {
+				defer func() { did = recover() != nil }()
+				f()
+				return false
+			}
+			if !panicked(func() { s.Update(1, n+7) }) {
+				t.Fatal("Update with a vertex out of range did not panic")
+			}
+			// Two edges of the batch land before the bad one; the fourth
+			// never runs.
+			batch := []graph.Edge{{U: 1, V: 2}, {U: 3, V: 3}, {U: 4, V: n + 7}, {U: 5, V: 6}}
+			if !panicked(func() { s.UpdateBatch(batch) }) {
+				t.Fatal("UpdateBatch with a vertex out of range did not panic")
+			}
+			// ProcessBatch checks the whole batch before it fans out, and
+			// applies none of it: a bad edge at the end of a batch large
+			// enough to reach the pool used to kill the process.
+			big := make([]graph.Edge, 4096)
+			for i := range big {
+				big[i] = graph.Edge{U: uint32(i % 60), V: uint32(i%60 + 1)}
+			}
+			big[len(big)-1] = graph.Edge{U: n, V: 0}
+			if !panicked(func() { s.ProcessBatch(big, nil) }) {
+				t.Fatal("ProcessBatch with an update out of range did not panic")
+			}
+			if !panicked(func() { s.ProcessBatch([]graph.Edge{{U: 8, V: 9}}, [][2]uint32{{0, n}}) }) {
+				t.Fatal("ProcessBatch with a query out of range did not panic")
+			}
+			if !panicked(func() { s.Connected(n+7, 1) }) {
+				t.Fatal("Connected with a vertex out of range did not panic")
+			}
+			if got := s.tally().inFlight(); got != 0 {
+				t.Fatalf("%d updates still in the gate after their calls panicked", got)
+			}
+			// A round after the panics, then Close, under a guard.
+			closed := make(chan error, 1)
+			go func() {
+				s.UpdateBatch([]graph.Edge{{U: 10, V: 11}, {U: 12, V: 13}, {U: 14, V: 15}, {U: 16, V: 17}})
+				closed <- s.Close()
+			}()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a round or Close wedged behind a call that panicked")
+			}
+			st := s.Stats()
+			if st.Updates != 6 || st.Applied != 5 || st.Filtered != 1 {
+				t.Fatalf("Stats after the panics = %+v, want the batch's first two edges and the last batch only", st)
+			}
+			if l := s.Labels(); l[1] != l[2] || l[10] != l[11] || l[8] == l[9] || l[4] == l[5] {
+				t.Fatal("labels after the panics do not match the accepted updates")
+			}
+		})
 	}
 }

@@ -1,4 +1,4 @@
-package ingest
+package core
 
 import (
 	"errors"
@@ -10,7 +10,7 @@ import (
 )
 
 func TestCloseIdempotentAndSentinel(t *testing.T) {
-	s := mustStream(t, 64, "uf;rem-cas;naive;split-one", Options{})
+	s := mustStream(t, 64, "uf;rem-cas;naive;split-one", StreamOptions{})
 	if err := s.Update(1, 2); err != nil {
 		t.Fatalf("Update before close: %v", err)
 	}
@@ -20,14 +20,14 @@ func TestCloseIdempotentAndSentinel(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if err := s.Update(3, 4); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Update after Close: err = %v, want ErrClosed", err)
+	if err := s.Update(3, 4); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("Update after Close: err = %v, want ErrStreamClosed", err)
 	}
-	if err := s.UpdateBatch([]graph.Edge{{U: 3, V: 4}}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("UpdateBatch after Close: err = %v, want ErrClosed", err)
+	if err := s.UpdateBatch([]graph.Edge{{U: 3, V: 4}}); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("UpdateBatch after Close: err = %v, want ErrStreamClosed", err)
 	}
-	if _, err := s.Connected(1, 2); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Connected after Close: err = %v, want ErrClosed", err)
+	if _, err := s.Connected(1, 2); !errors.Is(err, ErrStreamClosed) {
+		t.Fatalf("Connected after Close: err = %v, want ErrStreamClosed", err)
 	}
 	// The terminal state stays queryable through the read-only surface.
 	labels := s.Labels()
@@ -63,13 +63,13 @@ func (d *dsu) union(u, v uint32) { d.p[d.find(u)] = d.find(v) }
 // TestCloseUnderTraffic closes every stream type while producers and
 // queriers are mid-flight. Run under -race this is the server-grade
 // shutdown check: concurrent Update/Connected after Close must return
-// ErrClosed, never race with the teardown, and every update acknowledged
+// ErrStreamClosed, never race with the teardown, and every update acknowledged
 // (nil error) before the close must be present in the final state.
 func TestCloseUnderTraffic(t *testing.T) {
 	const n = 512
 	for _, tc := range typeSpecs {
 		t.Run(tc.spec, func(t *testing.T) {
-			s := mustStream(t, n, tc.spec, Options{EpochSize: 16})
+			s := mustStream(t, n, tc.spec, StreamOptions{EpochSize: 16})
 			type edge struct{ u, v uint32 }
 			accepted := make([][]edge, 8)
 			var started, closedErrs atomic.Uint64
@@ -93,7 +93,7 @@ func TestCloseUnderTraffic(t *testing.T) {
 						}
 						if err := s.Update(u, v); err == nil {
 							accepted[w] = append(accepted[w], edge{u, v})
-						} else if !errors.Is(err, ErrClosed) {
+						} else if !errors.Is(err, ErrStreamClosed) {
 							t.Errorf("Update: unexpected error %v", err)
 							return
 						} else {
@@ -140,7 +140,7 @@ func TestCloseUnderTraffic(t *testing.T) {
 // TestConcurrentClose hammers Close from many goroutines; all must return
 // nil and observe the fully-drained stream.
 func TestConcurrentClose(t *testing.T) {
-	s := mustStream(t, 128, "uf;rem-cas;naive;split-one", Options{})
+	s := mustStream(t, 128, "uf;rem-cas;naive;split-one", StreamOptions{})
 	for i := uint32(0); i < 127; i++ {
 		if err := s.Update(i, i+1); err != nil {
 			t.Fatal(err)

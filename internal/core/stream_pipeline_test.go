@@ -1,15 +1,14 @@
-package ingest
+package core
 
 import (
 	"testing"
 
-	"connectit/internal/core"
 	"connectit/internal/graph"
 	"connectit/internal/testutil"
 )
 
 // conn is Connected with the close error discarded: the tests below own
-// their streams' lifecycles, so ErrClosed cannot occur unless a test
+// their streams' lifecycles, so ErrStreamClosed cannot occur unless a test
 // arranges it (close_test exercises the error path explicitly).
 func conn(s *Stream, u, v uint32) bool {
 	same, _ := s.Connected(u, v)
@@ -17,35 +16,39 @@ func conn(s *Stream, u, v uint32) bool {
 }
 
 // mustStream opens a Stream for the given algorithm spec.
-func mustStream(t *testing.T, n int, spec string, opt Options) *Stream {
+func mustStream(t *testing.T, n int, spec string, opt StreamOptions) *Stream {
 	t.Helper()
-	cfg, err := core.ParseConfig("none;" + spec)
+	cfg, err := ParseConfig("none;" + spec)
 	if err != nil {
 		t.Fatalf("ParseConfig(%q): %v", spec, err)
 	}
-	inc, err := core.NewIncremental(n, cfg)
+	c, err := Compile(cfg)
 	if err != nil {
-		t.Fatalf("NewIncremental(%q): %v", spec, err)
+		t.Fatalf("Compile(%q): %v", spec, err)
 	}
-	return New(inc, opt)
+	s, err := c.NewStream(n, opt)
+	if err != nil {
+		t.Fatalf("NewStream(%q): %v", spec, err)
+	}
+	return s
 }
 
 // typeSpecs is one representative spec per scheduling discipline.
 var typeSpecs = []struct {
 	spec string
-	want core.StreamType
+	want StreamType
 }{
-	{"uf;async;naive;split-one", core.TypeAsync},
-	{"uf;rem-cas;split;split-one", core.TypeAsync},
-	{"sv", core.TypeSynchronous},
-	{"lt;CRFA", core.TypeSynchronous},
-	{"uf;rem-cas;naive;splice", core.TypePhased},
-	{"uf;rem-lock;naive;splice", core.TypePhased},
+	{"uf;async;naive;split-one", TypeAsync},
+	{"uf;rem-cas;split;split-one", TypeAsync},
+	{"sv", TypeSynchronous},
+	{"lt;CRFA", TypeSynchronous},
+	{"uf;rem-cas;naive;splice", TypePhased},
+	{"uf;rem-lock;naive;splice", TypePhased},
 }
 
 func TestStreamTypes(t *testing.T) {
 	for _, tc := range typeSpecs {
-		s := mustStream(t, 8, tc.spec, Options{})
+		s := mustStream(t, 8, tc.spec, StreamOptions{})
 		if s.Type() != tc.want {
 			t.Errorf("%s: stream type %v, want %v", tc.spec, s.Type(), tc.want)
 		}
@@ -58,7 +61,7 @@ func TestStreamSequentialPath(t *testing.T) {
 	const n = 1000
 	for _, tc := range typeSpecs {
 		t.Run(tc.spec, func(t *testing.T) {
-			s := mustStream(t, n, tc.spec, Options{EpochSize: 64, Shards: 2})
+			s := mustStream(t, n, tc.spec, StreamOptions{EpochSize: 64, Shards: 2})
 			for v := uint32(0); v < n-1; v++ {
 				s.Update(v, v+1)
 			}
@@ -84,7 +87,7 @@ func TestStreamPrefilterDropsIntraComponent(t *testing.T) {
 	// After a component is fully connected, re-sending its edges must be
 	// filtered (Type i filters per call; buffered types filter at apply).
 	const n = 256
-	s := mustStream(t, n, "uf;async;naive;split-one", Options{})
+	s := mustStream(t, n, "uf;async;naive;split-one", StreamOptions{})
 	for v := uint32(0); v < n-1; v++ {
 		s.Update(v, v+1)
 	}
@@ -101,7 +104,7 @@ func TestStreamPrefilterDropsIntraComponent(t *testing.T) {
 	}
 
 	// Buffered discipline: the whole redundant epoch is dropped at apply.
-	sb := mustStream(t, n, "sv", Options{EpochSize: 32})
+	sb := mustStream(t, n, "sv", StreamOptions{EpochSize: 32})
 	for v := uint32(0); v < n-1; v++ {
 		sb.Update(v, v+1)
 	}
@@ -120,7 +123,7 @@ func TestStreamPrefilterDropsIntraComponent(t *testing.T) {
 }
 
 func TestStreamSelfLoopsAndRedundantEdges(t *testing.T) {
-	s := mustStream(t, 16, "uf;async;naive;split-one", Options{})
+	s := mustStream(t, 16, "uf;async;naive;split-one", StreamOptions{})
 	s.Update(3, 3)
 	s.Update(0, 1)
 	s.Update(1, 0) // redundant: the union finds one root and joins nothing
@@ -135,7 +138,7 @@ func TestStreamSelfLoopsAndRedundantEdges(t *testing.T) {
 
 func TestStreamQueriesSeeOnlyAcceptedUpdates(t *testing.T) {
 	for _, tc := range typeSpecs {
-		s := mustStream(t, 64, tc.spec, Options{EpochSize: 8})
+		s := mustStream(t, 64, tc.spec, StreamOptions{EpochSize: 8})
 		if conn(s, 1, 2) {
 			t.Fatalf("%s: empty stream reports connectivity", tc.spec)
 		}
@@ -152,7 +155,7 @@ func TestStreamQueriesSeeOnlyAcceptedUpdates(t *testing.T) {
 // non-empty shard, and a single drain coalesces them into one apply round.
 func TestSyncCoalescesResidualEpochs(t *testing.T) {
 	const n = 1 << 12
-	s := mustStream(t, n, "sv", Options{EpochSize: 1 << 16, Shards: 4})
+	s := mustStream(t, n, "sv", StreamOptions{EpochSize: 1 << 16, Shards: 4})
 	for i := 0; i < 2000; i++ {
 		u := uint32(i) % (n - 1)
 		s.Update(u, u+1)
@@ -182,7 +185,7 @@ func TestRoundRespectsCoalesceBound(t *testing.T) {
 		shards = 32
 		epoch  = 64
 	)
-	s := mustStream(t, n, "sv", Options{Shards: shards, EpochSize: epoch})
+	s := mustStream(t, n, "sv", StreamOptions{Shards: shards, EpochSize: epoch})
 	// Distinct path edges, kept only while their shard has room, so no
 	// shard seals before Sync.
 	fill := map[*shard]int{}
@@ -214,12 +217,12 @@ func TestRoundRespectsCoalesceBound(t *testing.T) {
 }
 
 func TestStreamingAlgorithmsEnumerates(t *testing.T) {
-	seen := map[core.StreamType]int{}
-	for _, sa := range core.StreamingAlgorithms() {
+	seen := map[StreamType]int{}
+	for _, sa := range StreamingAlgorithms() {
 		seen[sa.Type]++
 	}
 	// 34 async UF variants + 2 Rem+SpliceAtomic phased + SV + 8 RootUp LT.
-	if seen[core.TypeAsync] == 0 || seen[core.TypeSynchronous] == 0 || seen[core.TypePhased] == 0 {
+	if seen[TypeAsync] == 0 || seen[TypeSynchronous] == 0 || seen[TypePhased] == 0 {
 		t.Fatalf("StreamingAlgorithms missing a discipline: %v", seen)
 	}
 }

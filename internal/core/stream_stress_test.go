@@ -1,4 +1,4 @@
-package ingest
+package core
 
 import (
 	"fmt"
@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"connectit/internal/core"
 	"connectit/internal/graph"
 )
 
@@ -100,8 +99,8 @@ func TestStreamStress(t *testing.T) {
 				finalRoot[v] = final.find(uint32(v))
 			}
 
-			s := mustStream(t, n, spec, Options{EpochSize: 256, Shards: 4})
-			async := s.Type() == core.TypeAsync
+			s := mustStream(t, n, spec, StreamOptions{EpochSize: 256, Shards: 4})
+			async := s.Type() == TypeAsync
 
 			var falsePos atomic.Uint64
 			var ownViolation atomic.Uint64
@@ -184,7 +183,7 @@ func TestStreamStressManyProducers(t *testing.T) {
 	}
 	const producers = 16
 	n := 1 << 9
-	opts := []Options{
+	opts := []StreamOptions{
 		{},                               // defaults
 		{EpochSize: 32, Shards: 1},       // tiny epochs, single shard
 		{EpochSize: 1 << 14, Shards: 32}, // epochs never self-seal: Sync path

@@ -1,4 +1,4 @@
-package ingest
+package core
 
 import (
 	"sync"
@@ -36,7 +36,7 @@ func TestSyncVisibilityConcurrentSyncs(t *testing.T) {
 			// Epochs never self-seal (the per-shard buffer never reaches
 			// EpochSize): every update sits in a shard buffer until a Sync
 			// drains it.
-			s := mustStream(t, n, spec, Options{EpochSize: pad, Shards: 4})
+			s := mustStream(t, n, spec, StreamOptions{EpochSize: pad, Shards: 4})
 			violations := 0
 			for i := 0; i < iters; i++ {
 				u := uint32(padTop) + uint32(2*i)
@@ -90,7 +90,7 @@ func TestLabelsMonotoneUnderConcurrentUpdates(t *testing.T) {
 	}
 	for _, spec := range []string{"uf;async;naive;split-one", "uf;rem-cas;halve;halve-one"} {
 		t.Run(spec, func(t *testing.T) {
-			s := mustStream(t, n, spec, Options{})
+			s := mustStream(t, n, spec, StreamOptions{})
 			final := newOracle(n)
 			tapes := make([][]graph.Edge, producers)
 			rng := uint64(31)
@@ -170,7 +170,7 @@ func TestStatsQuiescentInvariant(t *testing.T) {
 	for _, tc := range typeSpecs {
 		t.Run(tc.spec, func(t *testing.T) {
 			t.Parallel()
-			s := mustStream(t, n, tc.spec, Options{EpochSize: 128, Shards: 4})
+			s := mustStream(t, n, tc.spec, StreamOptions{EpochSize: 128, Shards: 4})
 			var wg sync.WaitGroup
 			for p := 0; p < producers; p++ {
 				wg.Add(1)

@@ -11,21 +11,24 @@ import (
 	"connectit/internal/unionfind"
 )
 
-// streamAlgorithms enumerates every streaming-capable algorithm: all 36
-// union-find variants (Rem+SpliceAtomic becomes Type iii), SV, and the
-// RootUp Liu-Tarjan variants.
-func streamAlgorithms() []Algorithm {
-	var out []Algorithm
-	for _, v := range unionfind.Variants() {
-		out = append(out, Algorithm{Kind: FinishUnionFind, UF: v})
+// newStream opens a stream with the default options for alg.
+func newStream(n int, alg Algorithm) (*Stream, error) {
+	c, err := Compile(Config{Algorithm: alg})
+	if err != nil {
+		return nil, err
 	}
-	out = append(out, Algorithm{Kind: FinishShiloachVishkin})
-	for _, v := range liutarjan.Variants() {
-		if v.RootBased() {
-			out = append(out, Algorithm{Kind: FinishLiuTarjan, LT: v})
-		}
+	return c.NewStream(n, StreamOptions{})
+}
+
+// processBatch is ProcessBatch on a stream the test owns, which cannot be
+// closed under it.
+func processBatch(t *testing.T, s *Stream, updates []graph.Edge, queries [][2]uint32) []bool {
+	t.Helper()
+	res, err := s.ProcessBatch(updates, queries)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return res
 }
 
 func splitBatches(edges []graph.Edge, batch int) [][]graph.Edge {
@@ -40,18 +43,18 @@ func splitBatches(edges []graph.Edge, batch int) [][]graph.Edge {
 	return out
 }
 
-// TestStreamingMatrix ingests a graph in batches through every streaming
-// algorithm and checks the final components against ground truth, plus
-// mid-stream query consistency.
+// TestStreamingMatrix ingests a graph in ProcessBatch calls through every
+// streaming algorithm and checks the final components against ground
+// truth, plus mid-stream query consistency.
 func TestStreamingMatrix(t *testing.T) {
 	g := graph.RMAT(10, 4000, 0.57, 0.19, 0.19, 13)
 	edges := g.Edges()
 	want := testutil.Components(g)
-	for _, alg := range streamAlgorithms() {
-		alg := alg
+	for _, sa := range StreamingAlgorithms() {
+		alg := sa.Algorithm
 		t.Run(alg.Name(), func(t *testing.T) {
 			t.Parallel()
-			inc, err := NewIncremental(g.NumVertices(), Config{Algorithm: alg})
+			s, err := newStream(g.NumVertices(), alg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,8 +64,8 @@ func TestStreamingMatrix(t *testing.T) {
 				for i, e := range b {
 					queries[i] = [2]uint32{e.U, e.V}
 				}
-				res := inc.ProcessBatch(b, queries)
-				if inc.Type() != TypeAsync {
+				res := processBatch(t, s, b, queries)
+				if s.Type() != TypeAsync {
 					// For phase-separated/synchronous types the queries run
 					// after all updates, so every queried edge is connected.
 					for i, r := range res {
@@ -73,7 +76,10 @@ func TestStreamingMatrix(t *testing.T) {
 					}
 				}
 			}
-			testutil.CheckPartition(t, alg.Name(), inc.Labels(), want)
+			testutil.CheckPartition(t, alg.Name(), s.Labels(), want)
+			if st := s.Stats(); st.Updates != uint64(len(edges)) || st.Filtered+st.Applied != st.Updates {
+				t.Fatalf("Stats %+v after %d updates", st, len(edges))
+			}
 		})
 	}
 }
@@ -90,12 +96,12 @@ func TestStreamingTypesClassified(t *testing.T) {
 		{Algorithm{Kind: FinishShiloachVishkin}, TypeSynchronous},
 	}
 	for _, c := range cases {
-		inc, err := NewIncremental(10, Config{Algorithm: c.alg})
+		s, err := newStream(10, c.alg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if inc.Type() != c.want {
-			t.Fatalf("%s: type = %v, want %v", c.alg.Name(), inc.Type(), c.want)
+		if s.Type() != c.want {
+			t.Fatalf("%s: type = %v, want %v", c.alg.Name(), s.Type(), c.want)
 		}
 	}
 }
@@ -107,44 +113,48 @@ func TestStreamingRejectsUnsupported(t *testing.T) {
 		{Kind: FinishLiuTarjan, LT: liutarjan.Variant{Connect: liutarjan.ParentConnect}},
 	}
 	for _, alg := range unsupported {
-		if _, err := NewIncremental(10, Config{Algorithm: alg}); err == nil {
+		if _, err := newStream(10, alg); err == nil {
 			t.Fatalf("%s: expected ErrUnsupported", alg.Name())
 		}
 	}
 }
 
 func TestStreamingQueriesBeforeAnyEdges(t *testing.T) {
-	inc, err := NewIncremental(5, Config{Algorithm: Algorithm{Kind: FinishShiloachVishkin}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := inc.ProcessBatch(nil, [][2]uint32{{0, 1}, {2, 2}})
-	if res[0] || !res[1] {
-		t.Fatalf("empty-graph queries = %v, want [false true]", res)
-	}
-	if inc.NumComponents() != 5 {
-		t.Fatalf("components = %d, want 5", inc.NumComponents())
+	for _, sa := range StreamingAlgorithms() {
+		s, err := newStream(5, sa.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := processBatch(t, s, nil, [][2]uint32{{0, 1}, {2, 2}})
+		if res[0] || !res[1] {
+			t.Fatalf("%s: empty-graph queries = %v, want [false true]", sa.Algorithm.Name(), res)
+		}
+		if s.NumComponents() != 5 {
+			t.Fatalf("%s: components = %d, want 5", sa.Algorithm.Name(), s.NumComponents())
+		}
 	}
 }
 
 // TestStreamingBatchPartitionInvariance: the final partition must not
-// depend on how the edge stream is cut into batches.
+// depend on how the edge stream is cut into batches, on any streaming
+// algorithm.
 func TestStreamingBatchPartitionInvariance(t *testing.T) {
-	f := func(raw []uint16, batchSeed uint8) bool {
+	algs := StreamingAlgorithms()
+	f := func(raw []uint16, batchSeed, algSeed uint8) bool {
 		const n = 48
 		edges := make([]graph.Edge, 0, len(raw))
 		for _, r := range raw {
 			edges = append(edges, graph.Edge{U: uint32(r) % n, V: uint32(r>>8) % n})
 		}
-		alg := Algorithm{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemCAS, Splice: unionfind.HalveAtomicOne, Find: unionfind.FindSplit}}
+		alg := algs[int(algSeed)%len(algs)].Algorithm
 		batch := int(batchSeed)%7 + 1
-		inc1, _ := NewIncremental(n, Config{Algorithm: alg})
+		s1, _ := newStream(n, alg)
 		for _, b := range splitBatches(edges, batch) {
-			inc1.ProcessBatch(b, nil)
+			processBatch(t, s1, b, nil)
 		}
-		inc2, _ := NewIncremental(n, Config{Algorithm: alg})
-		inc2.ProcessBatch(edges, nil)
-		l1, l2 := inc1.Labels(), inc2.Labels()
+		s2, _ := newStream(n, alg)
+		processBatch(t, s2, edges, nil)
+		l1, l2 := s1.Labels(), s2.Labels()
 		for a := 0; a < n; a++ {
 			for b := a + 1; b < n; b++ {
 				if (l1[a] == l1[b]) != (l2[a] == l2[b]) {
@@ -161,10 +171,11 @@ func TestStreamingBatchPartitionInvariance(t *testing.T) {
 
 // TestApplyBatchDuplicatesMatchOracle pushes one batch that holds every
 // edge three times, alternating orientation, plus self-loops, through each
-// stream type's apply path, with the forest captured wherever the stream
-// type captures one. ApplyBatch does no deduplication, so the
+// stream type's ProcessBatch, with the forest captured wherever the stream
+// type captures one. The apply path does no deduplication, so the
 // partition and the captured forest must come out right from idempotent
-// unions alone, and the batch must come back unmodified.
+// unions and the pre-filter alone, and the batch must come back
+// unmodified.
 func TestApplyBatchDuplicatesMatchOracle(t *testing.T) {
 	const n = 1 << 11
 	edges := graph.RMATEdges(11, 3*n, 0.5, 0.1, 0.1, 7)
@@ -190,19 +201,19 @@ func TestApplyBatchDuplicatesMatchOracle(t *testing.T) {
 		{Kind: FinishLiuTarjan, LT: crfa}, // Type ii
 		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemCAS, Splice: unionfind.SpliceAtomic}}, // Type iii
 	} {
-		inc, err := NewIncremental(n, Config{Algorithm: alg})
+		s, err := newStream(n, alg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		name := alg.Name()
-		inc.ApplyBatch(batch)
-		testutil.CheckPartition(t, name, inc.Labels(), want)
-		if inc.ForestErr() == nil { // Type iii has no forest to capture
-			_, forest := inc.ForestPull(0, nil)
+		processBatch(t, s, batch, nil)
+		testutil.CheckPartition(t, name, s.Labels(), want)
+		if s.forestErr == nil { // Type iii has no forest to capture
+			_, forest := streamSource{s}.ForestPull(0, nil)
 			testutil.CheckSpanningForest(t, name, g, forest)
 		}
 		if !slices.Equal(batch, input) {
-			t.Fatalf("%s: ApplyBatch modified its input", name)
+			t.Fatalf("%s: ProcessBatch modified its input", name)
 		}
 	}
 }
@@ -215,22 +226,21 @@ func TestStreamingMixedUpdatesQueries(t *testing.T) {
 	for i := range edges {
 		edges[i] = graph.Edge{U: uint32(i), V: uint32(i + 1)}
 	}
-	for _, alg := range []Algorithm{
-		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionAsync, Find: unionfind.FindHalve}},
-		{Kind: FinishUnionFind, UF: unionfind.Variant{Union: unionfind.UnionRemLock, Splice: unionfind.SpliceAtomic}},
-		{Kind: FinishShiloachVishkin},
-	} {
-		inc, err := NewIncremental(n, Config{Algorithm: alg})
+	for _, sa := range StreamingAlgorithms() {
+		s, err := newStream(n, sa.Algorithm)
 		if err != nil {
 			t.Fatal(err)
 		}
 		queries := [][2]uint32{{0, n - 1}, {5, 6}}
 		var last []bool
 		for _, b := range splitBatches(edges, 97) {
-			last = inc.ProcessBatch(b, queries)
+			last = processBatch(t, s, b, queries)
 		}
+		// A Type i batch's queries may race its own unions; one more
+		// round of queries sees them all.
+		last = processBatch(t, s, nil, queries)
 		if !last[0] || !last[1] {
-			t.Fatalf("%s: final queries = %v, want all true", alg.Name(), last)
+			t.Fatalf("%s: final queries = %v, want all true", sa.Algorithm.Name(), last)
 		}
 	}
 }

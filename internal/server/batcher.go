@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"connectit/internal/core"
 	"connectit/internal/graph"
-	"connectit/internal/ingest"
 	"connectit/internal/wal"
 )
 
@@ -62,7 +62,7 @@ type group struct {
 // failed attempt means a kick is still pending, and the loop follows its
 // consumption with a swap under mu, which sees the append.
 type batcher struct {
-	st       *ingest.Stream
+	st       *core.Stream
 	log      *wal.Log // nil: no durability, flush feeds the stream only
 	capEdges int      // admission cap per group; maxGroupEdges outside tests
 
@@ -88,7 +88,7 @@ type batcher struct {
 	wg   sync.WaitGroup
 }
 
-func newBatcher(st *ingest.Stream, log *wal.Log) *batcher {
+func newBatcher(st *core.Stream, log *wal.Log) *batcher {
 	b := &batcher{
 		st:       st,
 		log:      log,

@@ -212,7 +212,7 @@ func TestAuthToken(t *testing.T) {
 // New must reject an unparseable fault spec instead of silently arming
 // nothing.
 func TestBadFaultSpecRejected(t *testing.T) {
-	_, err := New(testStream(t, 8), Options{FaultSpec: "wal.sync:bogus"})
+	_, err := New(Options{NumVertices: 8, FaultSpec: "wal.sync:bogus"})
 	if err == nil {
 		t.Fatal("bad fault spec accepted")
 	}
@@ -220,7 +220,8 @@ func TestBadFaultSpecRejected(t *testing.T) {
 
 // Start applies the hardening options to the HTTP server.
 func TestHTTPServerHardening(t *testing.T) {
-	s, err := New(testStream(t, 8), Options{
+	s, err := New(Options{
+		NumVertices:       8,
 		Addr:              "127.0.0.1:0",
 		ReadHeaderTimeout: 7 * time.Second,
 		ReadTimeout:       -1, // disabled

@@ -105,7 +105,7 @@ func startedServer(t *testing.T, n int, opt Options) *Server {
 	t.Helper()
 	opt.Addr = "127.0.0.1:0"
 	opt.IngestAddr = "127.0.0.1:0"
-	s, err := New(testStream(t, n), opt)
+	s, err := New(sized(n, "", opt))
 	if err != nil {
 		t.Fatal(err)
 	}

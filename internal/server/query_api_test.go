@@ -14,9 +14,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"connectit/internal/core"
-	"connectit/internal/ingest"
 )
 
 func TestServeForestQueries(t *testing.T) {
@@ -103,15 +100,7 @@ func TestServeForestQueries(t *testing.T) {
 // forest, so the query endpoints answer 501 with the capability verdict
 // while the label-based endpoints keep working.
 func TestServeForestQueriesUnsupported(t *testing.T) {
-	cfg, err := core.ParseConfig("none;uf;rem-cas;naive;splice")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc, err := core.NewIncremental(64, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(ingest.New(inc, ingest.Options{}), Options{})
+	s, err := New(sized(64, "uf;rem-cas;naive;splice", Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +136,7 @@ func TestRecoveryForestQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	o := newOracle(n)
 
-	s1, err := New(testStream(t, n), durableOptions(dir))
+	s1, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +147,7 @@ func TestRecoveryForestQueries(t *testing.T) {
 	submitRandom(t, s1, o, n, 15, 8, rng)
 	crash(s1)
 
-	s2, err := New(testStream(t, n), durableOptions(dir))
+	s2, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

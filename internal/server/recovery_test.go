@@ -106,14 +106,14 @@ func TestRecoveryAfterCrash(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	o := newOracle(n)
 
-	s1, err := New(testStream(t, n), durableOptions(dir))
+	s1, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	submitRandom(t, s1, o, n, 40, 8, rng)
 	crash(s1)
 
-	s2, err := New(testStream(t, n), durableOptions(dir))
+	s2, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}
@@ -138,7 +138,7 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	o := newOracle(n)
 
-	s1, err := New(testStream(t, n), durableOptions(dir))
+	s1, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	submitRandom(t, s1, o, n, 30, 8, rng) // the tail beyond the snapshot
 	crash(s1)
 
-	s2, err := New(testStream(t, n), durableOptions(dir))
+	s2, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatalf("recovery with snapshot: %v", err)
 	}
@@ -176,7 +176,7 @@ func TestGracefulClosePersistsEverything(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	o := newOracle(n)
 
-	s1, err := New(testStream(t, n), durableOptions(dir))
+	s1, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestGracefulClosePersistsEverything(t *testing.T) {
 		t.Fatalf("graceful Close: %v", err)
 	}
 
-	s2, err := New(testStream(t, n), durableOptions(dir))
+	s2, err := New(sized(n, "", durableOptions(dir)))
 	if err != nil {
 		t.Fatalf("restart after graceful close: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestRecoveryPathsUseIngestedEdges(t *testing.T) {
 			rng := rand.New(rand.NewSource(5))
 			o := newOracle(n)
 
-			s1, err := New(specStream(t, n, spec), durableOptions(dir))
+			s1, err := New(sized(n, spec, durableOptions(dir)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -224,7 +224,7 @@ func TestRecoveryPathsUseIngestedEdges(t *testing.T) {
 			ingested = append(ingested, submitRandom(t, s1, o, n, 10, 4, rng)...)
 			crash(s1)
 
-			s2, err := New(specStream(t, n, spec), durableOptions(dir))
+			s2, err := New(sized(n, spec, durableOptions(dir)))
 			if err != nil {
 				t.Fatalf("recovery: %v", err)
 			}
@@ -270,15 +270,15 @@ func TestRecoveryPathsUseIngestedEdges(t *testing.T) {
 // TestRecoveryRejectsOutOfRangeEdges reboots a log written for 256 vertices
 // on a 128-vertex stream, once through the WAL tail and once through a
 // snapshot: New must fail with an error naming the record or the file, and
-// must not hand the stream an out-of-range endpoint, which panics (for
-// Type i in the caller, for Types ii and iii in an apply goroutine).
+// must not hand the stream an out-of-range endpoint, which the stream
+// refuses with a panic in the calling goroutine on every stream type.
 func TestRecoveryRejectsOutOfRangeEdges(t *testing.T) {
 	for _, spec := range []string{"uf;rem-cas;naive;split-one", "sv", "uf;rem-cas;naive;splice"} {
 		for _, snapshot := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/snapshot=%v", spec, snapshot), func(t *testing.T) {
 				dir := t.TempDir()
 				rng := rand.New(rand.NewSource(9))
-				s1, err := New(specStream(t, 256, spec), durableOptions(dir))
+				s1, err := New(sized(256, spec, durableOptions(dir)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,9 +292,7 @@ func TestRecoveryRejectsOutOfRangeEdges(t *testing.T) {
 				}
 				crash(s1)
 
-				st := specStream(t, 128, spec)
-				defer st.Close()
-				s2, err := New(st, durableOptions(dir))
+				s2, err := New(sized(128, spec, durableOptions(dir)))
 				if err == nil {
 					s2.Close(context.Background())
 					t.Fatal("New booted a 128-vertex stream over a 256-vertex log")

@@ -1,5 +1,5 @@
-// Package server wraps the ingest engine as a network service: an
-// HTTP+JSON surface over a Stream, a self-clocking batcher that group-
+// Package server wraps a core.Stream as a network service: an
+// HTTP+JSON surface over the stream, a self-clocking batcher that group-
 // commits accepted updates through a write-ahead log before they enter the
 // epoch pipeline, snapshot-based log compaction, replay-on-boot recovery,
 // and a Prometheus-text metrics registry (DESIGN.md §11).
@@ -27,17 +27,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"connectit/internal/core"
 	"connectit/internal/fault"
 	"connectit/internal/graph"
-	"connectit/internal/ingest"
 	"connectit/internal/parallel"
 	"connectit/internal/query"
 	"connectit/internal/wal"
 	"connectit/internal/wire"
 )
 
-// Options configures a Server. The zero value serves on :8080 without
-// durability.
+// Options configures a Server. The zero value (plus a vertex count) serves
+// the default configuration on :8080 without durability.
 type Options struct {
 	// Addr is the listen address. Default ":8080".
 	Addr string
@@ -45,6 +45,13 @@ type Options struct {
 	// binary TCP ingest protocol (DESIGN.md §13) on that address:
 	// length-prefixed wire frames, pipelined, with batched LSN acks.
 	IngestAddr string
+	// NumVertices is the vertex universe size. Required.
+	NumVertices int
+	// Spec selects the algorithm ("<sampling>;<algorithm>" as accepted by
+	// core.ParseConfig); empty selects core.DefaultConfig.
+	Spec string
+	// Stream tunes the stream's sharding and epoch size.
+	Stream core.StreamOptions
 	// WALDir enables durability: accepted update batches append to a
 	// write-ahead log there before entering the pipeline, and boot replays
 	// snapshot+tail. Empty disables durability (a pure in-memory service).
@@ -124,11 +131,11 @@ func (o Options) withDefaults() Options {
 }
 
 // Server is the connectivity service: it owns the batcher, the WAL, the
-// metrics registry, and the HTTP surface over one ingest.Stream. Build one
+// metrics registry, and the HTTP surface over one core.Stream. Build one
 // with New (which runs recovery), then Start/Close it, or mount Handler
 // into an existing mux.
 type Server struct {
-	st  *ingest.Stream
+	st  *core.Stream
 	log *wal.Log // nil without durability
 	bat *batcher
 	opt Options
@@ -177,12 +184,37 @@ type Server struct {
 	closeOnce sync.Once
 }
 
-// New builds a Server over st. When opt.WALDir is set it first recovers:
+// New compiles opt.Spec and opens a stream over opt.NumVertices vertices,
+// then builds the Server over it. When opt.WALDir is set it first recovers:
 // the newest snapshot is fed, the WAL tail is replayed, and the stream is
 // synced, so the returned server answers from exactly the state every
-// previously-acknowledged update implies.
-func New(st *ingest.Stream, opt Options) (*Server, error) {
-	opt = opt.withDefaults()
+// previously-acknowledged update implies. The stream is the server's: a
+// failed New closes it, and Close closes it.
+func New(opt Options) (*Server, error) {
+	cfg := core.DefaultConfig()
+	if opt.Spec != "" {
+		var err error
+		if cfg, err = core.ParseConfig(opt.Spec); err != nil {
+			return nil, err
+		}
+	}
+	c, err := core.Compile(cfg)
+	if err != nil {
+		return nil, err
+	}
+	st, err := c.NewStream(opt.NumVertices, opt.Stream)
+	if err != nil {
+		return nil, err
+	}
+	s, err := newServer(st, opt.withDefaults())
+	if err != nil {
+		st.Close()
+		return nil, err
+	}
+	return s, nil
+}
+
+func newServer(st *core.Stream, opt Options) (*Server, error) {
 	s := &Server{
 		st:        st,
 		opt:       opt,
@@ -756,7 +788,7 @@ func (s *Server) queryEngine(w http.ResponseWriter) (*query.Engine, bool) {
 // queryError maps a query engine failure: a closed stream is a service
 // state (503), anything else is an internal invariant violation (500).
 func queryError(w http.ResponseWriter, err error) {
-	if errors.Is(err, ingest.ErrClosed) {
+	if errors.Is(err, core.ErrStreamClosed) {
 		httpError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
@@ -823,9 +855,9 @@ func (s *Server) handleComponent(w http.ResponseWriter, r *http.Request) {
 
 // statsResponse is the JSON mirror of /metrics for programmatic consumers.
 type statsResponse struct {
-	Stream ingest.Stats   `json:"stream"`
-	Pool   parallel.Stats `json:"pool"`
-	WAL    *wal.Stats     `json:"wal,omitempty"`
+	Stream core.StreamStats `json:"stream"`
+	Pool   parallel.Stats   `json:"pool"`
+	WAL    *wal.Stats       `json:"wal,omitempty"`
 	Server struct {
 		UptimeSeconds float64 `json:"uptime_seconds"`
 		PendingEpochs int     `json:"pending_epochs"`
@@ -885,15 +917,15 @@ func parseVertex(s string, n int) (uint32, error) {
 // PoolStats, and WAL stats — through the registry, so /metrics is a full
 // view of the system, not just the HTTP edge.
 func (s *Server) registerMetrics() {
-	stream := func(f func(ingest.Stats) uint64) func() uint64 {
+	stream := func(f func(core.StreamStats) uint64) func() uint64 {
 		return func() uint64 { return f(s.st.Stats()) }
 	}
-	s.reg.CounterFunc("connectit_stream_updates_total", "", "Accepted Update calls.", stream(func(st ingest.Stats) uint64 { return st.Updates }))
-	s.reg.CounterFunc("connectit_stream_filtered_total", "", "Updates that joined nothing: self-loops, Type i unions inside one component, and edges the buffered pre-filter dropped.", stream(func(st ingest.Stats) uint64 { return st.Filtered }))
-	s.reg.CounterFunc("connectit_stream_applied_total", "", "Updates past the filter: Type i unions that merged two components, or edges handed to a buffered apply round.", stream(func(st ingest.Stats) uint64 { return st.Applied }))
-	s.reg.CounterFunc("connectit_stream_epochs_total", "", "Sealed epochs queued for apply.", stream(func(st ingest.Stats) uint64 { return st.Epochs }))
-	s.reg.CounterFunc("connectit_stream_rounds_total", "", "Apply rounds run (epochs/rounds is the coalescing win).", stream(func(st ingest.Stats) uint64 { return st.Rounds }))
-	s.reg.CounterFunc("connectit_stream_coalesced_total", "", "Epochs that shared an apply round.", stream(func(st ingest.Stats) uint64 { return st.Coalesced }))
+	s.reg.CounterFunc("connectit_stream_updates_total", "", "Accepted Update calls.", stream(func(st core.StreamStats) uint64 { return st.Updates }))
+	s.reg.CounterFunc("connectit_stream_filtered_total", "", "Updates that joined nothing: self-loops, Type i unions inside one component, and edges the buffered pre-filter dropped.", stream(func(st core.StreamStats) uint64 { return st.Filtered }))
+	s.reg.CounterFunc("connectit_stream_applied_total", "", "Updates past the filter: Type i unions that merged two components, or edges handed to a buffered apply round.", stream(func(st core.StreamStats) uint64 { return st.Applied }))
+	s.reg.CounterFunc("connectit_stream_epochs_total", "", "Sealed epochs queued for apply.", stream(func(st core.StreamStats) uint64 { return st.Epochs }))
+	s.reg.CounterFunc("connectit_stream_rounds_total", "", "Apply rounds run (epochs/rounds is the coalescing win).", stream(func(st core.StreamStats) uint64 { return st.Rounds }))
+	s.reg.CounterFunc("connectit_stream_coalesced_total", "", "Epochs that shared an apply round.", stream(func(st core.StreamStats) uint64 { return st.Coalesced }))
 	s.reg.GaugeFunc("connectit_stream_pending_epochs", "", "Sealed epochs not yet fully applied (backpressure signal).", func() float64 { return float64(s.st.PendingEpochs()) })
 	s.reg.GaugeFunc("connectit_stream_vertices", "", "Vertex universe size.", func() float64 { return float64(s.st.Len()) })
 	s.reg.GaugeFunc("connectit_server_state", "", "Serving state: 0 serving, 1 degraded (reads only), 2 closing.", func() float64 { return float64(s.state.Load()) })

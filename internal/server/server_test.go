@@ -13,34 +13,37 @@ import (
 
 	"connectit/internal/core"
 	"connectit/internal/graph"
-	"connectit/internal/ingest"
 )
 
-// testStream opens a plain union-find stream without going through the
-// public package (which imports this one).
-func testStream(t *testing.T, n int) *ingest.Stream {
+// testStream opens the default algorithm's stream for the batcher tests,
+// which run without a Server.
+func testStream(t *testing.T, n int) *core.Stream {
 	t.Helper()
-	return specStream(t, n, "uf;rem-cas;naive;split-one")
+	c, err := core.Compile(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.NewStream(n, core.StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
 }
 
-// specStream opens an unsampled stream running the algorithm spec names.
-func specStream(t *testing.T, n int, spec string) *ingest.Stream {
-	t.Helper()
-	cfg, err := core.ParseConfig("none;" + spec)
-	if err != nil {
-		t.Fatal(err)
+// sized is opt serving n vertices: the unsampled algorithm spec names, or
+// the default configuration for "".
+func sized(n int, spec string, opt Options) Options {
+	opt.NumVertices = n
+	if spec != "" {
+		opt.Spec = "none;" + spec
 	}
-	inc, err := core.NewIncremental(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ingest.New(inc, ingest.Options{})
+	return opt
 }
 
 // testServer boots an in-memory service with a shutdown hook.
 func testServer(t *testing.T, n int, opt Options) (*Server, *httptest.Server) {
 	t.Helper()
-	s, err := New(testStream(t, n), opt)
+	s, err := New(sized(n, "", opt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +259,7 @@ func TestServeGracefulClose(t *testing.T) {
 // on s.closed let two callers both take the default branch and double-close
 // the channel (panic). All calls must return cleanly.
 func TestServerCloseConcurrent(t *testing.T) {
-	s, err := New(testStream(t, 16), Options{})
+	s, err := New(sized(16, "", Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +339,7 @@ sample:
 }
 
 func TestStartAddrAndRealListener(t *testing.T) {
-	s, err := New(testStream(t, 16), Options{Addr: "127.0.0.1:0"})
+	s, err := New(Options{NumVertices: 16, Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

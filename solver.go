@@ -92,12 +92,3 @@ func (s *Solver) SpanningForest(g GraphRep) ([]Edge, error) {
 	}
 	return s.c.SpanningForest(g)
 }
-
-// NewIncremental creates a streaming connectivity structure over n
-// initially isolated vertices (§3.5) running the compiled finish
-// algorithm. Combinations that cannot stream return the ErrUnsupported
-// error captured at compile time. Unlike the Solver itself, the returned
-// Incremental is safe for the concurrent use its StreamType permits.
-func (s *Solver) NewIncremental(n int) (*Incremental, error) {
-	return s.c.NewIncremental(n)
-}

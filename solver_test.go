@@ -69,10 +69,10 @@ func TestSolverCapabilitiesMatchBehavior(t *testing.T) {
 		if _, err := s.SpanningForest(g); (err == nil) != caps.SpanningForest {
 			t.Errorf("%s: SpanningForest err=%v but capability=%v", a.Name(), err, caps.SpanningForest)
 		}
-		if inc, err := s.NewIncremental(16); (err == nil) != caps.Streaming {
-			t.Errorf("%s: NewIncremental err=%v but capability=%v", a.Name(), err, caps.Streaming)
-		} else if err == nil && inc.Type() != caps.StreamType {
-			t.Errorf("%s: stream type %v != capability %v", a.Name(), inc.Type(), caps.StreamType)
+		if st, err := s.Stream(16); (err == nil) != caps.Streaming {
+			t.Errorf("%s: Stream err=%v but capability=%v", a.Name(), err, caps.Streaming)
+		} else if err == nil && st.Type() != caps.StreamType {
+			t.Errorf("%s: stream type %v != capability %v", a.Name(), st.Type(), caps.StreamType)
 		}
 		if caps.SpanningForest {
 			nForest++

@@ -149,8 +149,8 @@ func TestCompileRejectsExcludedCombinations(t *testing.T) {
 	if caps.Streaming || caps.SpanningForest {
 		t.Fatalf("lt;PUS capabilities = %+v, want neither forest nor streaming", caps)
 	}
-	if _, err := s.NewIncremental(8); !errors.Is(err, ErrUnsupported) {
-		t.Fatalf("NewIncremental(lt;PUS) = %v, want ErrUnsupported", err)
+	if _, err := s.Stream(8); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Stream(lt;PUS) = %v, want ErrUnsupported", err)
 	}
 
 	// RootUp Liu-Tarjan supports both, streaming synchronously.
