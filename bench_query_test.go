@@ -9,6 +9,7 @@ package connectit
 // -benchtime=1x alongside the stream benches.
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -90,13 +91,15 @@ func BenchmarkQueryHistogram(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryLabelsBuild measures QueryLabels — labels in, every counting
-// answer ready — over the labelling shapes that stress its size
-// accumulation differently: one run per chunk (one-giant), a giant with a
-// scattered singleton fringe (the RMAT shape), two giants alternating vertex
-// by vertex (a new run, and a shared counter, at every vertex), and no two
-// vertices sharing a label. Compare -cpu 1 with -cpu 2: no shape may get
-// slower with a second worker.
+// BenchmarkQueryLabelsBuild measures QueryLabels over the labelling shapes
+// that stress the size accumulation differently: one run per chunk
+// (one-giant), a giant with a scattered singleton fringe (the RMAT shape),
+// two giants alternating vertex by vertex (a new run, and a shared counter,
+// at every vertex), and no two vertices sharing a label. count/<shape> is
+// QueryLabels + NumComponents + one Connected, the benchmark's read_ms leg;
+// sizes/<shape> is QueryLabels + LargestComponent, cmd/connectit's summary,
+// which pays for the component sizes too. Compare -cpu 1 with -cpu 2: no
+// shape may get slower with a second worker.
 func BenchmarkQueryLabelsBuild(b *testing.B) {
 	const n = 2_000_000
 	shapes := []struct {
@@ -113,20 +116,39 @@ func BenchmarkQueryLabelsBuild(b *testing.B) {
 		{"interleaved-2", func(i uint32) uint32 { return i & 1 }},
 		{"all-singletons", func(i uint32) uint32 { return i }},
 	}
+	legs := []struct {
+		name string
+		read func(q *Query) error
+	}{
+		{"count", func(q *Query) error {
+			if c, err := q.NumComponents(); err != nil || c == 0 {
+				return fmt.Errorf("NumComponents = (%d, %v)", c, err)
+			}
+			_, err := q.Connected(0, n-1)
+			return err
+		}},
+		{"sizes", func(q *Query) error {
+			if _, size, err := q.LargestComponent(); err != nil || size == 0 {
+				return fmt.Errorf("LargestComponent size = (%d, %v)", size, err)
+			}
+			return nil
+		}},
+	}
 	for _, sh := range shapes {
 		labels := make([]uint32, n)
 		for i := range labels {
 			labels[i] = sh.label(uint32(i))
 		}
-		b.Run(sh.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.SetBytes(4 * n)
-			for i := 0; i < b.N; i++ {
-				q := QueryLabels(labels)
-				if _, size, err := q.LargestComponent(); err != nil || size == 0 {
-					b.Fatal(size, err)
+		for _, leg := range legs {
+			b.Run(leg.name+"/"+sh.name, func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(4 * n)
+				for i := 0; i < b.N; i++ {
+					if err := leg.read(QueryLabels(labels)); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"connectit/internal/graph"
 )
@@ -257,8 +259,30 @@ func TestLabelledForestFieldsUnused(t *testing.T) {
 		}
 	}
 	assertNil("after construction")
-	if len(e.parent) != len(labels) || len(e.size) != len(labels) {
-		t.Fatalf("parent/size lengths = %d/%d, want %d", len(e.parent), len(e.size), len(labels))
+	if len(e.parent) != len(labels) {
+		t.Fatalf("len(parent) = %d, want %d", len(e.parent), len(labels))
+	}
+	// Sizes are built by the first size query, not before.
+	if _, err := e.NumComponents(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Connected(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Component(3); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Labels(); err != nil {
+		t.Fatal(err)
+	}
+	if e.size != nil {
+		t.Fatalf("size is allocated (len %d) before any size query", len(e.size))
+	}
+	if _, err := e.ComponentSize(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.size) != len(labels) {
+		t.Fatalf("after the first size query len(size) = %d, want %d", len(e.size), len(labels))
 	}
 
 	if _, _, err := e.PathBetween(1, 2); !errors.Is(err, ErrNoForest) {
@@ -306,4 +330,122 @@ func TestLabelledRejectsOutOfRangeLabel(t *testing.T) {
 	}
 	labels := giantFringe(n, 9)
 	checkEngine(t, NewLabelled(labels), labels, newCountingOracle(t, labels))
+}
+
+// labelledOrPanic builds a label-backed engine, or returns what
+// NewLabelled panicked with.
+func labelledOrPanic(labels []uint32) (e *Engine, msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			e, msg = nil, fmt.Sprint(r)
+		}
+	}()
+	return NewLabelled(labels), ""
+}
+
+// starMessage is the panic NewLabelled raises for vertex v of a labeling
+// that is in range but not in star form.
+func starMessage(labels []uint32, v int) string {
+	l := labels[v]
+	return fmt.Sprintf("labels[%d] = %d is not a root (labels[%d] = %d)", v, l, l, labels[l])
+}
+
+// TestLabelledRejectsNonStarLabeling: a label that is not a root would make
+// find spin on a cycle or count a vertex into the wrong component, so the
+// construction pass rejects it, naming the lowest bad vertex; an
+// out-of-range label anywhere takes precedence.
+func TestLabelledRejectsNonStarLabeling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const n = 5*labelGrain + 3
+	chain := func(vs ...int) []uint32 {
+		labels := giantFringe(n, 9)
+		for _, v := range vs {
+			labels[v] = 1 // 1 is a non-root of the giant (labels[1] = 0 or 1)
+		}
+		labels[1] = 0
+		return labels
+	}
+	big := chain(4*labelGrain+1, labelGrain+5, n-1)
+	both := chain(7, 2*labelGrain)
+	both[3*labelGrain+1], both[4*labelGrain] = n+3, n
+	for _, tc := range []struct {
+		name   string
+		labels []uint32
+		want   string
+	}{
+		{"cycle", []uint32{1, 0, 2}, "labels[0] = 1 is not a root (labels[1] = 0)"},
+		{"chain", []uint32{0, 0, 1}, "labels[2] = 1 is not a root (labels[1] = 0)"},
+		{"self-then-chain", []uint32{0, 2, 3, 3}, "labels[1] = 2 is not a root (labels[2] = 3)"},
+		{"lowest-of-many-chunks", big, starMessage(big, labelGrain+5)},
+		{"range-wins", both, fmt.Sprintf("labels[%d] = %d is out of range [0, %d)", 3*labelGrain+1, n+3, n)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// find spins forever on a cycle, so an engine that accepts one
+			// is queried under a deadline.
+			done := make(chan string, 1)
+			go func() {
+				e, msg := labelledOrPanic(tc.labels)
+				if e != nil {
+					nc, _ := e.NumComponents()
+					c, _ := e.Connected(0, 2)
+					sz, _ := e.ComponentSize(2)
+					msg = fmt.Sprintf("no panic: NumComponents %d, Connected(0, 2) %v, ComponentSize(2) %d", nc, c, sz)
+				}
+				done <- msg
+			}()
+			select {
+			case msg := <-done:
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("got %q, want a panic containing %q", msg, tc.want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("NewLabelled accepted the labeling and a query did not return in 10s")
+			}
+		})
+	}
+	labels := giantFringe(n, 9)
+	checkEngine(t, NewLabelled(labels), labels, newCountingOracle(t, labels))
+}
+
+// TestLabelledLazySizesConcurrent: the first size queries on a fresh engine
+// race to build the sizes; each must see them complete.
+func TestLabelledLazySizesConcurrent(t *testing.T) {
+	const goroutines = 8
+	for _, sh := range labelShapes {
+		for _, n := range []int{1, 3*labelGrain + 7} {
+			labels := sh.gen(n, 17)
+			o := newCountingOracle(t, labels)
+			e := NewLabelled(labels)
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					// Each goroutine asks in a different order, so every
+					// method gets to be the one that builds.
+					for k := 0; k < 3; k++ {
+						switch (g + k) % 3 {
+						case 0:
+							v := uint32(graph.Hash64(uint64(g)) % uint64(n))
+							if sz, err := e.ComponentSize(v); err != nil || sz != o.sizes[labels[v]] {
+								t.Errorf("%s/n=%d: ComponentSize(%d) = (%d, %v), want %d", sh.name, n, v, sz, err, o.sizes[labels[v]])
+							}
+						case 1:
+							if root, size, err := e.LargestComponent(); err != nil || root != o.largest || size != o.sizes[o.largest] {
+								t.Errorf("%s/n=%d: LargestComponent = (%d, %d, %v), want (%d, %d)", sh.name, n, root, size, err, o.largest, o.sizes[o.largest])
+							}
+						case 2:
+							if hist, err := e.ComponentHistogram(); err != nil || !slices.Equal(hist, o.hist) {
+								t.Errorf("%s/n=%d: ComponentHistogram = (%v, %v), want %v", sh.name, n, hist, err, o.hist)
+							}
+						}
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}
+	}
 }

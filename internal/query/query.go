@@ -18,6 +18,7 @@ package query
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -73,9 +74,9 @@ const noHalf = int32(-1)
 // Engine answers connectivity queries over an incrementally maintained
 // spanning forest (see the package comment). Construct with New (live
 // source), NewStatic (offline forest), or NewLabelled (labeling only). A
-// label-backed engine holds parent and size alone: the forest, half-edge
-// and BFS fields below stay nil, and every method that would read them
-// returns pathErr first.
+// label-backed engine holds parent alone, plus size once a size query has
+// built it: the forest, half-edge and BFS fields below stay nil, and every
+// method that would read them returns pathErr first.
 type Engine struct {
 	mu  sync.Mutex
 	src Source
@@ -90,6 +91,8 @@ type Engine struct {
 
 	// Union-by-min over forest edges: parents strictly decrease, so every
 	// root is its component's minimum and Find yields canonical labels.
+	// size[r] counts the vertices of root r's component other than r, so a
+	// zeroed array is the all-singletons state; maxSize counts them all.
 	parent     []uint32
 	size       []uint32
 	components int
@@ -138,91 +141,139 @@ func NewStatic(n int, forest []graph.Edge) *Engine {
 // v's component label, with labels[labels[v]] == labels[v] (the canonical
 // star form every solver returns). Component, size, and histogram queries
 // work; PathBetween and SpanningForest return ErrNoForest — there is no
-// forest to walk. The labels slice is copied. A label outside [0, n)
-// panics on the calling goroutine.
+// forest to walk. The labels slice is copied. A label outside [0, n), or a
+// labeling not in star form, panics on the calling goroutine naming the
+// lowest bad vertex; an out-of-range label is reported first.
 //
-// A label-backed engine owns only what it answers from — parent (the copy)
-// and size — and never allocates the forest adjacency or the BFS scratch.
-// Both arrays are built in parallel and everything is ready on return
-// (DESIGN.md §12 "Building from labels").
+// Construction is one parallel pass that copies the labels, counts the
+// roots and checks the labeling; NumComponents, Component, Connected and
+// Labels need nothing more. The component sizes are built on the first
+// ComponentSize, LargestComponent or ComponentHistogram call. A
+// label-backed engine never allocates the forest adjacency or the BFS
+// scratch (DESIGN.md §12 "Building from labels").
 func NewLabelled(labels []uint32) *Engine {
 	n := len(labels)
-	e := &Engine{
-		n:       n,
-		pathErr: ErrNoForest,
-		parent:  make([]uint32, n),
-		size:    make([]uint32, n),
-		histAt:  -1,
-	}
-	parent, size := e.parent, e.size
+	parent := make([]uint32, n)
+	e := &Engine{n: n, pathErr: ErrNoForest, parent: parent, histAt: -1}
 
-	// Pass 1: copy, and count every non-root vertex into its root's size.
-	// Chunks share roots, so the adds are atomic — but a chunk batches them:
-	// a run of equal labels is counted in a register, and finished runs wait
-	// in a small direct-mapped table that is published once per eviction
-	// and once at chunk end. A lone "current run" is not enough: two giant
-	// components interleaved vertex by vertex would end a run, and issue a
-	// contended add, at every vertex. The pool's workers have no recover, so
-	// a bad label is recorded here and reported after the loop.
-	var bad atomic.Int64
-	bad.Store(-1)
+	// One pass copies a chunk, counts its roots and checks it (see
+	// copyLabels). Only a chunk that fails the check is scanned again, for
+	// its lowest bad vertex. The pool's workers have no recover, so the
+	// panic comes after the loop.
+	var roots, badRange, badStar atomic.Int64
+	badRange.Store(int64(n))
+	badStar.Store(int64(n))
 	parallel.ForGrained(n, labelGrain, func(lo, hi int) {
-		var keys, counts [pendingSlots]uint32
-		run, runLen := uint32(lo), uint32(0)
+		count, bad := copyLabels(parent[lo:hi], labels, lo)
+		roots.Add(int64(count))
+		if bad == 0 {
+			return
+		}
 		for i := lo; i < hi; i++ {
-			l := labels[i]
-			parent[i] = l
-			if l == uint32(i) {
-				continue // a root counts itself in pass 2, with a plain store
-			}
-			if l == run {
-				runLen++
-				continue
-			}
-			if uint(l) >= uint(n) {
-				bad.Store(int64(i))
+			if int(labels[i]) >= n {
+				storeMin(&badRange, i)
 				return
 			}
-			s := pendingSlot(run)
-			if keys[s] != run && counts[s] != 0 {
-				atomic.AddUint32(&size[keys[s]], counts[s])
-				counts[s] = 0
-			}
-			keys[s], counts[s] = run, counts[s]+runLen
-			run, runLen = l, 1
 		}
-		if runLen != 0 {
-			atomic.AddUint32(&size[run], runLen)
-		}
-		for s, c := range counts {
-			if c != 0 {
-				atomic.AddUint32(&size[keys[s]], c)
+		for i := lo; i < hi; i++ {
+			if l := labels[i]; labels[l] != l {
+				storeMin(&badStar, i)
+				return
 			}
 		}
 	})
-	if i := bad.Load(); i >= 0 {
-		panic(fmt.Sprintf("query: NewLabelled: labels[%d] = %d is out of range [0, %d)", i, labels[i], n))
+	if i := int(badRange.Load()); i < n {
+		panic(fmt.Sprintf("query: NewLabelled: labels[%d] = %d is out of range [0, %d)", i, parent[i], n))
 	}
+	if i := int(badStar.Load()); i < n {
+		l := parent[i]
+		panic(fmt.Sprintf("query: NewLabelled: labels[%d] = %d is not a root (labels[%d] = %d): not in star form", i, l, l, parent[l]))
+	}
+	e.components = int(roots.Load())
+	return e
+}
 
-	// Pass 2, after the barrier: every root adds itself, and the largest
-	// wins. Packing (size, ^root) makes the maximum the largest size and,
-	// among equals, the smallest root, whatever the chunking.
-	var roots atomic.Int64
-	var best atomic.Uint64
+// copyLabels is NewLabelled's loop: it copies labels[lo:lo+len(dst)] into
+// dst and returns the number of roots among them, and a word that is zero
+// if every one of their labels l is in range and a root (labels[l] == l).
+// The root count is branch-free, and the only branch, the range test, goes
+// the same way on every valid labeling; the star test reads the caller's
+// slice, which other chunks may not have copied yet. Inlined into the chunk
+// closure, the loop keeps its accumulators on the stack, a store and a
+// reload on every vertex; hence noinline.
+//
+//go:noinline
+func copyLabels(dst, labels []uint32, lo int) (count, bad uint32) {
+	src := labels[lo : lo+len(dst)]
+	for i, l := range src {
+		dst[i] = l
+		count += b2u(l == uint32(lo+i))
+		if int(l) < len(labels) {
+			bad |= labels[l] ^ l
+		} else {
+			bad = 1
+		}
+	}
+	return count, bad
+}
+
+// b2u is 1 for true and 0 for false, compiled without a branch.
+func b2u(b bool) uint32 {
+	var u uint32
+	if b {
+		u = 1
+	}
+	return u
+}
+
+// storeMin lowers a to i if i is smaller.
+func storeMin(a *atomic.Int64, i int) {
+	for {
+		cur := a.Load()
+		if int64(i) >= cur || a.CompareAndSwap(cur, int64(i)) {
+			return
+		}
+	}
+}
+
+// labelSizes builds a label-backed engine's size array, maxSize and maxRoot
+// on the first query that needs them; the engine never changes afterwards.
+// Forest-backed engines keep size current from construction. Caller holds
+// mu.
+//
+// One pass counts every non-root vertex into its root's size. Chunks share
+// roots, so the adds are atomic — but a chunk batches them: a run of equal
+// labels is counted in a register, and finished runs wait in a small
+// direct-mapped table that is published once per eviction and once at
+// chunk end. A lone "current run" is not enough: two giant components
+// interleaved vertex by vertex would end a run, and issue a contended add,
+// at every vertex. Roots are skipped: size counts a component without its
+// root, so a singleton costs nothing. The first add to a root marks it in
+// a bitmap, and the largest component is found among the marked roots
+// alone; with none marked, every vertex is a singleton and the answer is
+// vertex 0.
+func (e *Engine) labelSizes() {
+	if e.size != nil {
+		return
+	}
+	n, parent := e.n, e.parent
+	m := members{size: make([]uint32, n), grown: make([]uint64, (n+63)/64)}
 	parallel.ForGrained(n, labelGrain, func(lo, hi int) {
-		var count int64
+		m.count(parent[lo:hi], lo)
+	})
+
+	// After the barrier, the largest of the grown roots wins. Packing
+	// (size, ^root) makes the maximum the largest size and, among equals,
+	// the smallest root, whatever the chunking.
+	var best atomic.Uint64
+	parallel.ForGrained(len(m.grown), labelGrain/64, func(lo, hi int) {
 		var local uint64
-		for i := lo; i < hi; i++ {
-			if parent[i] != uint32(i) {
-				continue
-			}
-			count++
-			size[i]++
-			if p := uint64(size[i])<<32 | uint64(^uint32(i)); p > local {
-				local = p
+		for w := lo; w < hi; w++ {
+			for word := m.grown[w]; word != 0; word &= word - 1 {
+				r := uint32(w<<6 + bits.TrailingZeros64(word))
+				local = max(local, uint64(m.size[r])<<32|uint64(^r))
 			}
 		}
-		roots.Add(count)
 		for {
 			cur := best.Load()
 			if local <= cur || best.CompareAndSwap(cur, local) {
@@ -230,17 +281,66 @@ func NewLabelled(labels []uint32) *Engine {
 			}
 		}
 	})
-	e.components = int(roots.Load())
-	if p := best.Load(); p != 0 {
-		e.maxSize, e.maxRoot = uint32(p>>32), ^uint32(p)
+	if n > 0 {
+		e.maxSize, e.maxRoot = 1, 0
+		if p := best.Load(); p != 0 {
+			e.maxSize, e.maxRoot = uint32(p>>32)+1, ^uint32(p)
+		}
 	}
-	return e
+	e.size = m.size
+}
+
+// members is what labelSizes' counting pass writes: size, and a bitmap of
+// the roots it has added to.
+type members struct {
+	size  []uint32
+	grown []uint64
+}
+
+// count is labelSizes' loop over one chunk, the labels of vertices lo,
+// lo+1, ....
+func (m members) count(chunk []uint32, lo int) {
+	var keys, counts [pendingSlots]uint32
+	run, runLen := uint32(lo), uint32(0)
+	for i, l := range chunk {
+		if l == uint32(lo+i) {
+			continue
+		}
+		if l == run {
+			runLen++
+			continue
+		}
+		s := pendingSlot(run)
+		if keys[s] != run && counts[s] != 0 {
+			m.add(keys[s], counts[s])
+			counts[s] = 0
+		}
+		keys[s], counts[s] = run, counts[s]+runLen
+		run, runLen = l, 1
+	}
+	if runLen != 0 {
+		m.add(run, runLen)
+	}
+	for s, c := range counts {
+		if c != 0 {
+			m.add(keys[s], c)
+		}
+	}
+}
+
+// add publishes c members of root; the add that takes root's size off zero
+// marks root in the bitmap.
+func (m members) add(root, c uint32) {
+	if atomic.AddUint32(&m.size[root], c) == c {
+		atomic.OrUint64(&m.grown[root>>6], 1<<(root&63))
+	}
 }
 
 const (
-	// labelGrain is the chunk of NewLabelled's passes: large enough that
-	// publishing a chunk's pending table (at most pendingSlots+1 adds) is
-	// noise, small enough to balance a few hundred chunks over the workers.
+	// labelGrain is the chunk of NewLabelled's and labelSizes' passes:
+	// large enough that publishing a chunk's pending table (at most
+	// pendingSlots+1 adds) is noise, small enough to balance a few hundred
+	// chunks over the workers.
 	labelGrain = 1 << 13
 	// pendingSlots (2^pendingBits) is the size of a chunk's pending-count
 	// table: 512 bytes of stack, enough that a handful of interleaved large
@@ -266,7 +366,6 @@ func newEngine(n int) *Engine {
 	}
 	for i := 0; i < n; i++ {
 		e.parent[i] = uint32(i)
-		e.size[i] = 1
 		e.head[i] = noHalf
 	}
 	if n > 0 {
@@ -300,10 +399,10 @@ func (e *Engine) addEdge(ed graph.Edge) {
 		ru, rv = rv, ru
 	}
 	e.parent[rv] = ru
-	e.size[ru] += e.size[rv]
+	e.size[ru] += e.size[rv] + 1
 	e.components--
-	if e.size[ru] > e.maxSize {
-		e.maxSize, e.maxRoot = e.size[ru], ru
+	if s := e.size[ru] + 1; s > e.maxSize {
+		e.maxSize, e.maxRoot = s, ru
 	}
 	i := int32(len(e.forest))
 	e.forest = append(e.forest, ed)
@@ -394,7 +493,8 @@ func (e *Engine) ComponentSize(v uint32) (int, error) {
 	if err := e.refresh(); err != nil {
 		return 0, err
 	}
-	return int(e.size[e.find(v)]), nil
+	e.labelSizes()
+	return int(e.size[e.find(v)]) + 1, nil
 }
 
 // NumComponents returns the current number of connected components.
@@ -420,6 +520,7 @@ func (e *Engine) LargestComponent() (uint32, int, error) {
 	if e.n == 0 {
 		return 0, 0, nil
 	}
+	e.labelSizes()
 	// maxRoot may have been absorbed into a smaller root of equal size;
 	// normalize to the canonical label.
 	return e.find(e.maxRoot), int(e.maxSize), nil
@@ -449,10 +550,11 @@ func (e *Engine) ComponentHistogram() (Histogram, error) {
 		return nil, err
 	}
 	if e.histAt != len(e.forest) {
+		e.labelSizes()
 		e.sizes = e.sizes[:0]
 		for i := 0; i < e.n; i++ {
 			if e.parent[i] == uint32(i) {
-				e.sizes = append(e.sizes, e.size[i])
+				e.sizes = append(e.sizes, e.size[i]+1)
 			}
 		}
 		slices.Sort(e.sizes)

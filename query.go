@@ -37,9 +37,12 @@ var ErrNoForest = query.ErrNoForest
 
 // QueryLabels builds a label-backed Query over a connectivity labeling, as
 // returned by Solver.ComponentsOn or Connectivity: labels[v] is v's component
-// label in canonical star form (labels[labels[v]] == labels[v]).
-// Component, size, counting, and histogram queries work; PathBetween and
-// SpanningForest return ErrNoForest. The labels slice is copied.
+// label in canonical star form (labels[labels[v]] == labels[v]). A label
+// outside [0, len(labels)) or a labeling not in star form panics, naming
+// the vertex. Component, size, counting, and histogram queries work;
+// PathBetween and SpanningForest return ErrNoForest. The labels slice is
+// copied. Building counts the components; the component sizes are built
+// by the first size, largest-component or histogram query.
 func QueryLabels(labels []uint32) *Query {
 	return query.NewLabelled(labels)
 }
