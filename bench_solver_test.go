@@ -52,47 +52,52 @@ func BenchmarkSolverReuse(b *testing.B) {
 // and solve throughput on CSR and running directly on the byte-compressed
 // encoding. The graph-bytes and bytes/directed-edge metrics make the
 // space/throughput tradeoff diffable across PRs — compressed should hold
-// ≥2x smaller resident bytes at no more than ~2x slowdown.
+// ≥2x smaller resident bytes at no more than ~2x slowdown. The grid row
+// (1500×1500, 300×300 under -short) is the high-diameter finish sweep,
+// unsampled, that the RMAT rows never run: every edge is unioned over long
+// parent chains.
 func BenchmarkSolverBackends(b *testing.B) {
-	scale := 20
+	scale, side := 20, 1500
 	if testing.Short() {
-		scale = 16
+		scale, side = 16, 300
 	}
 	g := NewRMAT(scale, 16*(1<<scale), 3)
-	c := Compress(g)
+	grid := NewGrid2D(side, side)
+	c, gridC := Compress(g), Compress(grid)
 	report := func(b *testing.B, rep GraphRep) {
 		b.ReportAllocs()
 		b.ReportMetric(float64(rep.SizeBytes()), "graph-bytes")
 		b.ReportMetric(float64(rep.SizeBytes())/float64(rep.NumDirectedEdges()), "bytes/edge")
 	}
-	for _, spec := range []string{
-		"none;uf;rem-cas;naive;split-one",
-		"kout;uf;rem-cas;naive;split-one",
-		"bfs;uf;rem-cas;naive;split-one",
-		"kout;lt;PRF",
+	for _, row := range []struct {
+		name, spec string
+		csr        *Graph
+		compressed *CompressedGraph
+	}{
+		{"", "none;uf;rem-cas;naive;split-one", g, c},
+		{"", "kout;uf;rem-cas;naive;split-one", g, c},
+		{"", "bfs;uf;rem-cas;naive;split-one", g, c},
+		{"", "kout;lt;PRF", g, c},
+		{"grid/", "none;uf;rem-cas;naive;split-one", grid, gridC},
 	} {
-		cfg, err := ParseConfig(spec)
+		cfg, err := ParseConfig(row.spec)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(spec+"/CSR", func(b *testing.B) {
-			solver := MustCompile(cfg)
-			report(b, g)
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.ComponentsOn(g); err != nil {
-					b.Fatal(err)
+		for _, rep := range []struct {
+			name string
+			g    GraphRep
+		}{{"CSR", row.csr}, {"Compressed", row.compressed}} {
+			b.Run(row.name+row.spec+"/"+rep.name, func(b *testing.B) {
+				solver := MustCompile(cfg)
+				report(b, rep.g)
+				for i := 0; i < b.N; i++ {
+					if _, err := solver.ComponentsOn(rep.g); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
-		b.Run(spec+"/Compressed", func(b *testing.B) {
-			solver := MustCompile(cfg)
-			report(b, c)
-			for i := 0; i < b.N; i++ {
-				if _, err := solver.ComponentsOn(c); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -294,10 +294,19 @@ func newUFForest(cfg Config) ForestFunc {
 // side applies the edge regardless, as the only side that sees it. Orienting
 // by degree instead cost two random offsets[] reads per directed edge, more
 // than the union it saved. A witness-recording DSU records each applied edge
-// as (v, u). Decode scratch is per pool worker, reused across its chunks.
+// as (v, u). The flat CSR is the one special case: DSU.SweepCSR does a whole
+// chunk straight off its arrays. Every other representation goes through
+// NeighborsInto per vertex, with decode scratch per pool worker, reused
+// across its chunks.
 func unionFindFinish(g graph.Rep, d *unionfind.DSU, skip []bool) {
 	n := g.NumVertices()
 	const grain = 256
+	if csr, ok := g.(*graph.Graph); ok {
+		parallel.ForGrained(n, grain, func(lo, hi int) {
+			d.SweepCSR(lo, hi, csr.Offsets, csr.Adj, skip)
+		})
+		return
+	}
 	bufs := make([][]graph.Vertex, parallel.Width(n, grain))
 	parallel.ForWorkerSized(n, grain, len(bufs), func(w *parallel.Worker, lo, hi int) {
 		buf := bufs[w.ID()]

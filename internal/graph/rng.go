@@ -37,3 +37,24 @@ func Hash64(x uint64) uint64 {
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
 	return x ^ (x >> 31)
 }
+
+// KOutPick is the adjacency position that k-out sampling's i-th random pick
+// for a vertex v of degree deg lands on.
+func KOutPick(v, i, deg, seed uint64) Vertex {
+	return Vertex(Hash64(v<<20^i^seed) % deg)
+}
+
+// KOutPosition is the adjacency position k-out sampling reads for the i-th
+// of k picks of a vertex v of degree deg > 0 when its first lead picks are
+// positions 0..lead-1 and the rest are KOutPick, and false when the pick is
+// dropped: a lead position past the end of the list, or a random pick on
+// position 0 that a lead pick already took (the same edge again). It is the
+// one definition of the rule, for the per-vertex Rep path and the CSR
+// kernel alike.
+func KOutPosition(v uint64, i, deg, lead int, seed uint64) (Vertex, bool) {
+	if i < lead {
+		return Vertex(i), i < deg
+	}
+	p := KOutPick(v, uint64(i), uint64(deg), seed)
+	return p, p != 0 || lead == 0
+}

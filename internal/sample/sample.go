@@ -80,10 +80,9 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 		Find:          unionfind.FindNaive,
 		RecordWitness: forest,
 	})
-	// The variant is resolved once per sweep, not per vertex. Picks go to
-	// the union kernel in one call per vertex (from = 0: every pick,
-	// whatever its id); the DSU records (v, u) witnesses itself when forest
-	// is set.
+	// The variant is resolved once per sweep, not per vertex. Every pick is
+	// unioned whatever its id; the DSU records (v, u) witnesses itself when
+	// forest is set.
 	if variant == KOutMaxDeg {
 		koutMaxDeg(g, d, k, seed)
 	} else {
@@ -99,18 +98,19 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 	return res
 }
 
-// koutPick is the adjacency position of a vertex v of degree deg that its
-// i-th random pick lands on.
-func koutPick(v, i, deg, seed uint64) graph.Vertex {
-	return graph.Vertex(graph.Hash64(v<<20^i^seed) % deg)
-}
+// linePad is one cache line of vertices. Per-worker pick scratch, written
+// for every vertex, sits at least this far apart in its shared array: with
+// two workers' picks on one line, the compressed RMAT(19) solve ran about
+// 1.4 times as long.
+const linePad = 64 / 4
 
-// koutPositions samples the variants that pick by adjacency position: the
-// first lead positions (all k for Afforest, one for Hybrid, none for Pure),
-// then a random position for each of the other k-lead picks. Only those
-// positions are read (NeighborsAt), so a block-coded backend decodes one
-// block per pick instead of a list prefix. A random pick on position 0 when
-// position 0 is already taken is the same edge again, so it is dropped.
+// koutPositions samples the variants that pick by adjacency position
+// (graph.KOutPosition): the first lead positions (all k for Afforest, one
+// for Hybrid, none for Pure), then a random position for each of the other
+// k-lead picks. On the flat CSR one DSU.KOutCSR call does a whole chunk
+// straight off the arrays; any other representation reads only the picked
+// positions (NeighborsAt), so a block-coded backend decodes one block per
+// pick instead of a list prefix, into scratch held per pool worker.
 func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, seed uint64) {
 	lead := 0
 	switch variant {
@@ -119,20 +119,31 @@ func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, se
 	case KOutHybrid:
 		lead = 1
 	}
-	parallel.ForGrained(g.NumVertices(), 256, func(lo, hi int) {
-		pos := make([]graph.Vertex, 0, k)
-		nbrs := make([]graph.Vertex, k)
+	const grain = 256
+	n := g.NumVertices()
+	if csr, ok := g.(*graph.Graph); ok {
+		parallel.ForGrained(n, grain, func(lo, hi int) {
+			d.KOutCSR(lo, hi, csr.Offsets, csr.Adj, k, lead, seed)
+		})
+		return
+	}
+	// One allocation per call, whatever n is: worker w's positions and
+	// neighbours start at scratch[w*stride], padded apart by a cache line.
+	stride := 2*k + linePad
+	width := parallel.Width(n, grain)
+	scratch := make([]graph.Vertex, stride*width)
+	parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
+		base := stride * w.ID()
+		pos := scratch[base : base : base+k]
+		nbrs := scratch[base+k : base+2*k]
 		for v := lo; v < hi; v++ {
 			deg := g.Degree(graph.Vertex(v))
 			if deg == 0 {
 				continue
 			}
 			pos = pos[:0]
-			for i := 0; i < lead && i < deg; i++ {
-				pos = append(pos, graph.Vertex(i))
-			}
-			for i := lead; i < k; i++ {
-				if p := koutPick(uint64(v), uint64(i), uint64(deg), seed); p != 0 || lead == 0 {
+			for i := 0; i < k; i++ {
+				if p, ok := graph.KOutPosition(uint64(v), i, deg, lead, seed); ok {
 					pos = append(pos, p)
 				}
 			}
@@ -143,11 +154,18 @@ func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, se
 }
 
 // koutMaxDeg samples the edge to each vertex's highest-degree neighbor (the
-// first one, on ties) plus k-1 random ones. It reads every list whole.
+// first one, on ties) plus k-1 random ones. It reads every list whole,
+// through NeighborsInto on every representation; decode scratch and picks
+// are held per pool worker.
 func koutMaxDeg(g graph.Rep, d *unionfind.DSU, k int, seed uint64) {
-	parallel.ForGrained(g.NumVertices(), 256, func(lo, hi int) {
-		var buf []graph.Vertex
-		picks := make([]graph.Vertex, k)
+	const grain = 256
+	n := g.NumVertices()
+	stride := k + linePad
+	width := parallel.Width(n, grain)
+	bufs := make([][]graph.Vertex, width)
+	picks := make([]graph.Vertex, stride*width)
+	parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
+		buf, mine := bufs[w.ID()], picks[stride*w.ID():stride*w.ID()+k]
 		for v := lo; v < hi; v++ {
 			buf = g.NeighborsInto(graph.Vertex(v), buf)
 			if len(buf) == 0 {
@@ -159,12 +177,13 @@ func koutMaxDeg(g graph.Rep, d *unionfind.DSU, k int, seed uint64) {
 					best, bestDeg = u, du
 				}
 			}
-			picks[0] = best
+			mine[0] = best
 			for i := 1; i < k; i++ {
-				picks[i] = buf[koutPick(uint64(v), uint64(i), uint64(len(buf)), seed)]
+				mine[i] = buf[graph.KOutPick(uint64(v), uint64(i), uint64(len(buf)), seed)]
 			}
-			d.UnionNeighbors(uint32(v), picks, 0, nil)
+			d.UnionNeighbors(uint32(v), mine, 0, nil)
 		}
+		bufs[w.ID()] = buf
 	})
 }
 

@@ -1,6 +1,9 @@
 package sample
 
 import (
+	"math"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -301,4 +304,42 @@ func degrees(g *graph.Graph) []int {
 		out[v] = g.Degree(graph.Vertex(v))
 	}
 	return out
+}
+
+// TestKOutAllocsIndependentOfN: k-out by position on the compressed
+// backend allocates per call, not per chunk — its pick scratch is held per
+// pool worker — so a graph 16 times larger costs no more allocations.
+//
+// The count is read from runtime.MemStats around each call, not with
+// testing.AllocsPerRun, which sets GOMAXPROCS to 1 and so runs the whole
+// range as one chunk. A pool worker that parks on its wake channel may cost
+// the runtime an allocation of its own (a sudog), more often on a loaded
+// host, so the test takes the fewest over ten calls, with the collector off
+// so that it does not empty the runtime's sudog caches in between, and
+// lets the two sizes differ by at most runtimeSlack. One allocation per
+// 256-vertex chunk would differ by 240. k = 8 keeps each scratch slice out
+// of the tiny allocator, which counts late. KOutMaxDeg is left out: it
+// decodes whole lists into a per-worker buffer that grows to the longest
+// list the worker meets, a property of the graph.
+func TestKOutAllocsIndependentOfN(t *testing.T) {
+	const runtimeSlack = 4
+	small := graph.Compress(graph.RMAT(12, 4<<12, 0.57, 0.19, 0.19, 3))
+	large := graph.Compress(graph.RMAT(16, 4<<16, 0.57, 0.19, 0.19, 3))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, variant := range []KOutVariant{KOutHybrid, KOutAfforest, KOutPure} {
+		allocs := func(c *graph.CompressedGraph) int {
+			fewest := math.MaxInt
+			for i := 0; i < 10; i++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				KOut(c, 8, variant, 1, false)
+				runtime.ReadMemStats(&after)
+				fewest = min(fewest, int(after.Mallocs-before.Mallocs))
+			}
+			return fewest
+		}
+		if a, b := allocs(small), allocs(large); b-a > runtimeSlack || a-b > runtimeSlack {
+			t.Errorf("%v: %d allocations per call at n = 2^12, %d at n = 2^16", variant, a, b)
+		}
+	}
 }

@@ -175,13 +175,15 @@ func spliceAt(parent []uint32, rule SpliceOption, rx, px, py uint32) uint32 {
 // applies whatever the ids; k-out passes from = 0 to apply all its picks.
 //
 // The variant is resolved once per list, not once per edge. Union-Rem-CAS
-// without instrumentation or witness recording — the default finish and the
-// k-out kernel — runs the ascent of uniteRemCAS written out in the loop: no
-// call per edge, parent in a register. Everything else (Stats, witnesses,
-// the other union rules) takes the per-edge unite path, which remains the
-// definition of each rule; TestSweepKernelParity holds the two together.
+// without instrumentation or witness recording (plainRemCAS) runs the ascent
+// of uniteRemCAS written out in the loop: no call per edge, parent in a
+// register. Everything else (Stats, witnesses, the other union rules) takes
+// the per-edge unite path, which remains the definition of each rule;
+// TestSweepKernelParity holds the two together. On the flat CSR the finish
+// sweep and k-out call the chunk kernels of sweep.go instead, one call per
+// chunk of vertices.
 func (d *DSU) UnionNeighbors(v uint32, nbrs []uint32, from uint32, skip []bool) {
-	if d.witness != nil || d.wlog != nil || d.stats != nil || d.opt.Union != UnionRemCAS {
+	if !d.plainRemCAS() {
 		for _, u := range nbrs {
 			if u < from && (skip == nil || !skip[u]) {
 				continue

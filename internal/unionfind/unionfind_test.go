@@ -401,49 +401,100 @@ func TestLargeChainAllFinds(t *testing.T) {
 	}
 }
 
-// TestSweepKernelParity holds UnionNeighbors' two paths to one behaviour:
-// for every variant, the call-free kernel (no Stats; Rem-CAS only) and the
-// per-edge path (Stats set) applied concurrently to the adjacency lists of
-// one random graph yield the oracle's partition, and the instrumented run
-// counts exactly the applied edges — every list entry with from = 0, and one
-// per undirected edge with the sweep's from = v+1.
+// TestSweepKernelParity holds the sweep kernels to one behaviour. For every
+// variant, each kernel below runs over one random graph in concurrent
+// chunks of 64 vertices, once on the variant as is (Rem-CAS takes the
+// call-free ascent) and once with Stats set (the per-edge unite path). Both
+// runs must give the oracle's partition of the edges the kernel is defined
+// to apply, and the instrumented run must count exactly those edges. The
+// kernels are UnionNeighbors per list with from = 0 (every entry) and with
+// the sweep's from = v+1 (one union per undirected edge), SweepCSR with and
+// without a skip vector (an edge into a skipped vertex is applied by its
+// unskipped side, whatever the ids), and KOutCSR with one lead position and
+// two random picks.
 func TestSweepKernelParity(t *testing.T) {
 	const n = 3000
+	const k, lead, seed = 3, 1, 5
 	g := graph.ErdosRenyi(n, 5000, 11)
-	oracle := newSeqDSU(n)
-	for _, e := range g.Edges() {
-		oracle.union(int(e.U), int(e.V))
+	skip := make([]bool, n)
+	for v := range skip {
+		skip[v] = graph.Hash64(uint64(v))%4 == 0
 	}
-	want := oracle.roots()
-	sweep := func(d *DSU, oriented bool) {
-		parallel.ForGrained(n, 64, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				from := uint32(0)
-				if oriented {
-					from = uint32(v) + 1
-				}
-				d.UnionNeighbors(uint32(v), g.Neighbors(graph.Vertex(v)), from, nil)
+	// sweepEdges lists, per vertex, the neighbours the finish sweep applies.
+	sweepEdges := func(v int, skip []bool) []uint32 {
+		var out []uint32
+		if skip != nil && skip[v] {
+			return nil
+		}
+		for _, u := range g.Neighbors(graph.Vertex(v)) {
+			if u > uint32(v) || (skip != nil && skip[u]) {
+				out = append(out, u)
 			}
-		})
+		}
+		return out
 	}
-	for _, v := range Variants() {
-		for _, oriented := range []bool{true, false} {
+	kernels := []struct {
+		name  string
+		edges func(v int) []uint32 // the neighbours of v the kernel applies
+		run   func(d *DSU, lo, hi int)
+	}{
+		{"lists/from=0", func(v int) []uint32 { return g.Neighbors(graph.Vertex(v)) },
+			func(d *DSU, lo, hi int) {
+				for v := lo; v < hi; v++ {
+					d.UnionNeighbors(uint32(v), g.Neighbors(graph.Vertex(v)), 0, nil)
+				}
+			}},
+		{"lists/from=v+1", func(v int) []uint32 { return sweepEdges(v, nil) },
+			func(d *DSU, lo, hi int) {
+				for v := lo; v < hi; v++ {
+					d.UnionNeighbors(uint32(v), g.Neighbors(graph.Vertex(v)), uint32(v)+1, nil)
+				}
+			}},
+		{"SweepCSR", func(v int) []uint32 { return sweepEdges(v, nil) },
+			func(d *DSU, lo, hi int) { d.SweepCSR(lo, hi, g.Offsets, g.Adj, nil) }},
+		{"SweepCSR/skip", func(v int) []uint32 { return sweepEdges(v, skip) },
+			func(d *DSU, lo, hi int) { d.SweepCSR(lo, hi, g.Offsets, g.Adj, skip) }},
+		{"KOutCSR", func(v int) []uint32 {
+			nbrs := g.Neighbors(graph.Vertex(v))
+			if len(nbrs) == 0 {
+				return nil
+			}
+			out := []uint32{nbrs[0]}
+			for i := lead; i < k; i++ {
+				if p := graph.KOutPick(uint64(v), uint64(i), uint64(len(nbrs)), seed); p != 0 {
+					out = append(out, nbrs[p])
+				}
+			}
+			return out
+		}, func(d *DSU, lo, hi int) { d.KOutCSR(lo, hi, g.Offsets, g.Adj, k, lead, seed) }},
+	}
+	for _, kern := range kernels {
+		oracle := newSeqDSU(n)
+		applied := uint64(0)
+		for v := 0; v < n; v++ {
+			for _, u := range kern.edges(v) {
+				oracle.union(v, int(u))
+				applied++
+			}
+		}
+		want := oracle.roots()
+		sweep := func(d *DSU) {
+			parallel.ForGrained(n, 64, func(lo, hi int) { kern.run(d, lo, hi) })
+		}
+		for _, v := range Variants() {
+			name := kern.name + "/" + v.Name()
 			fast := MustNew(n, v.Options())
-			sweep(fast, oriented)
-			sameSets(t, v.Name()+"/fast", fast.Labels(), want)
+			sweep(fast)
+			sameSets(t, name+"/fast", fast.Labels(), want)
 
 			var st Stats
 			opt := v.Options()
 			opt.Stats = &st
 			counted := MustNew(n, opt)
-			sweep(counted, oriented)
-			sameSets(t, v.Name()+"/stats", counted.Labels(), want)
-			applied := uint64(g.NumDirectedEdges())
-			if oriented {
-				applied = uint64(g.NumEdges())
-			}
+			sweep(counted)
+			sameSets(t, name+"/stats", counted.Labels(), want)
 			if st.Unions() != applied {
-				t.Fatalf("%s oriented=%v: %d unions, want %d", v.Name(), oriented, st.Unions(), applied)
+				t.Fatalf("%s: %d unions, want %d", name, st.Unions(), applied)
 			}
 		}
 	}
