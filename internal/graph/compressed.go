@@ -16,14 +16,16 @@ import (
 // ascending differences. A list longer than one block starts with a
 // little-endian uint32 offset, relative to the list's start, for every block
 // after the first, so the neighbor at any position decodes from its own
-// block (NeighborsAt) instead of from the list's start. A list of at most
+// block (NeighborAt) instead of from the list's start. A list of at most
 // blockSize neighbors is a single block with no header.
 //
 // CompressedGraph is a first-class backend of the representation layer
 // (Rep): every finish algorithm and sampling scheme runs directly on the
 // encoded form via NeighborsInto's decode-into-scratch path, the same
 // design that lets the paper process 200B+-edge graphs without
-// re-materializing a flat CSR. The per-vertex uint64 byte-offset index
+// re-materializing a flat CSR. k-out sampling, which reads a few positions
+// per list, takes the concrete type and calls NeighborAt directly, as it
+// reads CSR's arrays directly. The per-vertex uint64 byte-offset index
 // makes decoding random-access and puts no bound on the total encoding;
 // only a single list is capped, at 4 GiB, by its uint32 block offsets.
 type CompressedGraph struct {
@@ -164,9 +166,58 @@ func (c *CompressedGraph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
 }
 
 // NeighborsAt writes the neighbor at position pos[i] of v's list into
-// out[i], decoding only the block that holds each position.
+// out[i], each through NeighborAt.
 func (c *CompressedGraph) NeighborsAt(v Vertex, pos, out []Vertex) {
-	listAt(c.Data, int(c.Offsets[v]), v, int(c.Degrees[v]), pos, out)
+	for i, p := range pos {
+		out[i] = c.NeighborAt(v, int(p))
+	}
+}
+
+// NeighborAt returns the neighbor at position p of v's list. It finds p's
+// block through the list's block header and decodes that block only as far
+// as p, storing nothing on the way, so position 0 costs one varint. It
+// panics, naming v, p and the degree, when p is not below v's degree: the
+// bytes past a list's end belong to the next list, so without the check it
+// would return an id that may lie outside the graph.
+func (c *CompressedGraph) NeighborAt(v Vertex, p int) Vertex {
+	deg := int(c.Degrees[v])
+	if uint(p) >= uint(deg) {
+		panic(fmt.Sprintf("graph: position %d of vertex %d is past its degree %d", p, v, deg))
+	}
+	data, start := c.Data, int(c.Offsets[v])
+	at := start + headerBytes(deg)
+	if b := p / blockSize; b > 0 {
+		at = start + int(binary.LittleEndian.Uint32(data[start+4*(b-1):]))
+	}
+	var raw uint64
+	for shift := uint(0); ; shift += 7 {
+		b := data[at]
+		at++
+		raw |= uint64(b&0x7f) << shift
+		if b < 0x80 {
+			break
+		}
+	}
+	cur := int64(v) + unzigzag(raw)
+	for r := p % blockSize; r > 0; r-- {
+		b := data[at]
+		at++
+		if b < 0x80 {
+			cur += int64(b)
+			continue
+		}
+		d := uint64(b & 0x7f)
+		for shift := uint(7); ; shift += 7 {
+			b = data[at]
+			at++
+			d |= uint64(b&0x7f) << shift
+			if b < 0x80 {
+				break
+			}
+		}
+		cur += int64(d)
+	}
+	return Vertex(cur)
 }
 
 // decodeList decodes all count neighbors of v from its encoded list
@@ -186,39 +237,12 @@ func decodeList(data []byte, pos int, v Vertex, count int, buf []Vertex) []Verte
 	return buf
 }
 
-// listAt writes the neighbors at positions pos of v's list of deg
-// neighbors, encoded at data[start], into out. Each position decodes its
-// block, found through the list's block header, only as far as the
-// furthest position still to come in that block, so picks sharing a block
-// (k-out's position 0 and a random pick in a short list) share one decode.
-func listAt(data []byte, start int, v Vertex, deg int, pos, out []Vertex) {
-	var blk [blockSize]Vertex
-	have, held := Vertex(0), 0 // blk holds the first held neighbors of block have
-	for i, p := range pos {
-		b, r := p/blockSize, int(p%blockSize)
-		if b != have || r >= held {
-			need := r
-			for _, q := range pos[i+1:] {
-				if q/blockSize == b {
-					need = max(need, int(q%blockSize))
-				}
-			}
-			at := start + headerBytes(deg)
-			if b > 0 {
-				at = start + int(binary.LittleEndian.Uint32(data[start+4*int(b-1):]))
-			}
-			decodeBlock(data, at, v, blk[:need+1])
-			have, held = b, need+1
-		}
-		out[i] = blk[r]
-	}
-}
-
 // decodeBlock decodes len(out) > 0 neighbors of one block of v's list
 // starting at data[pos] and returns the position after them: the first is
 // zig-zag coded against v, the rest are ascending differences. It is the one
-// decode loop every read path runs, written against the hoisted data slice
-// with a single-byte fast path (the bulk of power-law adjacencies) so no
+// decode loop every whole-list read runs (NeighborAt is the one positional
+// decoder beside it), written against the hoisted data slice with a
+// single-byte fast path (the bulk of power-law adjacencies) so no
 // per-neighbor function call or re-slice survives.
 func decodeBlock(data []byte, pos int, v Vertex, out []Vertex) int {
 	var raw uint64

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"encoding/binary"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -164,6 +165,63 @@ func TestNeighborsAtMatchesNeighbors(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNeighborAtMatchesNeighborsInto checks the positional decoder against
+// the full decode at every position of every block-panel and
+// compression-panel vertex: degrees 1, B-1, B, B+1, 2B, 2B+1 and hubs of
+// many blocks, so every block boundary and every offset within a block.
+func TestNeighborAtMatchesNeighborsInto(t *testing.T) {
+	bp, _ := blockPanel()
+	graphs := compressPanel()
+	graphs["blocks"] = bp
+	for name, g := range graphs {
+		c := Compress(g)
+		var full []Vertex
+		for v := 0; v < c.NumVertices(); v++ {
+			full = c.NeighborsInto(Vertex(v), full)
+			for p, want := range full {
+				if got := c.NeighborAt(Vertex(v), p); got != want {
+					t.Fatalf("%s: vertex %d of degree %d position %d = %d, want %d", name, v, len(full), p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestNeighborsAtPastEndPanics: a position at or past a vertex's degree
+// panics on every backend. The compressed backend used to decode the next
+// list's bytes instead and return ids outside the graph (on Star(40),
+// vertex 1's position 6 read 48 and vertex 0's position 44 read 75); its
+// panic names the vertex, the position and the degree.
+func TestNeighborsAtPastEndPanics(t *testing.T) {
+	g := Star(40)
+	c := Compress(g)
+	panicOf := func(f func()) (msg string) {
+		defer func() {
+			if r := recover(); r != nil {
+				msg = fmt.Sprint(r)
+			}
+		}()
+		f()
+		return ""
+	}
+	for _, r := range []Rep{g, c} {
+		for _, tc := range []struct{ v, p Vertex }{{1, 1}, {1, 6}, {0, 39}, {0, 44}} {
+			deg := r.Degree(tc.v)
+			msg := panicOf(func() { r.NeighborsAt(tc.v, []Vertex{0, tc.p}, make([]Vertex, 2)) })
+			if msg == "" {
+				t.Fatalf("%T: vertex %d of degree %d read position %d without a panic", r, tc.v, deg, tc.p)
+			}
+			want := fmt.Sprintf("position %d of vertex %d is past its degree %d", tc.p, tc.v, deg)
+			if _, ok := r.(*CompressedGraph); ok && !strings.Contains(msg, want) {
+				t.Fatalf("panic %q does not say %q", msg, want)
+			}
+		}
+	}
+	if msg := panicOf(func() { c.NeighborAt(0, -1) }); !strings.Contains(msg, "position -1 of vertex 0") {
+		t.Fatalf("NeighborAt(0, -1): panic %q", msg)
 	}
 }
 

@@ -24,7 +24,8 @@ func fuzzEndpoint(b []byte, n int) Vertex {
 // bucket width and block count; every further four bytes are an edge.
 // TryBuild fails exactly when an endpoint is out of range, and otherwise
 // equals the sequential reference, as does a build at the forced shape; the
-// compressed form's NeighborsAt then equals CSR's at random positions.
+// compressed form's NeighborsAt and NeighborAt then equal CSR's at random
+// positions.
 func FuzzBuild(f *testing.F) {
 	for _, c := range errorLineCases {
 		f.Add([]byte(c.in))
@@ -81,6 +82,11 @@ func FuzzBuild(f *testing.F) {
 			c.NeighborsAt(Vertex(v), pos, got)
 			if !slices.Equal(got, wantAt) {
 				t.Fatalf("vertex %d positions %v: compressed %v, CSR %v", v, pos, got, wantAt)
+			}
+			for i, p := range pos {
+				if u := c.NeighborAt(Vertex(v), int(p)); u != wantAt[i] {
+					t.Fatalf("vertex %d position %d: NeighborAt %d, CSR %d", v, p, u, wantAt[i])
+				}
 			}
 		}
 	})

@@ -42,10 +42,11 @@ type Rep interface {
 	NeighborsInto(v Vertex, buf []Vertex) []Vertex
 	// NeighborsAt writes the neighbor at position pos[i] of v's ascending
 	// list into out[i], for every pos[i] < Degree(v); out must be at least
-	// as long as pos, and positions may repeat or come in any order. Kernels
-	// that read a few positions of a list (k-out sampling) use it: CSR
-	// indexes its flat array, and the block-coded backend decodes only the
-	// block holding each position.
+	// as long as pos, and positions may repeat or come in any order; a
+	// position at or past Degree(v) panics. Kernels that read a few
+	// positions of a list (k-out sampling) use it: CSR indexes its flat
+	// array, and the block-coded backend decodes each position's block only
+	// as far as the position.
 	NeighborsAt(v Vertex, pos, out []Vertex)
 	// SizeBytes returns the resident size of the adjacency structure in
 	// bytes (offsets, degree/index arrays, and edge storage), the

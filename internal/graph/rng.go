@@ -49,8 +49,8 @@ func KOutPick(v, i, deg, seed uint64) Vertex {
 // positions 0..lead-1 and the rest are KOutPick, and false when the pick is
 // dropped: a lead position past the end of the list, or a random pick on
 // position 0 that a lead pick already took (the same edge again). It is the
-// one definition of the rule, for the per-vertex Rep path and the CSR
-// kernel alike.
+// one definition of the rule, for the per-vertex Rep path, the compressed
+// case and the CSR kernel alike.
 func KOutPosition(v uint64, i, deg, lead int, seed uint64) (Vertex, bool) {
 	if i < lead {
 		return Vertex(i), i < deg

@@ -107,10 +107,13 @@ const linePad = 64 / 4
 // koutPositions samples the variants that pick by adjacency position
 // (graph.KOutPosition): the first lead positions (all k for Afforest, one
 // for Hybrid, none for Pure), then a random position for each of the other
-// k-lead picks. On the flat CSR one DSU.KOutCSR call does a whole chunk
-// straight off the arrays; any other representation reads only the picked
-// positions (NeighborsAt), so a block-coded backend decodes one block per
-// pick instead of a list prefix, into scratch held per pool worker.
+// k-lead picks. The two built-in backends make no interface call per
+// vertex: on the flat CSR one DSU.KOutCSR call does a whole chunk straight
+// off the arrays, and on the block-coded backend each pick is one direct
+// NeighborAt call, which decodes the pick's block only as far as the pick,
+// and a vertex's picks go to one UnionNeighbors call. Any other
+// representation reads the picked positions through NeighborsAt. Picks and
+// positions go in scratch held per pool worker.
 func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, seed uint64) {
 	lead := 0
 	switch variant {
@@ -132,6 +135,26 @@ func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, se
 	stride := 2*k + linePad
 	width := parallel.Width(n, grain)
 	scratch := make([]graph.Vertex, stride*width)
+	if c, ok := g.(*graph.CompressedGraph); ok {
+		parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
+			base := stride * w.ID()
+			picks, degrees := scratch[base:base:base+k], c.Degrees
+			for v := lo; v < hi; v++ {
+				deg := int(degrees[v])
+				if deg == 0 {
+					continue
+				}
+				picks = picks[:0]
+				for i := 0; i < k; i++ {
+					if p, ok := graph.KOutPosition(uint64(v), i, deg, lead, seed); ok {
+						picks = append(picks, c.NeighborAt(graph.Vertex(v), int(p)))
+					}
+				}
+				d.UnionNeighbors(uint32(v), picks, 0, nil)
+			}
+		})
+		return
+	}
 	parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
 		base := stride * w.ID()
 		pos := scratch[base : base : base+k]

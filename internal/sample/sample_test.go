@@ -1,6 +1,7 @@
 package sample
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -55,12 +56,24 @@ func checkForestInducesLabels(t *testing.T, name string, labels []uint32, forest
 		}
 		parent[find(int(e.U))] = find(int(e.V))
 	}
+	// The two partitions agree when label and tree root determine each
+	// other: one pass, where comparing every pair took n² steps.
+	rootOf, labelOf := make(map[uint32]int), make(map[int]uint32)
+	parts := 0
 	for v := 0; v < n; v++ {
-		for u := 0; u < n; u++ {
-			if (labels[v] == labels[u]) != (find(v) == find(u)) {
-				t.Fatalf("%s: forest partition disagrees with labels at (%d,%d)", name, v, u)
-			}
+		r, l := find(v), labels[v]
+		rl, seenL := rootOf[l]
+		lr, seenR := labelOf[r]
+		if seenL != seenR || (seenL && (rl != r || lr != l)) {
+			t.Fatalf("%s: forest partition disagrees with labels at vertex %d", name, v)
 		}
+		if !seenL {
+			rootOf[l], labelOf[r] = r, l
+			parts++
+		}
+	}
+	if len(forest) != n-parts {
+		t.Fatalf("%s: %d forest edges for %d vertices in %d components, want %d", name, len(forest), n, parts, n-parts)
 	}
 }
 
@@ -292,6 +305,28 @@ func TestKOutSameLabelsEveryBackend(t *testing.T) {
 				if got := KOut(c, k, variant, seed, false).Labels; !slices.Equal(got, want) {
 					t.Fatalf("%v k=%d seed=%d: compressed labels differ from CSR", variant, k, seed)
 				}
+			}
+		}
+	}
+}
+
+// TestKOutForestEveryBackend: with forest witnesses on, so through the
+// DSU's recording path, every variant, k in {1, 2, 3} and three seeds give
+// on the block-coded backend the labels CSR gives, and a forest that is
+// acyclic, has n - #components edges and induces those labels.
+func TestKOutForestEveryBackend(t *testing.T) {
+	g := graph.RMAT(12, 40000, 0.57, 0.19, 0.19, 6)
+	c := graph.Compress(g)
+	for _, variant := range []KOutVariant{KOutHybrid, KOutAfforest, KOutPure, KOutMaxDeg} {
+		for k := 1; k <= 3; k++ {
+			for _, seed := range []uint64{1, 7, 1 << 40} {
+				name := fmt.Sprintf("%v k=%d seed=%d", variant, k, seed)
+				want := KOut(g, k, variant, seed, true)
+				got := KOut(c, k, variant, seed, true)
+				if !slices.Equal(got.Labels, want.Labels) {
+					t.Fatalf("%s: compressed labels differ from CSR", name)
+				}
+				checkForestInducesLabels(t, name, got.Labels, got.Forest)
 			}
 		}
 	}
