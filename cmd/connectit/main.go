@@ -271,7 +271,7 @@ func run() error {
 		return nil
 	}
 
-	fmt.Printf("graph: n=%d m=%d (format %s)\n", rep.NumVertices(), rep.NumEdges(), *format)
+	fmt.Printf("graph: n=%d m=%d (format %s)\n", rep.NumVertices(), rep.NumDirectedEdges()/2, *format)
 	fmt.Printf("algorithm: %s\n", solver.Name())
 	if *verbose {
 		if csr != nil {
@@ -324,7 +324,7 @@ func run() error {
 		// What the line above cost on top of the solve it reports.
 		fmt.Printf("summary: %v\n", summary)
 	}
-	fmt.Printf("throughput: %.1fM edges/s\n", float64(rep.NumEdges())/elapsed.Seconds()/1e6)
+	fmt.Printf("throughput: %.1fM edges/s\n", float64(rep.NumDirectedEdges()/2)/elapsed.Seconds()/1e6)
 	if *withStats {
 		fmt.Printf("stats: unions=%d TPL=%d MPL=%d\n", stats.Unions(), stats.TotalPathLength(), stats.MaxPathLength())
 	}
@@ -346,7 +346,10 @@ func printPoolStats() {
 }
 
 // footprint renders a backend's resident size and bytes per directed edge.
-func footprint(rep connectit.GraphRep) string {
+func footprint(rep interface {
+	NumDirectedEdges() int
+	SizeBytes() int
+}) string {
 	bytesPerEdge := 0.0
 	if de := rep.NumDirectedEdges(); de > 0 {
 		bytesPerEdge = float64(rep.SizeBytes()) / float64(de)
@@ -379,9 +382,6 @@ func makeRep() (rep connectit.GraphRep, csr *connectit.Graph, err error) {
 	return g, g, nil
 }
 
-// runStream replays g's edges as a live stream: -workers producers push
-// interleaved updates and (a -qmix fraction of) connectivity queries into
-// the concurrent ingest engine.
 // probeWritableDir verifies the WAL directory can be created and written
 // before the service boots, so a bad -wal-dir is a one-line error rather
 // than a late open failure mid-recovery.
@@ -444,6 +444,9 @@ func runServe() error {
 	})
 }
 
+// runStream replays g's edges as a live stream: -workers producers push
+// interleaved updates and (a -qmix fraction of) connectivity queries into
+// the concurrent ingest engine.
 func runStream(solver *connectit.Solver, g *connectit.Graph) error {
 	if caps := solver.Capabilities(); !caps.Streaming {
 		return fmt.Errorf("algorithm %s does not stream", solver.Name())

@@ -14,9 +14,29 @@ import (
 // GraphRep is the pluggable graph-representation interface: the flat CSR
 // Graph and the byte-compressed CompressedGraph both satisfy it, and
 // Solver.ComponentsOn runs on whichever representation was built or loaded
-// — or on any other implementation. See internal/graph.Rep for the
-// iteration contract.
-type GraphRep = graph.Rep
+// — or on any other implementation. Its four methods are all the library
+// reads. It has the method set of internal/graph.Rep, whose doc comment
+// holds the iteration contract.
+type GraphRep interface {
+	// NumVertices returns the number of vertices n.
+	NumVertices() int
+	// NumDirectedEdges returns the number of stored directed edges (2m for
+	// a symmetrized graph).
+	NumDirectedEdges() int
+	// Degree returns the degree of v.
+	Degree(v Vertex) int
+	// NeighborsInto returns v's neighbors in ascending order, valid until
+	// the next call that reuses buf. Implementations either return an
+	// internal slice (ignoring buf) or decode into buf, growing it as
+	// needed.
+	NeighborsInto(v Vertex, buf []Vertex) []Vertex
+}
+
+// GraphRep and graph.Rep hold the same methods: each converts to the other.
+var (
+	_ GraphRep  = graph.Rep(nil)
+	_ graph.Rep = GraphRep(nil)
+)
 
 // CompressedGraph is the byte-compressed CSR backend (Ligra+'s block-coded
 // byte codes): every algorithm runs directly on the encoding via

@@ -165,14 +165,6 @@ func (c *CompressedGraph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
 	return decodeList(c.Data, int(c.Offsets[v]), v, int(c.Degrees[v]), buf)
 }
 
-// NeighborsAt writes the neighbor at position pos[i] of v's list into
-// out[i], each through NeighborAt.
-func (c *CompressedGraph) NeighborsAt(v Vertex, pos, out []Vertex) {
-	for i, p := range pos {
-		out[i] = c.NeighborAt(v, int(p))
-	}
-}
-
 // NeighborAt returns the neighbor at position p of v's list. It finds p's
 // block through the list's block header and decodes that block only as far
 // as p, storing nothing on the way, so position 0 costs one varint. It

@@ -127,47 +127,6 @@ func TestBlockLayout(t *testing.T) {
 	}
 }
 
-// TestNeighborsAtMatchesNeighbors checks the by-position accessor on every
-// backend against the full decode: at every single position of every
-// block-panel and compression-panel vertex, and on random multi-position
-// calls with repeated and unsorted positions.
-func TestNeighborsAtMatchesNeighbors(t *testing.T) {
-	bp, _ := blockPanel()
-	graphs := compressPanel()
-	graphs["blocks"] = bp
-	for name, g := range graphs {
-		for _, r := range []Rep{g, Compress(g)} {
-			var full []Vertex
-			one := make([]Vertex, 1)
-			for v := 0; v < g.NumVertices(); v++ {
-				deg := r.Degree(Vertex(v))
-				if deg == 0 {
-					continue
-				}
-				full = r.NeighborsInto(Vertex(v), full)
-				for p := 0; p < deg; p++ {
-					r.NeighborsAt(Vertex(v), []Vertex{Vertex(p)}, one)
-					if one[0] != full[p] {
-						t.Fatalf("%s/%T: vertex %d position %d = %d, want %d", name, r, v, p, one[0], full[p])
-					}
-				}
-				pos := make([]Vertex, 7)
-				for i := range pos {
-					pos[i] = Vertex(Hash64(uint64(v)<<8^uint64(i)) % uint64(deg))
-				}
-				pos[3] = pos[1] // a repeat, wherever the draw put it
-				out := make([]Vertex, len(pos))
-				r.NeighborsAt(Vertex(v), pos, out)
-				for i, p := range pos {
-					if out[i] != full[p] {
-						t.Fatalf("%s/%T: vertex %d positions %v: out[%d] = %d, want %d", name, r, v, pos, i, out[i], full[p])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestNeighborAtMatchesNeighborsInto checks the positional decoder against
 // the full decode at every position of every block-panel and
 // compression-panel vertex: degrees 1, B-1, B, B+1, 2B, 2B+1 and hubs of
@@ -190,14 +149,13 @@ func TestNeighborAtMatchesNeighborsInto(t *testing.T) {
 	}
 }
 
-// TestNeighborsAtPastEndPanics: a position at or past a vertex's degree
-// panics on every backend. The compressed backend used to decode the next
-// list's bytes instead and return ids outside the graph (on Star(40),
-// vertex 1's position 6 read 48 and vertex 0's position 44 read 75); its
-// panic names the vertex, the position and the degree.
-func TestNeighborsAtPastEndPanics(t *testing.T) {
-	g := Star(40)
-	c := Compress(g)
+// TestNeighborAtPastEndPanics: a position at or past a vertex's degree, or
+// below zero, panics, naming the vertex, the position and the degree. The
+// compressed backend used to decode the next list's bytes instead and
+// return ids outside the graph (on Star(40), vertex 1's position 6 read 48
+// and vertex 0's position 44 read 75).
+func TestNeighborAtPastEndPanics(t *testing.T) {
+	c := Compress(Star(40))
 	panicOf := func(f func()) (msg string) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -207,21 +165,18 @@ func TestNeighborsAtPastEndPanics(t *testing.T) {
 		f()
 		return ""
 	}
-	for _, r := range []Rep{g, c} {
-		for _, tc := range []struct{ v, p Vertex }{{1, 1}, {1, 6}, {0, 39}, {0, 44}} {
-			deg := r.Degree(tc.v)
-			msg := panicOf(func() { r.NeighborsAt(tc.v, []Vertex{0, tc.p}, make([]Vertex, 2)) })
-			if msg == "" {
-				t.Fatalf("%T: vertex %d of degree %d read position %d without a panic", r, tc.v, deg, tc.p)
-			}
-			want := fmt.Sprintf("position %d of vertex %d is past its degree %d", tc.p, tc.v, deg)
-			if _, ok := r.(*CompressedGraph); ok && !strings.Contains(msg, want) {
-				t.Fatalf("panic %q does not say %q", msg, want)
-			}
+	for _, tc := range []struct {
+		v Vertex
+		p int
+	}{{1, 1}, {1, 6}, {0, 39}, {0, 44}, {0, -1}} {
+		deg := c.Degree(tc.v)
+		msg := panicOf(func() { c.NeighborAt(tc.v, tc.p) })
+		if msg == "" {
+			t.Fatalf("vertex %d of degree %d read position %d without a panic", tc.v, deg, tc.p)
 		}
-	}
-	if msg := panicOf(func() { c.NeighborAt(0, -1) }); !strings.Contains(msg, "position -1 of vertex 0") {
-		t.Fatalf("NeighborAt(0, -1): panic %q", msg)
+		if want := fmt.Sprintf("position %d of vertex %d is past its degree %d", tc.p, tc.v, deg); !strings.Contains(msg, want) {
+			t.Fatalf("panic %q does not say %q", msg, want)
+		}
 	}
 }
 

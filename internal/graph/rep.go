@@ -2,7 +2,11 @@ package graph
 
 // Rep is the pluggable graph-representation abstraction: the contract every
 // backend (flat CSR, byte-compressed CSR, and any user-defined
-// representation) satisfies, and the type every algorithm kernel takes.
+// representation) satisfies, and the type every algorithm kernel takes. It
+// holds exactly the four methods the library reads: the sizes, a degree,
+// and a whole adjacency list. Reporting methods (NumEdges, SizeBytes) and
+// positional decoders (CompressedGraph.NeighborAt) live on the backends
+// that have them, and the kernels that want them type-assert.
 //
 // Kernels take a plain Rep interface value: the per-vertex NeighborsInto
 // call is one indirect call per adjacency list, and the per-neighbor inner
@@ -28,8 +32,6 @@ package graph
 type Rep interface {
 	// NumVertices returns the number of vertices n.
 	NumVertices() int
-	// NumEdges returns the number of undirected edges m.
-	NumEdges() int
 	// NumDirectedEdges returns the number of stored directed edges (2m for
 	// a symmetrized graph).
 	NumDirectedEdges() int
@@ -40,18 +42,6 @@ type Rep interface {
 	// internal slice (ignoring buf) or decode into buf, growing it as
 	// needed.
 	NeighborsInto(v Vertex, buf []Vertex) []Vertex
-	// NeighborsAt writes the neighbor at position pos[i] of v's ascending
-	// list into out[i], for every pos[i] < Degree(v); out must be at least
-	// as long as pos, and positions may repeat or come in any order; a
-	// position at or past Degree(v) panics. Kernels that read a few
-	// positions of a list (k-out sampling) use it: CSR indexes its flat
-	// array, and the block-coded backend decodes each position's block only
-	// as far as the position.
-	NeighborsAt(v Vertex, pos, out []Vertex)
-	// SizeBytes returns the resident size of the adjacency structure in
-	// bytes (offsets, degree/index arrays, and edge storage), the
-	// space-vs-throughput statistic the CLI and benchmarks report.
-	SizeBytes() int
 }
 
 // Compile-time checks that every first-class backend satisfies Rep.
@@ -65,14 +55,6 @@ var (
 // returned; it must not be modified.
 func (g *Graph) NeighborsInto(v Vertex, buf []Vertex) []Vertex {
 	return g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-}
-
-// NeighborsAt indexes v's flat adjacency at each position.
-func (g *Graph) NeighborsAt(v Vertex, pos, out []Vertex) {
-	adj := g.Adj[g.Offsets[v]:g.Offsets[v+1]]
-	for i, p := range pos {
-		out[i] = adj[p]
-	}
 }
 
 // SizeBytes returns the resident size of the CSR arrays in bytes.

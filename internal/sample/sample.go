@@ -83,11 +83,7 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 	// The variant is resolved once per sweep, not per vertex. Every pick is
 	// unioned whatever its id; the DSU records (v, u) witnesses itself when
 	// forest is set.
-	if variant == KOutMaxDeg {
-		koutMaxDeg(g, d, k, seed)
-	} else {
-		koutPositions(g, d, k, variant, seed)
-	}
+	koutPositions(g, d, k, variant, seed)
 	// The ID-linking union-find can never hook the minimum vertex of a
 	// component (a hook always points to a smaller value), so after Flatten
 	// every star is rooted at its minimum member.
@@ -104,16 +100,19 @@ func KOut(g graph.Rep, k int, variant KOutVariant, seed uint64, forest bool) *Re
 // 1.4 times as long.
 const linePad = 64 / 4
 
-// koutPositions samples the variants that pick by adjacency position
-// (graph.KOutPosition): the first lead positions (all k for Afforest, one
-// for Hybrid, none for Pure), then a random position for each of the other
-// k-lead picks. The two built-in backends make no interface call per
-// vertex: on the flat CSR one DSU.KOutCSR call does a whole chunk straight
-// off the arrays, and on the block-coded backend each pick is one direct
-// NeighborAt call, which decodes the pick's block only as far as the pick,
-// and a vertex's picks go to one UnionNeighbors call. Any other
-// representation reads the picked positions through NeighborsAt. Picks and
-// positions go in scratch held per pool worker.
+// koutPositions unions each vertex with its k-out picks, every one taken by
+// adjacency position (graph.KOutPosition): the first lead positions (all k
+// for Afforest, one for Hybrid, none for Pure and MaxDeg), then a random
+// position for each of the other k-lead picks. The two built-in backends
+// make no interface call per vertex: on the flat CSR one DSU.KOutCSR call
+// does a whole chunk straight off the arrays, and on the block-coded
+// backend each pick is one direct NeighborAt call, which decodes the pick's
+// block only as far as the pick, and a vertex's picks go to one
+// UnionNeighbors call. KOutMaxDeg on any backend, and every variant on
+// another representation, read each list whole through NeighborsInto;
+// KOutMaxDeg then puts the highest-degree neighbour (the first one, on
+// ties) in place of pick 0. Picks and decode scratch are held per pool
+// worker.
 func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, seed uint64) {
 	lead := 0
 	switch variant {
@@ -122,20 +121,21 @@ func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, se
 	case KOutHybrid:
 		lead = 1
 	}
+	maxDeg := variant == KOutMaxDeg
 	const grain = 256
 	n := g.NumVertices()
-	if csr, ok := g.(*graph.Graph); ok {
+	if csr, ok := g.(*graph.Graph); ok && !maxDeg {
 		parallel.ForGrained(n, grain, func(lo, hi int) {
 			d.KOutCSR(lo, hi, csr.Offsets, csr.Adj, k, lead, seed)
 		})
 		return
 	}
-	// One allocation per call, whatever n is: worker w's positions and
-	// neighbours start at scratch[w*stride], padded apart by a cache line.
-	stride := 2*k + linePad
+	// One allocation per call, whatever n is: worker w's picks start at
+	// scratch[w*stride], padded apart by a cache line.
+	stride := k + linePad
 	width := parallel.Width(n, grain)
 	scratch := make([]graph.Vertex, stride*width)
-	if c, ok := g.(*graph.CompressedGraph); ok {
+	if c, ok := g.(*graph.CompressedGraph); ok && !maxDeg {
 		parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
 			base := stride * w.ID()
 			picks, degrees := scratch[base:base:base+k], c.Degrees
@@ -155,56 +155,31 @@ func koutPositions(g graph.Rep, d *unionfind.DSU, k int, variant KOutVariant, se
 		})
 		return
 	}
+	bufs := make([][]graph.Vertex, width)
 	parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
 		base := stride * w.ID()
-		pos := scratch[base : base : base+k]
-		nbrs := scratch[base+k : base+2*k]
-		for v := lo; v < hi; v++ {
-			deg := g.Degree(graph.Vertex(v))
-			if deg == 0 {
-				continue
-			}
-			pos = pos[:0]
-			for i := 0; i < k; i++ {
-				if p, ok := graph.KOutPosition(uint64(v), i, deg, lead, seed); ok {
-					pos = append(pos, p)
-				}
-			}
-			g.NeighborsAt(graph.Vertex(v), pos, nbrs)
-			d.UnionNeighbors(uint32(v), nbrs[:len(pos)], 0, nil)
-		}
-	})
-}
-
-// koutMaxDeg samples the edge to each vertex's highest-degree neighbor (the
-// first one, on ties) plus k-1 random ones. It reads every list whole,
-// through NeighborsInto on every representation; decode scratch and picks
-// are held per pool worker.
-func koutMaxDeg(g graph.Rep, d *unionfind.DSU, k int, seed uint64) {
-	const grain = 256
-	n := g.NumVertices()
-	stride := k + linePad
-	width := parallel.Width(n, grain)
-	bufs := make([][]graph.Vertex, width)
-	picks := make([]graph.Vertex, stride*width)
-	parallel.ForWorkerSized(n, grain, width, func(w *parallel.Worker, lo, hi int) {
-		buf, mine := bufs[w.ID()], picks[stride*w.ID():stride*w.ID()+k]
+		buf, picks := bufs[w.ID()], scratch[base:base:base+k]
 		for v := lo; v < hi; v++ {
 			buf = g.NeighborsInto(graph.Vertex(v), buf)
 			if len(buf) == 0 {
 				continue
 			}
-			best, bestDeg := buf[0], g.Degree(buf[0])
-			for _, u := range buf[1:] {
-				if du := g.Degree(u); du > bestDeg {
-					best, bestDeg = u, du
+			picks = picks[:0]
+			for i := 0; i < k; i++ {
+				if p, ok := graph.KOutPosition(uint64(v), i, len(buf), lead, seed); ok {
+					picks = append(picks, buf[p])
 				}
 			}
-			mine[0] = best
-			for i := 1; i < k; i++ {
-				mine[i] = buf[graph.KOutPick(uint64(v), uint64(i), uint64(len(buf)), seed)]
+			if maxDeg {
+				best, bestDeg := buf[0], g.Degree(buf[0])
+				for _, u := range buf[1:] {
+					if du := g.Degree(u); du > bestDeg {
+						best, bestDeg = u, du
+					}
+				}
+				picks[0] = best
 			}
-			d.UnionNeighbors(uint32(v), mine, 0, nil)
+			d.UnionNeighbors(uint32(v), picks, 0, nil)
 		}
 		bufs[w.ID()] = buf
 	})

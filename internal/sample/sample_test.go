@@ -232,7 +232,7 @@ func TestKOutVariantQualityOrderingOnAdversarialOrder(t *testing.T) {
 	}
 }
 
-// referenceKOut is the k-out loop as it stood before NeighborsAt: the
+// referenceKOut is the k-out loop as it stood before positional reads: the
 // variant switch runs per vertex, every pick (a Hybrid pick repeating
 // position 0 included) goes to the union, and the list is read whole — on
 // CSR that costs nothing. It is kept as the oracle for which positions each
@@ -286,15 +286,30 @@ func referenceKOut(g *graph.Graph, k int, variant KOutVariant, seed uint64) []ui
 	return d.Labels()
 }
 
+// foreignRep forwards only the four graph.Rep methods of a CSR graph: a
+// representation that is neither built-in backend, so k-out reads it
+// through its whole-list path.
+type foreignRep struct{ g *graph.Graph }
+
+var _ graph.Rep = foreignRep{}
+
+func (f foreignRep) NumVertices() int          { return f.g.NumVertices() }
+func (f foreignRep) NumDirectedEdges() int     { return f.g.NumDirectedEdges() }
+func (f foreignRep) Degree(v graph.Vertex) int { return f.g.Degree(v) }
+func (f foreignRep) NeighborsInto(v graph.Vertex, buf []graph.Vertex) []graph.Vertex {
+	return f.g.NeighborsInto(v, buf)
+}
+
 // TestKOutSameLabelsEveryBackend: every variant, k in {1, 2, 3} and three
-// seeds give bit-identical labels on CSR and the block-coded compressed
-// graph, and on CSR the same labels as the reference loop. RMAT's hubs run to many blocks, so picks land in every block.
+// seeds give bit-identical labels on CSR, the block-coded compressed graph
+// and a foreign representation, and on CSR the same labels as the reference
+// loop. RMAT's hubs run to many blocks, so picks land in every block.
 func TestKOutSameLabelsEveryBackend(t *testing.T) {
 	g := graph.RMAT(12, 40000, 0.57, 0.19, 0.19, 6)
 	if maxDeg := slices.Max(degrees(g)); maxDeg < 10*32 {
 		t.Fatalf("panel's largest degree %d spans too few blocks", maxDeg)
 	}
-	c := graph.Compress(g)
+	c, f := graph.Compress(g), foreignRep{g}
 	for _, variant := range []KOutVariant{KOutHybrid, KOutAfforest, KOutPure, KOutMaxDeg} {
 		for k := 1; k <= 3; k++ {
 			for _, seed := range []uint64{1, 7, 1 << 40} {
@@ -305,6 +320,9 @@ func TestKOutSameLabelsEveryBackend(t *testing.T) {
 				if got := KOut(c, k, variant, seed, false).Labels; !slices.Equal(got, want) {
 					t.Fatalf("%v k=%d seed=%d: compressed labels differ from CSR", variant, k, seed)
 				}
+				if got := KOut(f, k, variant, seed, false).Labels; !slices.Equal(got, want) {
+					t.Fatalf("%v k=%d seed=%d: foreign labels differ from CSR", variant, k, seed)
+				}
 			}
 		}
 	}
@@ -312,21 +330,24 @@ func TestKOutSameLabelsEveryBackend(t *testing.T) {
 
 // TestKOutForestEveryBackend: with forest witnesses on, so through the
 // DSU's recording path, every variant, k in {1, 2, 3} and three seeds give
-// on the block-coded backend the labels CSR gives, and a forest that is
-// acyclic, has n - #components edges and induces those labels.
+// on the block-coded backend and on a foreign representation the labels
+// CSR gives, and a forest that is acyclic, has n - #components edges and
+// induces those labels.
 func TestKOutForestEveryBackend(t *testing.T) {
 	g := graph.RMAT(12, 40000, 0.57, 0.19, 0.19, 6)
-	c := graph.Compress(g)
+	backends := map[string]graph.Rep{"compressed": graph.Compress(g), "foreign": foreignRep{g}}
 	for _, variant := range []KOutVariant{KOutHybrid, KOutAfforest, KOutPure, KOutMaxDeg} {
 		for k := 1; k <= 3; k++ {
 			for _, seed := range []uint64{1, 7, 1 << 40} {
-				name := fmt.Sprintf("%v k=%d seed=%d", variant, k, seed)
 				want := KOut(g, k, variant, seed, true)
-				got := KOut(c, k, variant, seed, true)
-				if !slices.Equal(got.Labels, want.Labels) {
-					t.Fatalf("%s: compressed labels differ from CSR", name)
+				for backend, r := range backends {
+					name := fmt.Sprintf("%s %v k=%d seed=%d", backend, variant, k, seed)
+					got := KOut(r, k, variant, seed, true)
+					if !slices.Equal(got.Labels, want.Labels) {
+						t.Fatalf("%s: labels differ from CSR", name)
+					}
+					checkForestInducesLabels(t, name, got.Labels, got.Forest)
 				}
-				checkForestInducesLabels(t, name, got.Labels, got.Forest)
 			}
 		}
 	}

@@ -27,10 +27,8 @@ func (d *DSU) unite(u, v uint32, w uint64) bool {
 		return d.uniteHooks(u, v, w)
 	case UnionEarly:
 		return d.uniteEarly(u, v, w)
-	case UnionRemCAS:
-		return d.uniteRemCAS(u, v, w)
-	case UnionRemLock:
-		return d.uniteRemLock(u, v, w)
+	case UnionRemCAS, UnionRemLock:
+		return d.uniteRem(u, v, w)
 	case UnionJTB:
 		return d.uniteJTB(u, v, w)
 	}
@@ -109,10 +107,14 @@ func (d *DSU) uniteEarly(u, v uint32, w uint64) bool {
 	return linked
 }
 
-// uniteRemCAS is the lock-free Rem's algorithm (Algorithm 14): it ascends
-// both paths keeping the invariant parent(rx) > parent(ry), links when rx is
-// a root, and otherwise applies the configured splice rule at rx.
-func (d *DSU) uniteRemCAS(u, v uint32, w uint64) bool {
+// uniteRem is Rem's algorithm (Algorithm 14) in both of its forms: it
+// ascends both paths keeping the invariant parent(rx) > parent(ry), links
+// when rx is a root, and otherwise applies the configured splice rule at rx
+// by CAS (spliceAt). Union-Rem-CAS links by one CAS on rx's parent;
+// Union-Rem-Lock (Patwary et al.) links through lockLink, which stores the
+// link under rx's spinlock after re-checking that rx is still a root. The
+// splice is the same CAS in both.
+func (d *DSU) uniteRem(u, v uint32, w uint64) bool {
 	rx, ry := u, v
 	steps := 0
 	px := atomic.LoadUint32(&d.parent[rx])
@@ -123,19 +125,18 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) bool {
 			px, py = py, px
 		}
 		// parent(rx) > parent(ry)
-		if rx == px {
-			// rx is a root: link it below ry's parent.
-			if atomic.CompareAndSwapUint32(&d.parent[rx], rx, py) {
-				d.recordWitness(rx, w)
-				d.stats.observe(int(u), steps)
-				if d.opt.Find != FindNaive {
-					d.Find(u)
-					d.Find(v)
-				}
-				return true
-			}
-		} else {
+		if rx != px {
 			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
+		} else if d.opt.Union == UnionRemLock && d.lockLink(rx, py) ||
+			d.opt.Union == UnionRemCAS && atomic.CompareAndSwapUint32(&d.parent[rx], rx, py) {
+			// rx was a root: it now hangs below ry's parent.
+			d.recordWitness(rx, w)
+			d.stats.observe(int(u), steps)
+			if d.opt.Find != FindNaive {
+				d.Find(u)
+				d.Find(v)
+			}
+			return true
 		}
 		px = atomic.LoadUint32(&d.parent[rx])
 		py = atomic.LoadUint32(&d.parent[ry])
@@ -143,6 +144,20 @@ func (d *DSU) uniteRemCAS(u, v uint32, w uint64) bool {
 	}
 	d.stats.observe(int(u), steps)
 	return false
+}
+
+// lockLink is Union-Rem-Lock's link: under rx's spinlock it re-checks that
+// rx is still a root and only then points it at py, reporting whether it
+// did. py < rx, so the link keeps parents decreasing and cannot create a
+// cycle.
+func (d *DSU) lockLink(rx, py uint32) bool {
+	d.locks[rx].Lock()
+	root := atomic.LoadUint32(&d.parent[rx]) == rx
+	if root {
+		atomic.StoreUint32(&d.parent[rx], py)
+	}
+	d.locks[rx].Unlock()
+	return root
 }
 
 // spliceAt applies a splice rule (Algorithm 9) at a non-root vertex rx whose
@@ -176,7 +191,7 @@ func spliceAt(parent []uint32, rule SpliceOption, rx, px, py uint32) uint32 {
 //
 // The variant is resolved once per list, not once per edge. Union-Rem-CAS
 // without instrumentation or witness recording (plainRemCAS) runs the ascent
-// of uniteRemCAS written out in the loop: no call per edge, parent in a
+// of uniteRem written out in the loop: no call per edge, parent in a
 // register. Everything else (Stats, witnesses, the other union rules) takes
 // the per-edge unite path, which remains the definition of each rule;
 // TestSweepKernelParity holds the two together. On the flat CSR the finish
@@ -217,46 +232,6 @@ func (d *DSU) UnionNeighbors(v uint32, nbrs []uint32, from uint32, skip []bool) 
 			py = atomic.LoadUint32(&parent[ry])
 		}
 	}
-}
-
-// uniteRemLock is the lock-based Rem's algorithm of Patwary et al.: the same
-// ascent as uniteRemCAS, but the root link (and splice, for SpliceAtomic) is
-// installed under the vertex's spinlock after re-validating rootness.
-func (d *DSU) uniteRemLock(u, v uint32, w uint64) bool {
-	rx, ry := u, v
-	steps := 0
-	px := atomic.LoadUint32(&d.parent[rx])
-	py := atomic.LoadUint32(&d.parent[ry])
-	for px != py {
-		if px < py {
-			rx, ry = ry, rx
-			px, py = py, px
-		}
-		if rx == px {
-			d.locks[rx].Lock()
-			if atomic.LoadUint32(&d.parent[rx]) == rx {
-				// Still a root: py < rx, so the link keeps parents
-				// decreasing and cannot create a cycle.
-				atomic.StoreUint32(&d.parent[rx], py)
-				d.locks[rx].Unlock()
-				d.recordWitness(rx, w)
-				d.stats.observe(int(u), steps)
-				if d.opt.Find != FindNaive {
-					d.Find(u)
-					d.Find(v)
-				}
-				return true
-			}
-			d.locks[rx].Unlock()
-		} else {
-			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
-		}
-		px = atomic.LoadUint32(&d.parent[rx])
-		py = atomic.LoadUint32(&d.parent[ry])
-		steps++
-	}
-	d.stats.observe(int(u), steps)
-	return false
 }
 
 // uniteJTB links roots ordered by random priority (Jayanti, Tarjan,
