@@ -100,9 +100,10 @@ func BenchmarkStreamMixedRatio(b *testing.B) {
 
 // BenchmarkStreamUpdateParallel is Stream.Update alone on the default
 // (Type i) configuration, one goroutine per P over a shuffled RMAT edge
-// list: the per-call price of the ingest layer — gate, accounting, union. Run with -cpu 1,2: an accounting word shared between producers
-// costs nothing at -cpu 1 and most of the call at -cpu 2 (DESIGN.md §9
-// "Per-operation accounting"), a cliff no single-goroutine row can show.
+// list: the per-call price of the ingest layer — gate, accounting, union.
+// Run with -cpu 1,2: producers whose stacks hash onto one accounting line
+// cost nothing extra at -cpu 1 and most of the call at -cpu 2 (DESIGN.md
+// §9 "Per-operation accounting"), a cliff no single-goroutine row can show.
 // Past the first len(edges) calls nearly every edge is intra-component, as
 // in the tail of any power-law stream, so the steady state is the union's
 // read-only early exit.

@@ -1,7 +1,8 @@
 // Package concurrent provides the low-level atomic primitives used by all
 // ConnectIt algorithms: compare-and-swap helpers, writeMin (priority update),
 // a packed 64-bit writeMin that carries a witness value alongside the
-// priority, and a small test-and-test-and-set spinlock.
+// priority, a small test-and-test-and-set spinlock, and the stack hint that
+// spreads per-goroutine counters over cache lines.
 //
 // All label mutations in this repository are monotone decreasing and go
 // through these primitives, so concurrent interleavings can never regress a
@@ -11,6 +12,7 @@ package concurrent
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // WriteMin atomically updates *addr to val if val is smaller than the value
@@ -103,4 +105,21 @@ func (s *Spinlock) TryLock() bool {
 // Unlock releases the spinlock. It must only be called by the holder.
 func (s *Spinlock) Unlock() {
 	s.state.Store(0)
+}
+
+// StackHint hashes the calling goroutine's stack address, so that
+// concurrent goroutines pick different counter lines with no shared state
+// and one goroutine keeps picking the same line. Take a 2^k-way index from
+// its high bits: StackHint() >> (64 - k). See stackHash.
+func StackHint() uint64 {
+	var probe byte
+	return stackHash(uintptr(unsafe.Pointer(&probe)))
+}
+
+// stackHash is a multiplicative hash of addr at 2 KB granularity. Go's
+// smallest stack is 2 KB and two goroutines' stacks can lie exactly that far
+// apart, so bit 11 is the lowest that tells goroutines apart and must reach
+// the high bits: a hash from addr>>12 sends such a pair to one line.
+func stackHash(addr uintptr) uint64 {
+	return uint64(addr>>11) * 0x9e3779b97f4a7c15
 }

@@ -168,3 +168,35 @@ func TestSpinlockTryLock(t *testing.T) {
 		t.Fatal("TryLock after Unlock should succeed")
 	}
 }
+
+// TestStackHashLines holds the stack hint's 64-line index to synthetic
+// stack addresses. Goroutine stacks are 2 KB apart at the least, so a run
+// of 64 such stacks must cover most of the lines, and a handful of stacks
+// spaced by any power-of-two stride up to 1 MB must not share one. A hash
+// that drops bit 11 puts every adjacent pair of 2 KB stacks on one line and
+// fails both cases.
+func TestStackHashLines(t *testing.T) {
+	const (
+		bits    = 6
+		kb      = 1 << 10
+		strided = 8 // stacks per stride that must land on distinct lines
+	)
+	line := func(addr uintptr) uint64 { return stackHash(addr) >> (64 - bits) }
+	distinct := func(base, stride uintptr, n int) int {
+		seen := make(map[uint64]bool)
+		for i := 0; i < n; i++ {
+			seen[line(base+uintptr(i)*stride)] = true
+		}
+		return len(seen)
+	}
+	for _, base := range []uintptr{0xc000000000, 0xc000038000, 0xc000100000, 0x7f0000000000} {
+		if got := distinct(base, 2*kb, 1<<bits); got < 48 {
+			t.Errorf("base %#x: 64 stacks 2 KB apart cover %d lines, want ≥ 48", base, got)
+		}
+		for stride := uintptr(2 * kb); stride <= 1024*kb; stride <<= 1 {
+			if got := distinct(base, stride, strided); got != strided {
+				t.Errorf("base %#x: %d stacks %d KB apart cover %d lines, want %d", base, strided, stride/kb, got, strided)
+			}
+		}
+	}
+}

@@ -57,8 +57,9 @@ var ErrStreamClosed = errors.New("connectit: stream closed")
 
 // StreamOptions tunes a Stream. The zero value selects the defaults.
 type StreamOptions struct {
-	// Shards is the number of update buffers concurrent producers are
-	// spread over. Default: GOMAXPROCS.
+	// Shards is the number of update buffers a buffered (Type ii/iii)
+	// stream spreads its updates over. Default: GOMAXPROCS. Type i streams
+	// never buffer and ignore it.
 	Shards int
 	// EpochSize is the number of buffered updates at which a shard seals
 	// its epoch and queues it for apply. Default 4096. Type i streams
@@ -80,6 +81,10 @@ const (
 	// probeBudget bounds the buffered rounds' read-only parent-chain
 	// probe, in chase steps.
 	probeBudget = 32
+	// slotBits sizes the close gate's accounting array at 64 lines, as
+	// unionfind.Stats is sized: more lines than typical core counts, so
+	// distinct producers seldom hash onto one.
+	slotBits = 6
 )
 
 func (o StreamOptions) withDefaults() StreamOptions {
@@ -148,14 +153,13 @@ const (
 )
 
 // slot is one producer's accounting line: every word the Update hot path
-// writes, on one cache line. A caller borrows a slot through Stream.tokens,
-// and sync.Pool's per-P private entry hands a goroutine back the token its
-// P last used, so in steady state each line
-// has one writing core and an Update's two read-modify-writes (entered,
-// then one left word) never leave that core's cache. Choosing the line by
-// a hash of the edge instead sends every producer to every line; that
-// bouncing, not the union, was 70 % of the 90/10 mix (DESIGN.md §9
-// "Per-operation accounting").
+// writes, on one cache line. A call picks its line by a hash of its
+// goroutine's stack address (see enter), so in steady state each line has
+// one writing goroutine and an Update's two read-modify-writes (entered,
+// then one left word) stay in one core's cache. Choosing the line by a hash
+// of the edge instead sends every producer to every line; that bouncing,
+// not the union, was 70 % of the 90/10 mix (DESIGN.md §9 "Per-operation
+// accounting").
 //
 // All words only grow. Updates past the gate and not yet out are
 // Σentered − Σleft over the slots; StreamStats.Updates is Σleft without
@@ -301,15 +305,10 @@ type Stream struct {
 	closed    atomic.Bool
 	closeDone chan struct{}
 
-	// Per-operation accounting (see slot). tokens lends out pointers into
-	// slots; minted is the next slot a new token gets. Shards sizes the
-	// array, so with the default there is a line per P. The pool mints a
-	// token only when every existing one is borrowed, which takes more
-	// callers mid-call at once than there are slots (see enter); two tokens
-	// on one slot still count exactly, only slower.
-	slots  []slot
-	tokens sync.Pool
-	minted atomic.Uint32
+	// Per-operation accounting (see slot): 1<<slotBits lines, picked by
+	// enter. Two callers hashed onto one line still count exactly, only
+	// slower.
+	slots []slot
 
 	// Pipeline counters; bumped off the hot path (seal/round), so plain
 	// atomics suffice. roundFiltered and roundApplied are what apply rounds
@@ -339,10 +338,7 @@ func (c *Compiled) NewStream(n int, opt StreamOptions) (*Stream, error) {
 	c.family.NewStream(s, c.cfg)
 	s.quiet = sync.NewCond(&s.qmu)
 	s.closeDone = make(chan struct{})
-	s.slots = make([]slot, opt.Shards)
-	s.tokens.New = func() any {
-		return &s.slots[(s.minted.Add(1)-1)%uint32(len(s.slots))]
-	}
+	s.slots = make([]slot, 1<<slotBits)
 	if s.stype != TypeAsync {
 		s.shards = make([]shard, opt.Shards)
 		for i := range s.shards {
@@ -416,38 +412,28 @@ func (s *Stream) Stats() StreamStats {
 	return st
 }
 
-// enter counts n updates into the close gate on a borrowed slot. A Type i
-// update keeps the slot until it leaves; it never parks in between. A call
-// that can park — on the shard and round locks, or on the pool — must not
-// keep it: a token parked with it is missing from its P's fast path, so
-// the P's next callers take the pool's slow path and mint tokens onto
-// slots other Ps are using. Such a call hands the token straight back
-// (nil) and leaves on whichever slot it borrows then: the sums do not care
-// which slot a word was counted on.
-func (s *Stream) enter(n uint64, keep bool) *slot {
-	sl := s.tokens.Get().(*slot)
+// enter counts n updates into the close gate on the calling goroutine's
+// line and returns it; the call books its exits on that same line. The
+// line is a hash of the stack address (concurrent.StackHint), masked by
+// the array's size, so it costs no shared write. A goroutine whose stack
+// moves may pick another line on its next call, which costs nothing: the
+// sums do not care which line a word was counted on.
+func (s *Stream) enter(n uint64) *slot {
+	sl := &s.slots[concurrent.StackHint()>>(64-slotBits)&uint64(len(s.slots)-1)]
 	sl.entered.Add(n)
-	if !keep {
-		s.tokens.Put(sl)
-		return nil
-	}
 	return sl
 }
 
-// leave books how the n updates a batch call entered with left: the
+// leave books how the n updates a batch call entered on sl left: the
 // counts in left, and aborted for the rest. It is deferred, so a call that
 // panics still leaves the gate and Close cannot wedge behind it.
 func (s *Stream) leave(sl *slot, n uint64, left *[numExits]uint64) {
-	if sl == nil {
-		sl = s.tokens.Get().(*slot)
-	}
 	left[exitAborted] = n - left[exitFiltered] - left[exitApplied] - left[exitBuffered]
 	for how, k := range left {
 		if k > 0 {
 			sl.left[how].Add(k)
 		}
 	}
-	s.tokens.Put(sl)
 }
 
 // Update accepts the edge insertion (u, v). Vertices must be < Len(). After
@@ -456,17 +442,11 @@ func (s *Stream) Update(u, v uint32) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
 	}
-	sl := s.enter(1, s.stype == TypeAsync)
+	sl := s.enter(1)
 	// Deferred so that a call that panics still leaves the gate and Close
 	// cannot wedge behind it.
 	how := exitAborted
-	defer func() {
-		if sl == nil {
-			sl = s.tokens.Get().(*slot)
-		}
-		sl.left[how].Add(1)
-		s.tokens.Put(sl)
-	}()
+	defer func() { sl.left[how].Add(1) }()
 	// Re-check after entering: a Close that ran between the first check and
 	// the entry observes the entry (sequentially consistent atomics) and
 	// waits us out; one that ran before the entry is caught here, so no
@@ -490,7 +470,7 @@ func (s *Stream) UpdateBatch(edges []graph.Edge) error {
 		return ErrStreamClosed
 	}
 	var left [numExits]uint64
-	defer s.leave(s.enter(uint64(len(edges)), s.stype == TypeAsync), uint64(len(edges)), &left)
+	defer s.leave(s.enter(uint64(len(edges))), uint64(len(edges)), &left)
 	if s.closed.Load() {
 		return ErrStreamClosed
 	}
@@ -540,7 +520,7 @@ func (s *Stream) ProcessBatch(updates []graph.Edge, queries [][2]uint32) ([]bool
 	}
 	m := uint64(len(updates))
 	var left [numExits]uint64
-	defer s.leave(s.enter(m, false), m, &left)
+	defer s.leave(s.enter(m), m, &left)
 	if s.closed.Load() {
 		return nil, ErrStreamClosed
 	}

@@ -9,7 +9,6 @@ import "sync/atomic"
 
 // findNaive follows parent pointers to the root without compressing.
 func (d *DSU) findNaive(u uint32) uint32 {
-	hint := int(u)
 	steps := 0
 	p := atomic.LoadUint32(&d.parent[u])
 	for u != p {
@@ -17,7 +16,7 @@ func (d *DSU) findNaive(u uint32) uint32 {
 		p = atomic.LoadUint32(&d.parent[u])
 		steps++
 	}
-	d.stats.observe(hint, steps)
+	d.stats.observe(steps)
 	return u
 }
 
@@ -27,7 +26,6 @@ func (d *DSU) findNaive(u uint32) uint32 {
 // restricted to FindNaive/FindTwoTrySplit by New, so the invariant holds
 // whenever this runs.
 func (d *DSU) findCompress(u uint32) uint32 {
-	hint := int(u)
 	steps := 0
 	r := u
 	for {
@@ -47,20 +45,19 @@ func (d *DSU) findCompress(u uint32) uint32 {
 		u = p
 		steps++
 	}
-	d.stats.observe(hint, steps)
+	d.stats.observe(steps)
 	return r
 }
 
 // findSplit performs atomic path splitting: every vertex on the find path is
 // re-pointed at its grandparent.
 func (d *DSU) findSplit(u uint32) uint32 {
-	hint := int(u)
 	steps := 0
 	for {
 		v := atomic.LoadUint32(&d.parent[u])
 		w := atomic.LoadUint32(&d.parent[v])
 		if v == w {
-			d.stats.observe(hint, steps)
+			d.stats.observe(steps)
 			return v
 		}
 		atomic.CompareAndSwapUint32(&d.parent[u], v, w)
@@ -72,13 +69,12 @@ func (d *DSU) findSplit(u uint32) uint32 {
 // findHalve performs atomic path halving: every other vertex on the find
 // path is re-pointed at its grandparent and the traversal skips to it.
 func (d *DSU) findHalve(u uint32) uint32 {
-	hint := int(u)
 	steps := 0
 	for {
 		v := atomic.LoadUint32(&d.parent[u])
 		w := atomic.LoadUint32(&d.parent[v])
 		if v == w {
-			d.stats.observe(hint, steps)
+			d.stats.observe(steps)
 			return v
 		}
 		atomic.CompareAndSwapUint32(&d.parent[u], v, w)
@@ -97,8 +93,8 @@ func (d *DSU) findHalve(u uint32) uint32 {
 // exhausted" and carries no negative guarantee. It is safe to run
 // concurrently with unions and finds of every variant — including Rem +
 // SpliceAtomic, whose phase-concurrency restriction applies to finds that
-// compress, not to read-only chases — and is the pre-filter probe of the
-// streaming ingest engine's buffered rounds (internal/ingest).
+// compress, not to read-only chases — and is the pre-filter probe of
+// core.Stream's buffered rounds.
 func ProbeSame(parent []uint32, u, v uint32, budget int) bool {
 	if u == v {
 		return true
@@ -123,13 +119,12 @@ func ProbeSame(parent []uint32, u, v uint32, budget int) bool {
 // the splitting CAS up to twice before advancing, which bounds the expected
 // work per operation.
 func (d *DSU) findTwoTrySplit(u uint32) uint32 {
-	hint := int(u)
 	steps := 0
 	for {
 		v := atomic.LoadUint32(&d.parent[u])
 		w := atomic.LoadUint32(&d.parent[v])
 		if v == w {
-			d.stats.observe(hint, steps)
+			d.stats.observe(steps)
 			return v
 		}
 		if !atomic.CompareAndSwapUint32(&d.parent[u], v, w) {
@@ -137,7 +132,7 @@ func (d *DSU) findTwoTrySplit(u uint32) uint32 {
 			v2 := atomic.LoadUint32(&d.parent[u])
 			w2 := atomic.LoadUint32(&d.parent[v2])
 			if v2 == w2 {
-				d.stats.observe(hint, steps)
+				d.stats.observe(steps)
 				return v2
 			}
 			atomic.CompareAndSwapUint32(&d.parent[u], v2, w2)

@@ -2,7 +2,8 @@ package unionfind
 
 import (
 	"sync/atomic"
-	"unsafe"
+
+	"connectit/internal/concurrent"
 )
 
 // Stats collects the path-length instrumentation the paper uses to analyze
@@ -23,7 +24,10 @@ type Stats struct {
 }
 
 // statsShards is a power of two covering typical core counts.
-const statsShards = 64
+const (
+	statsShardBits = 6
+	statsShards    = 1 << statsShardBits
+)
 
 // statsShard occupies its own cache line.
 type statsShard struct {
@@ -33,22 +37,20 @@ type statsShard struct {
 	_      [40]byte
 }
 
-// shardHint mixes a per-call value with the caller's stack address so
-// concurrent workers spread across lines even when the per-call values are
-// skewed (power-law graphs funnel most operations through hub vertex IDs).
-func shardHint(x int) int {
-	var probe byte
-	h := uintptr(unsafe.Pointer(&probe))
-	return (x*0x9e3779b1 ^ int(h>>10)) & (statsShards - 1)
+// line is the caller's counter line, picked by its stack address
+// (concurrent.StackHint) as core.Stream's close gate picks its accounting
+// line: a worker goroutine writes one line, so workers do not bounce lines
+// between them, however skewed the vertices they touch.
+func (s *Stats) line() *statsShard {
+	return &s.shards[concurrent.StackHint()>>(64-statsShardBits)]
 }
 
-// observe records a completed path traversal of the given length. hint
-// (typically the operand vertex) selects the counter shard.
-func (s *Stats) observe(hint, steps int) {
+// observe records a completed path traversal of the given length.
+func (s *Stats) observe(steps int) {
 	if s == nil || steps == 0 {
 		return
 	}
-	s.shards[shardHint(hint)].tpl.Add(uint64(steps))
+	s.line().tpl.Add(uint64(steps))
 	for {
 		cur := s.mpl.Load()
 		if uint64(steps) <= cur {
@@ -60,9 +62,9 @@ func (s *Stats) observe(hint, steps int) {
 	}
 }
 
-func (s *Stats) addUnion(hint int) {
+func (s *Stats) addUnion() {
 	if s != nil {
-		s.shards[shardHint(hint)].unions.Add(1)
+		s.line().unions.Add(1)
 	}
 }
 

@@ -19,7 +19,7 @@ import (
 // found both endpoints in one set.
 
 func (d *DSU) unite(u, v uint32, w uint64) bool {
-	d.stats.addUnion(int(u))
+	d.stats.addUnion()
 	switch d.opt.Union {
 	case UnionAsync:
 		return d.uniteAsync(u, v, w)
@@ -99,7 +99,7 @@ func (d *DSU) uniteEarly(u, v uint32, w uint64) bool {
 		v = atomic.LoadUint32(&d.parent[v])
 		steps++
 	}
-	d.stats.observe(int(u), steps)
+	d.stats.observe(steps)
 	if d.opt.Find != FindNaive {
 		d.Find(ou)
 		d.Find(ov)
@@ -131,7 +131,7 @@ func (d *DSU) uniteRem(u, v uint32, w uint64) bool {
 			d.opt.Union == UnionRemCAS && atomic.CompareAndSwapUint32(&d.parent[rx], rx, py) {
 			// rx was a root: it now hangs below ry's parent.
 			d.recordWitness(rx, w)
-			d.stats.observe(int(u), steps)
+			d.stats.observe(steps)
 			if d.opt.Find != FindNaive {
 				d.Find(u)
 				d.Find(v)
@@ -142,7 +142,7 @@ func (d *DSU) uniteRem(u, v uint32, w uint64) bool {
 		py = atomic.LoadUint32(&d.parent[ry])
 		steps++
 	}
-	d.stats.observe(int(u), steps)
+	d.stats.observe(steps)
 	return false
 }
 

@@ -307,8 +307,8 @@ func TestStatsInstrumentation(t *testing.T) {
 
 func TestNilStatsSafe(t *testing.T) {
 	var s *Stats
-	s.observe(1, 3)
-	s.addUnion(1)
+	s.observe(3)
+	s.addUnion()
 	s.AddFind()
 	s.Reset()
 	if s.TotalPathLength() != 0 || s.MaxPathLength() != 0 || s.Unions() != 0 || s.Finds() != 0 {
