@@ -27,9 +27,10 @@ type Capabilities struct {
 // Compiled is a compiled ConnectIt algorithm instance: Compile validates
 // the sampling × finish combination once, precomputes the dispatch closures
 // that the free functions previously re-derived on every call, and retains
-// scratch buffers (labels, skip flags, union-find auxiliary arrays) so
-// repeated runs over same-sized graphs avoid re-allocation on the finish
-// hot path. It is the engine behind the public connectit.Solver.
+// scratch buffers (labels, skip flags, the unsampled union-find result,
+// union-find auxiliary arrays) so repeated runs over same-sized graphs
+// avoid re-allocation on the finish hot path. It is the engine behind the
+// public connectit.Solver.
 //
 // A Compiled carries one finish hook and at most one forest hook, both over
 // graph.Rep, so the same instance — and the same retained scratch — runs
@@ -49,6 +50,7 @@ type Compiled struct {
 	streamErr  error
 
 	labels []uint32 // identity-labeling scratch for the NoSampling path
+	roots  []uint32 // NoSampling result scratch a finish hook may fill (FinishFunc's out)
 	skip   []bool   // most-frequent-component skip-flag scratch
 }
 
@@ -149,7 +151,11 @@ func (c *Compiled) Components(g graph.Rep) []uint32 {
 		return nil
 	}
 	labels, skip, _ := c.prepare(g, false)
-	return c.finish(g, labels, skip)
+	var out *[]uint32
+	if c.cfg.Sampling == NoSampling {
+		out = &c.roots
+	}
+	return c.finish(g, labels, skip, out)
 }
 
 // SpanningForest computes a spanning forest of g (Algorithm 2): the

@@ -211,7 +211,7 @@ func ufOptions(cfg Config) unionfind.Options {
 
 // newSVFinish compiles the Shiloach-Vishkin finish hook.
 func newSVFinish(Config) FinishFunc {
-	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+	return func(g graph.Rep, labels []uint32, skip []bool, _ *[]uint32) []uint32 {
 		shiloachvishkin.Run(g, labels, skip)
 		return labels
 	}
@@ -223,7 +223,7 @@ func newSVFinish(Config) FinishFunc {
 // per run.
 func newLTFinish(cfg Config) FinishFunc {
 	er := liutarjan.NewEdgeRunner(cfg.Algorithm.LT)
-	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+	return func(g graph.Rep, labels []uint32, skip []bool, _ *[]uint32) []uint32 {
 		er.Run(liutarjan.CollectEdges(g, skip), labels, skip)
 		return labels
 	}
@@ -242,7 +242,7 @@ func newLTForestRunner(v liutarjan.Variant) *liutarjan.ForestEdgeRunner {
 
 // newStergiouFinish compiles the Stergiou finish hook.
 func newStergiouFinish(Config) FinishFunc {
-	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+	return func(g graph.Rep, labels []uint32, skip []bool, _ *[]uint32) []uint32 {
 		liutarjan.RunStergiou(g, labels, skip)
 		return labels
 	}
@@ -250,7 +250,7 @@ func newStergiouFinish(Config) FinishFunc {
 
 // newLPFinish compiles the Label-Propagation finish hook.
 func newLPFinish(Config) FinishFunc {
-	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+	return func(g graph.Rep, labels []uint32, skip []bool, _ *[]uint32) []uint32 {
 		labelprop.Run(g, labels, skip)
 		return labels
 	}
@@ -259,13 +259,24 @@ func newLPFinish(Config) FinishFunc {
 // newUFFinish compiles the union-find finish hook. The hook retains one
 // DSU and Resets it each run, so repeated runs on same-sized graphs —
 // whatever their representation — reuse the auxiliary allocations (hooks,
-// locks, priorities) instead of paying New every time.
+// locks, priorities) instead of paying New every time. A sampled run's
+// forest is its fresh result and nearly flat, so it is flattened in place;
+// an unsampled run's forest is instance scratch and deep, so its roots are
+// read into out, the instance's second buffer (DESIGN.md §3.1).
 func newUFFinish(cfg Config) FinishFunc {
 	d := unionfind.MustNew(0, ufOptions(cfg))
-	return func(g graph.Rep, labels []uint32, skip []bool) []uint32 {
+	return func(g graph.Rep, labels []uint32, skip []bool, out *[]uint32) []uint32 {
 		d.Reset(labels)
 		unionFindFinish(g, d, skip)
-		return d.Labels()
+		if out == nil {
+			return d.Labels()
+		}
+		if cap(*out) < len(labels) {
+			*out = make([]uint32, len(labels))
+		}
+		roots := (*out)[:len(labels)]
+		unionfind.RootsInto(roots, labels)
+		return roots
 	}
 }
 

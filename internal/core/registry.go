@@ -52,11 +52,21 @@ type Family struct {
 
 // FinishFunc is the compiled finish-phase hook of one algorithm
 // instantiation: it refines a star-form labeling (skip semantics per
-// DESIGN.md §4) to full connectivity in place and returns the final
-// labeling. It reaches the graph only through graph.Rep — one indirect
-// NeighborsInto call per adjacency list, a plain slice range per neighbor
-// (DESIGN.md §10) — so any representation runs, with no per-backend table.
-type FinishFunc func(g graph.Rep, labels []uint32, skip []bool) []uint32
+// DESIGN.md §4) to full connectivity and returns the final labeling. It
+// reaches the graph only through graph.Rep — one indirect NeighborsInto
+// call per adjacency list, a plain slice range per neighbor (DESIGN.md
+// §10) — so any representation runs, with no per-backend table.
+//
+// Who owns labels decides where the result goes. A sampled run passes its
+// fresh sampling result and a nil out: the hook refines labels in place and
+// returns it. An unsampled run passes instance scratch (the identity
+// labeling) and out, a second buffer of the same instance: a hook may size
+// *out to len(labels), write the final labeling there and return it.
+// Union-find does, because its unsampled forest is deep and reading its
+// roots into a second array takes a plain store per vertex where flattening
+// in place takes a locked one (DESIGN.md §3.1); the other families refine
+// labels in place either way.
+type FinishFunc func(g graph.Rep, labels []uint32, skip []bool, out *[]uint32) []uint32
 
 // ForestFunc is the compiled spanning-forest hook: it refines a star-form
 // labeling as FinishFunc does, records one witness edge per hook, and

@@ -927,9 +927,8 @@ func (s *Stream) quiesce() (release func()) {
 func (s *Stream) Labels() []uint32 {
 	s.Sync()
 	defer s.quiesce()()
-	parent := s.parents()
 	out := make([]uint32, s.n)
-	parallel.For(s.n, func(i int) { out[i] = chaseRoot(parent, uint32(i)) })
+	unionfind.RootsInto(out, s.parents())
 	return out
 }
 

@@ -184,6 +184,15 @@ var errByName = map[string]error{
 	"ETIMEDOUT":  syscall.ETIMEDOUT,
 }
 
+// seamOps is every operation a seam consults the schedule for: the FS
+// wrapper's keys and the conn wrapper's.
+var seamOps = map[string]bool{
+	OpWALOpen: true, OpWALWrite: true, OpWALSync: true, OpWALRename: true,
+	OpWALRemove: true, OpWALTruncate: true, OpWALMkdir: true,
+	OpWALReadFile: true, OpWALReadDir: true, OpWALStat: true,
+	OpConnRead: true, OpConnWrite: true,
+}
+
 // ParseSchedule builds a schedule from a spec string: semicolon-separated
 // rules, each a colon-separated operation name followed by trigger and
 // action fields:
@@ -195,7 +204,8 @@ var errByName = map[string]error{
 //
 // Operation names are dotted: the WAL's file seam uses wal.open, wal.write,
 // wal.sync, wal.rename, wal.remove, wal.truncate, wal.readfile, wal.readdir,
-// wal.mkdir, wal.stat; the conn wrapper uses conn.read and conn.write.
+// wal.mkdir, wal.stat; the conn wrapper uses conn.read and conn.write. A
+// rule naming any other operation is rejected.
 // Error names are EIO, ENOSPC, EACCES, EPIPE, ECONNRESET, ETIMEDOUT.
 // A rule with no explicit action defaults to err=EIO (reset for conn ops).
 //
@@ -223,6 +233,11 @@ func ParseSchedule(spec string) (*Schedule, error) {
 			continue
 		}
 		r := rule{op: fields[0], act: Action{Short: -1}}
+		if !seamOps[r.op] {
+			// A rule on an operation no seam consults would never fire, and
+			// a chaos run armed with it would pass having injected nothing.
+			return nil, fmt.Errorf("fault: rule %q: unknown operation %q", raw, r.op)
+		}
 		hasShort := false
 		for _, f := range fields[1:] {
 			key, val, hasVal := strings.Cut(f, "=")

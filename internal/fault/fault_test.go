@@ -135,6 +135,9 @@ func TestParseScheduleRejects(t *testing.T) {
 		"wal.sync:at=1:delay=-1s",    // negative delay
 		"seed=x",                     // bad seed
 		"conn.write:at=1:reset=true", // reset takes no value
+		"wal.snyc:at=1",              // misspelled operation
+		":at=1",                      // empty operation
+		"seed=5:at=1",                // seed is not an operation
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("ParseSchedule(%q) accepted, want error", spec)

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -8,8 +9,10 @@ import (
 // FuzzParseSchedule holds the schedule grammar to three properties: the
 // parser never panics; every rejection is an error naming the package
 // ("fault: ..."), which is how a bad CONNECTIT_FAULTS reaches the operator;
-// and an accepted schedule answers Next and Count for its own operations,
-// counting each occurrence once and firing only actions that fault.
+// every accepted rule names an operation a seam consults, so none is armed
+// where it can never fire; and an accepted schedule answers Next and Count
+// for its own operations, counting each occurrence once and firing only
+// actions that fault.
 func FuzzParseSchedule(f *testing.F) {
 	for _, seed := range []string{
 		// ParseSchedule's and the package's doc examples.
@@ -34,8 +37,16 @@ func FuzzParseSchedule(f *testing.F) {
 		"wal.sync:at=1:delay=-1s",
 		"seed=x",
 		"conn.write:at=1:reset=true",
+		"wal.snyc:at=1",
+		":at=1",
+		"seed=5:at=1",
 	} {
 		f.Add(seed)
+	}
+	consulted := []string{
+		OpWALOpen, OpWALWrite, OpWALSync, OpWALRename, OpWALRemove,
+		OpWALTruncate, OpWALMkdir, OpWALReadFile, OpWALReadDir, OpWALStat,
+		OpConnRead, OpConnWrite,
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		s, err := ParseSchedule(spec)
@@ -49,6 +60,11 @@ func FuzzParseSchedule(f *testing.F) {
 			return
 		}
 		calls := make(map[string]uint64)
+		for _, r := range s.rules {
+			if !slices.Contains(consulted, r.op) {
+				t.Fatalf("ParseSchedule(%q): accepted a rule on %q, which no seam consults", spec, r.op)
+			}
+		}
 		for round := 0; round < 3; round++ {
 			for _, r := range s.rules {
 				if !s.HasOp(r.op) {

@@ -9,9 +9,9 @@ import (
 // Stats collects the path-length instrumentation the paper uses to analyze
 // union-find variants (§4.1.1): the Total Path Length (TPL) summed over all
 // operations, the Max Path Length (MPL) observed by any single operation,
-// and operation counts. Memory operations (parent-array loads/CASes) are
-// proportional to path steps, so TPL doubles as the paper's memory-traffic
-// proxy (DESIGN.md §2).
+// and the number of unions issued. Memory operations (parent-array
+// loads/CASes) are proportional to path steps, so TPL doubles as the
+// paper's memory-traffic proxy (DESIGN.md §2).
 //
 // Counters are sharded across padded cache lines to keep the
 // instrumentation overhead in the paper's reported 10-20% range rather than
@@ -33,8 +33,7 @@ const (
 type statsShard struct {
 	tpl    atomic.Uint64
 	unions atomic.Uint64
-	finds  atomic.Uint64
-	_      [40]byte
+	_      [48]byte
 }
 
 // line is the caller's counter line, picked by its stack address
@@ -65,13 +64,6 @@ func (s *Stats) observe(steps int) {
 func (s *Stats) addUnion() {
 	if s != nil {
 		s.line().unions.Add(1)
-	}
-}
-
-// AddFind records a find operation (used by the streaming query path).
-func (s *Stats) AddFind() {
-	if s != nil {
-		s.shards[0].finds.Add(1)
 	}
 }
 
@@ -107,18 +99,6 @@ func (s *Stats) Unions() uint64 {
 	return sum
 }
 
-// Finds returns the number of find operations recorded via AddFind.
-func (s *Stats) Finds() uint64 {
-	if s == nil {
-		return 0
-	}
-	var sum uint64
-	for i := range s.shards {
-		sum += s.shards[i].finds.Load()
-	}
-	return sum
-}
-
 // Reset clears all counters.
 func (s *Stats) Reset() {
 	if s == nil {
@@ -127,7 +107,6 @@ func (s *Stats) Reset() {
 	for i := range s.shards {
 		s.shards[i].tpl.Store(0)
 		s.shards[i].unions.Store(0)
-		s.shards[i].finds.Store(0)
 	}
 	s.mpl.Store(0)
 }

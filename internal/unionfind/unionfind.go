@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"connectit/internal/concurrent"
 	"connectit/internal/graph"
@@ -346,7 +347,9 @@ func (d *DSU) SameSet(u, v uint32) bool {
 // pass with no state beyond parent, so independent DSUs may flatten
 // concurrently: a vertex that is a root or one hop from one (every member of
 // a sampled star) is left after two loads, the rest are chased to their root
-// and stored once.
+// and stored once. Each such store is locked; on a deep forest whose caller
+// owns a second array, RootsInto writes the same roots there with plain
+// stores.
 func (d *DSU) Flatten() {
 	parent := d.parent
 	parallel.ForGrained(len(parent), parallel.DefaultGrain, func(lo, hi int) {
@@ -361,6 +364,39 @@ func (d *DSU) Flatten() {
 				p = atomic.LoadUint32(&parent[r])
 			}
 			atomic.StoreUint32(&parent[i], r)
+		}
+	})
+}
+
+// RootsInto writes the root of every element of the forest parent into
+// dst: dst[v] is where following parent pointers from v stops at an element
+// that is its own parent. It is one chunked pass with no state beyond its
+// two arguments. parent is read with atomic loads and never written, so the
+// pass may race unions (a chase follows live pointers, which never leave a
+// component) and independent forests may be read concurrently. dst is
+// written with plain stores, one per element, which is what makes the pass
+// cheaper than Flatten on a deep forest (DESIGN.md §3.1); it must hold
+// len(parent) elements and must not share memory with parent, or RootsInto
+// panics.
+func RootsInto(dst, parent []uint32) {
+	n := len(parent)
+	if len(dst) < n {
+		panic(fmt.Sprintf("unionfind: RootsInto into %d elements, want %d", len(dst), n))
+	}
+	dst = dst[:n]
+	if n > 0 {
+		d, p := uintptr(unsafe.Pointer(&dst[0])), uintptr(unsafe.Pointer(&parent[0]))
+		if size := uintptr(4 * n); d < p+size && p < d+size {
+			panic("unionfind: RootsInto with dst overlapping parent")
+		}
+	}
+	parallel.ForGrained(n, parallel.DefaultGrain, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			r := atomic.LoadUint32(&parent[i])
+			for p := atomic.LoadUint32(&parent[r]); p != r; p = atomic.LoadUint32(&parent[r]) {
+				r = p
+			}
+			dst[i] = r
 		}
 	})
 }

@@ -2,6 +2,7 @@ package unionfind
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -309,9 +310,8 @@ func TestNilStatsSafe(t *testing.T) {
 	var s *Stats
 	s.observe(3)
 	s.addUnion()
-	s.AddFind()
 	s.Reset()
-	if s.TotalPathLength() != 0 || s.MaxPathLength() != 0 || s.Unions() != 0 || s.Finds() != 0 {
+	if s.TotalPathLength() != 0 || s.MaxPathLength() != 0 || s.Unions() != 0 {
 		t.Fatal("nil Stats should read as zero")
 	}
 }
@@ -592,4 +592,90 @@ func TestUnionReportsLink(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRootsIntoMatchesFlatten holds the out-of-place root pass to Flatten:
+// on random forests hanging both ways (parents below and above their
+// children), on chains that cross chunk boundaries in both directions, and
+// on the forest a chunked SweepCSR leaves on a grid, RootsInto must write
+// exactly the parent array Flatten leaves, and must not write parent.
+func TestRootsIntoMatchesFlatten(t *testing.T) {
+	const n = 3*parallel.DefaultGrain + 5
+	forests := map[string][]uint32{}
+	down, up := make([]uint32, n), make([]uint32, n)
+	for i := range down {
+		h := graph.Hash64(uint64(i) ^ 0x9e37)
+		down[i], up[i] = uint32(i), uint32(i)
+		if i > 0 && h%8 != 0 {
+			down[i] = uint32(h % uint64(i))
+		}
+		if i < n-1 && h%8 != 0 {
+			up[i] = uint32(i + 1 + int(h%uint64(n-i-1)))
+		}
+	}
+	forests["random/down"], forests["random/up"] = down, up
+	for _, length := range []int{n, parallel.DefaultGrain + 3} {
+		toLow, toHigh := make([]uint32, n), make([]uint32, n)
+		for i := range toLow {
+			toLow[i], toHigh[i] = uint32(i), uint32(i)
+			if i%length != 0 {
+				toLow[i] = uint32(i - 1)
+			}
+			if i%length != length-1 && i < n-1 {
+				toHigh[i] = uint32(i + 1)
+			}
+		}
+		forests[fmt.Sprintf("chain%d/to-low", length)] = toLow
+		forests[fmt.Sprintf("chain%d/to-high", length)] = toHigh
+	}
+	g := graph.Grid2D(150, 150)
+	swept := MustNew(g.NumVertices(), Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne})
+	parallel.ForGrained(g.NumVertices(), 256, func(lo, hi int) {
+		swept.SweepCSR(lo, hi, g.Offsets, g.Adj, nil)
+	})
+	forests["grid/swept"] = swept.Parents()
+
+	for name, parent := range forests {
+		before := slices.Clone(parent)
+		got := make([]uint32, len(parent))
+		RootsInto(got, parent)
+		if !slices.Equal(parent, before) {
+			t.Fatalf("%s: RootsInto wrote parent", name)
+		}
+		d := MustNew(0, Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne})
+		d.Reset(before)
+		d.Flatten()
+		for v, want := range d.Parents() {
+			if got[v] != want {
+				t.Fatalf("%s: RootsInto gave %d the root %d, Flatten %d", name, v, got[v], want)
+			}
+		}
+	}
+}
+
+// TestRootsIntoRejectsOverlap: dst is written with plain stores while
+// parent is chased, so a dst sharing memory with parent, or one too short
+// to hold every root, is refused before anything is written.
+func TestRootsIntoRejectsOverlap(t *testing.T) {
+	backing := make([]uint32, 64)
+	for i := range backing {
+		backing[i] = uint32(i % 32)
+	}
+	for name, args := range map[string][2][]uint32{
+		"same array":   {backing[:32], backing[:32]},
+		"dst inside":   {backing[16:48], backing[:32]},
+		"parent after": {backing[:32], backing[31:63]},
+		"short dst":    {make([]uint32, 31), backing[:32]},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: RootsInto did not panic", name)
+				}
+			}()
+			RootsInto(args[0], args[1])
+		}()
+	}
+	RootsInto(backing[32:], backing[:32]) // adjacent is not overlapping
+	RootsInto(nil, nil)
 }
