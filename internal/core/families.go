@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sort"
 
 	"connectit/internal/graph"
 	"connectit/internal/labelprop"
@@ -262,12 +263,14 @@ func newLPFinish(Config) FinishFunc {
 // locks, priorities) instead of paying New every time. A sampled run's
 // forest is its fresh result and nearly flat, so it is flattened in place;
 // an unsampled run's forest is instance scratch and deep, so its roots are
-// read into out, the instance's second buffer (DESIGN.md §3.1).
+// read into out, the instance's second buffer (DESIGN.md §3.1). Per
+// FinishFunc's contract a non-nil out also means labels is the identity, so
+// the sweep may start with each worker's private id range.
 func newUFFinish(cfg Config) FinishFunc {
 	d := unionfind.MustNew(0, ufOptions(cfg))
 	return func(g graph.Rep, labels []uint32, skip []bool, out *[]uint32) []uint32 {
 		d.Reset(labels)
-		unionFindFinish(g, d, skip)
+		unionFindFinish(g, d, skip, out != nil)
 		if out == nil {
 			return d.Labels()
 		}
@@ -291,7 +294,7 @@ func newUFForest(cfg Config) ForestFunc {
 			df = unionfind.MustNew(0, opt)
 		}
 		df.Reset(labels)
-		unionFindFinish(g, df, skip)
+		unionFindFinish(g, df, skip, false)
 		return df.WitnessEdges(acc)
 	}
 }
@@ -306,13 +309,18 @@ func newUFForest(cfg Config) ForestFunc {
 // by degree instead cost two random offsets[] reads per directed edge, more
 // than the union it saved. A witness-recording DSU records each applied edge
 // as (v, u). The flat CSR is the one special case: DSU.SweepCSR does a whole
-// chunk straight off its arrays. Every other representation goes through
-// NeighborsInto per vertex, with decode scratch per pool worker, reused
-// across its chunks.
-func unionFindFinish(g graph.Rep, d *unionfind.DSU, skip []bool) {
+// chunk straight off its arrays, and when identity says that d starts from
+// the identity forest it runs in two phases (sweepOwnedCSR). Every other
+// representation goes through NeighborsInto per vertex, with decode scratch
+// per pool worker, reused across its chunks.
+func unionFindFinish(g graph.Rep, d *unionfind.DSU, skip []bool, identity bool) {
 	n := g.NumVertices()
 	const grain = 256
 	if csr, ok := g.(*graph.Graph); ok {
+		if identity {
+			sweepOwnedCSR(csr, d, grain)
+			return
+		}
 		parallel.ForGrained(n, grain, func(lo, hi int) {
 			d.SweepCSR(lo, hi, csr.Offsets, csr.Adj, skip)
 		})
@@ -329,5 +337,53 @@ func unionFindFinish(g graph.Rep, d *unionfind.DSU, skip []bool) {
 			d.UnionNeighbors(uint32(v), buf, uint32(v)+1, skip)
 		}
 		bufs[w.ID()] = buf
+	})
+}
+
+// sweepOwnedCSR is the unsampled CSR sweep of a DSU that starts from the
+// identity forest (DESIGN.md §3.1). Phase 1 cuts [0, n) into 4·Procs()
+// contiguous id ranges, and one worker per range unions the range's own
+// edges with plain stores (DSU.SweepOwned) until a vertex has an edge past
+// the range: the identity start keeps every parent in its range, so no
+// other worker can look. No edge can stop the last range, so it runs whole
+// on every graph; where every other range stops at once (RMAT, whose range
+// starts are hubs) it would run alone while the other workers wait, so it
+// is cut 4·Procs() times finer. Phase 2 applies every range's tail,
+// [stop, hi), with the atomic SweepCSR, in chunks of grain over the tails'
+// total length; a chunk may straddle two tails. A DSU that does not take
+// the private phase stops each range at its first vertex, and phase 2 is
+// then the single sweep.
+func sweepOwnedCSR(g *graph.Graph, d *unionfind.DSU, grain int) {
+	n := g.NumVertices()
+	w := 4 * parallel.Procs()
+	cuts := make([]int, 0, 2*w)
+	for r := 0; r < w; r++ {
+		cuts = append(cuts, r*n/w)
+	}
+	last := cuts[w-1]
+	for k := 1; k <= w; k++ {
+		cuts = append(cuts, last+k*(n-last)/w)
+	}
+	ranges := len(cuts) - 1
+	stops := make([]int, ranges)
+	parallel.ForGrained(ranges, 1, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			stops[r] = d.SweepOwned(cuts[r], cuts[r+1], g.Offsets, g.Adj)
+		}
+	})
+	// tails[r] is the total length of the tails of ranges below r.
+	tails := make([]int, ranges+1)
+	for r, stop := range stops {
+		tails[r+1] = tails[r] + cuts[r+1] - stop
+	}
+	parallel.ForGrained(tails[ranges], grain, func(lo, hi int) {
+		r := sort.SearchInts(tails, lo+1) - 1
+		for lo < hi {
+			end := min(hi, tails[r+1])
+			v := stops[r] + lo - tails[r]
+			d.SweepCSR(v, v+end-lo, g.Offsets, g.Adj, nil)
+			lo = end
+			r++
+		}
 	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"connectit/internal/graph"
@@ -183,6 +184,48 @@ func TestSweepStatsParity(t *testing.T) {
 					t.Fatalf("%s: unions %d, total path length %d, max path length %d; want all non-zero",
 						id, st.Unions(), st.TotalPathLength(), st.MaxPathLength())
 				}
+			}
+		}
+	}
+}
+
+// TestSweepOwnedLabelsMatchUnite: the unsampled CSR solve of every
+// Union-Rem-CAS splice rule with FindNaive, which unions each worker's id
+// range privately before the shared sweep, returns labels bit-identical to
+// the same solve with Stats set, which takes the per-edge unite path in one
+// shared sweep, and to the oracle's least-vertex labels: roots are linked
+// by id, so every label is its component's least vertex. The grid keeps
+// nearly every edge inside a range; on RMAT nearly every range is left at
+// its first vertex. The path and the lone vertex have fewer vertices than
+// ranges.
+func TestSweepOwnedLabelsMatchUnite(t *testing.T) {
+	graphs := map[string]*graph.Graph{
+		"grid": graph.Grid2D(150, 120),
+		"rmat": graph.RMAT(13, 40000, 0.57, 0.19, 0.19, 5),
+		"path": graph.Build(5, []graph.Edge{{U: 3, V: 4}, {U: 0, V: 1}, {U: 1, V: 3}}),
+		"lone": graph.Build(1, nil),
+	}
+	for name, g := range graphs {
+		want := testutil.Components(g)
+		for _, rule := range []string{"split-one", "halve-one", "splice"} {
+			spec := "none;uf;rem-cas;naive;" + rule
+			owned := slices.Clone(mustCompile(t, spec).Components(g))
+			cfg, err := ParseConfig(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st unionfind.Stats
+			cfg.Stats = &st
+			counted, err := Compile(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			perEdge := counted.Components(g)
+			if st.Unions() != uint64(g.NumEdges()) {
+				t.Fatalf("%s/%s: the per-edge run made %d unions, want %d", name, rule, st.Unions(), g.NumEdges())
+			}
+			if !slices.Equal(owned, perEdge) || !slices.Equal(owned, want) {
+				t.Fatalf("%s/%s: labels differ from the per-edge path or the oracle", name, rule)
 			}
 		}
 	}

@@ -189,7 +189,7 @@ var errByName = map[string]error{
 var seamOps = map[string]bool{
 	OpWALOpen: true, OpWALWrite: true, OpWALSync: true, OpWALRename: true,
 	OpWALRemove: true, OpWALTruncate: true, OpWALMkdir: true,
-	OpWALReadFile: true, OpWALReadDir: true, OpWALStat: true,
+	OpWALReadFile: true, OpWALReadDir: true, OpWALStat: true, OpWALSyncDir: true,
 	OpConnRead: true, OpConnWrite: true,
 }
 
@@ -204,7 +204,7 @@ var seamOps = map[string]bool{
 //
 // Operation names are dotted: the WAL's file seam uses wal.open, wal.write,
 // wal.sync, wal.rename, wal.remove, wal.truncate, wal.readfile, wal.readdir,
-// wal.mkdir, wal.stat; the conn wrapper uses conn.read and conn.write. A
+// wal.mkdir, wal.stat, wal.syncdir; the conn wrapper uses conn.read and conn.write. A
 // rule naming any other operation is rejected.
 // Error names are EIO, ENOSPC, EACCES, EPIPE, ECONNRESET, ETIMEDOUT.
 // A rule with no explicit action defaults to err=EIO (reset for conn ops).

@@ -196,6 +196,30 @@ func TestFaultFSSyncAndRename(t *testing.T) {
 	}
 }
 
+// TestFaultFSSyncDir: the schedule grammar names the directory sync, the
+// wrapper fails it on the scheduled occurrence with the scheduled errno,
+// and the passthrough syncs a real directory.
+func TestFaultFSSyncDir(t *testing.T) {
+	dir := t.TempDir()
+	s, err := ParseSchedule("wal.syncdir:at=1:err=EIO")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := NewFS(nil, s)
+	if err := fsys.SyncDir(dir); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("syncdir: %v, want EIO", err)
+	}
+	if err := fsys.SyncDir(dir); err != nil {
+		t.Fatalf("syncdir 2 (past rule): %v", err)
+	}
+	if n := s.Count(OpWALSyncDir); n != 2 {
+		t.Fatalf("Count(%q) = %d, want 2", OpWALSyncDir, n)
+	}
+	if err := OS.SyncDir(filepath.Join(dir, "missing")); err == nil {
+		t.Fatal("syncdir of a missing directory succeeded")
+	}
+}
+
 func TestFaultFSNilPassthrough(t *testing.T) {
 	if fs := NewFS(nil, nil); fs != OS {
 		t.Fatal("NewFS(nil, nil) should return the passthrough OS")

@@ -27,6 +27,9 @@ type FS interface {
 	Rename(oldpath, newpath string) error
 	Truncate(name string, size int64) error
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
+	// SyncDir fsyncs the directory name, making the entries created or
+	// renamed in it durable.
+	SyncDir(name string) error
 }
 
 // OS is the passthrough filesystem: every call forwards to package os.
@@ -44,6 +47,17 @@ func (osFS) Truncate(name string, size int64) error       { return os.Truncate(n
 func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	return os.OpenFile(name, flag, perm)
 }
+func (osFS) SyncDir(name string) error {
+	d, err := os.Open(name)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
 
 // Operation keys the FS wrapper consults on the schedule. Write, sync,
 // and rename are the durability-critical ones; the read-side keys exist
@@ -59,6 +73,7 @@ const (
 	OpWALReadFile = "wal.readfile"
 	OpWALReadDir  = "wal.readdir"
 	OpWALStat     = "wal.stat"
+	OpWALSyncDir  = "wal.syncdir"
 )
 
 // NewFS wraps base so every operation first consults sched. A nil
@@ -139,6 +154,13 @@ func (f *faultFS) Truncate(name string, size int64) error {
 		return &os.PathError{Op: "truncate", Path: name, Err: err}
 	}
 	return f.base.Truncate(name, size)
+}
+
+func (f *faultFS) SyncDir(name string) error {
+	if err := f.check(OpWALSyncDir); err != nil {
+		return &os.PathError{Op: "syncdir", Path: name, Err: err}
+	}
+	return f.base.SyncDir(name)
 }
 
 func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {

@@ -40,13 +40,15 @@ func FuzzParseSchedule(f *testing.F) {
 		"wal.snyc:at=1",
 		":at=1",
 		"seed=5:at=1",
+		// The directory-sync seam.
+		"wal.syncdir:at=1:err=EIO",
 	} {
 		f.Add(seed)
 	}
 	consulted := []string{
 		OpWALOpen, OpWALWrite, OpWALSync, OpWALRename, OpWALRemove,
 		OpWALTruncate, OpWALMkdir, OpWALReadFile, OpWALReadDir, OpWALStat,
-		OpConnRead, OpConnWrite,
+		OpWALSyncDir, OpConnRead, OpConnWrite,
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
 		s, err := ParseSchedule(spec)

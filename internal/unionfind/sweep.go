@@ -121,3 +121,78 @@ func (d *DSU) KOutCSR(lo, hi int, offsets []uint64, adj []uint32, k, lead int, s
 		}
 	}
 }
+
+// SweepOwned is the private first phase of an unsampled CSR finish: it
+// does what SweepCSR(lo, hi, offsets, adj, nil) does, with plain loads and
+// stores instead of atomic ones, until it meets the first vertex with an
+// edge to some u >= hi. It returns that vertex, or hi when there is none;
+// the caller then applies [stop, hi) with SweepCSR. A vertex whose last
+// neighbour is >= hi stops the phase before any of its edges is applied,
+// so on a sorted list (every graph.Build CSR) the stop vertex is left whole
+// to SweepCSR; on an unsorted one, its edges before the crossing one are
+// applied again there, which is harmless: a union is idempotent, and the
+// ascent that was cut short only shortened paths. Only a plainRemCAS DSU
+// with FindNaive takes this phase; any other returns lo at once and so
+// leaves the whole range to SweepCSR.
+//
+// Precondition: every parent in [lo, hi) is an id in [lo, hi), and no other
+// goroutine reads or writes parent[lo:hi] until the call returns. An
+// identity start (an unsampled run) satisfies the first part, and the
+// phase keeps it: a link or a splice stores only a value it read from the
+// range. A sampled start does not, since its star roots lie anywhere, and
+// a caller must not infer the precondition from the absence of skip flags.
+// The ascent is written out apart from the atomic ones (DESIGN.md §10), and
+// TestSweepOwnedParity holds it to them.
+func (d *DSU) SweepOwned(lo, hi int, offsets []uint64, adj []uint32) (stop int) {
+	if !d.plainRemCAS() || d.opt.Find != FindNaive {
+		return lo
+	}
+	parent, rule, end := d.parent, d.opt.Splice, uint32(hi)
+	for v := lo; v < hi; v++ {
+		from := uint32(v) + 1
+		nbrs := adj[offsets[v]:offsets[v+1]]
+		if len(nbrs) > 0 && nbrs[len(nbrs)-1] >= end {
+			return v
+		}
+		for _, u := range nbrs {
+			if u < from {
+				continue
+			}
+			if u >= end {
+				return v
+			}
+			rx, ry := uint32(v), u
+			px, py := parent[rx], parent[ry]
+			for px != py {
+				if px < py {
+					rx, ry, px, py = ry, rx, py, px
+				}
+				if rx == px {
+					parent[rx] = py
+					break
+				}
+				rx = splicePlain(parent, rule, rx, px, py)
+				px, py = parent[rx], parent[ry]
+			}
+		}
+	}
+	return hi
+}
+
+// splicePlain is spliceAt with plain loads and stores, for SweepOwned's
+// private range: no other goroutine can change parent[rx] between the load
+// that read px and the store, so each of spliceAt's CASes would succeed.
+func splicePlain(parent []uint32, rule SpliceOption, rx, px, py uint32) uint32 {
+	if rule == SpliceAtomic {
+		parent[rx] = py
+		return px
+	}
+	wv := parent[px]
+	if px != wv {
+		parent[rx] = wv
+	}
+	if rule == HalveAtomicOne {
+		return wv
+	}
+	return px
+}

@@ -371,13 +371,20 @@ func (d *DSU) Flatten() {
 // RootsInto writes the root of every element of the forest parent into
 // dst: dst[v] is where following parent pointers from v stops at an element
 // that is its own parent. It is one chunked pass with no state beyond its
-// two arguments. parent is read with atomic loads and never written, so the
-// pass may race unions (a chase follows live pointers, which never leave a
-// component) and independent forests may be read concurrently. dst is
-// written with plain stores, one per element, which is what makes the pass
-// cheaper than Flatten on a deep forest (DESIGN.md §3.1); it must hold
-// len(parent) elements and must not share memory with parent, or RootsInto
-// panics.
+// two arguments and, per chunk, the last (parent, root) pair whose parent
+// is not itself a root: a vertex with that parent reuses the root instead
+// of chasing again. That keeps the pass cheap on the forest a private-range
+// sweep leaves, where runs of vertices hang off one parent two or more hops
+// below its root (DESIGN.md §3.1). A parent that is a root costs one load
+// either way, and remembering it too would make the reuse test flip
+// unpredictably on a flat forest. parent is read with atomic loads and
+// never written, so the pass may race unions (a chase follows live
+// pointers, which never leave a component, and a reused root is one a chase
+// saw at some instant, as any chase's is) and independent forests may be
+// read concurrently. dst is written with plain stores, one per element,
+// which is what makes the pass cheaper than Flatten on a deep forest; it
+// must hold len(parent) elements and must not share memory with parent, or
+// RootsInto panics.
 func RootsInto(dst, parent []uint32) {
 	n := len(parent)
 	if len(dst) < n {
@@ -391,10 +398,19 @@ func RootsInto(dst, parent []uint32) {
 		}
 	}
 	parallel.ForGrained(n, parallel.DefaultGrain, func(lo, hi int) {
+		last, root := noVertex, noVertex
 		for i := lo; i < hi; i++ {
-			r := atomic.LoadUint32(&parent[i])
-			for p := atomic.LoadUint32(&parent[r]); p != r; p = atomic.LoadUint32(&parent[r]) {
-				r = p
+			p := atomic.LoadUint32(&parent[i])
+			if p == last {
+				dst[i] = root
+				continue
+			}
+			r := atomic.LoadUint32(&parent[p])
+			if r != p {
+				for q := atomic.LoadUint32(&parent[r]); q != r; q = atomic.LoadUint32(&parent[r]) {
+					r = q
+				}
+				last, root = p, r
 			}
 			dst[i] = r
 		}

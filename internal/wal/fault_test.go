@@ -319,6 +319,91 @@ func TestRecoveryFailureStaysWedged(t *testing.T) {
 	wantLSNs(t, replayAll(t, dir), 0)
 }
 
+// A failed directory sync while rotating to a new segment wedges the log
+// like any failed rotation, before the segment takes a record: the acked
+// records survive a reopen, and recovery rotates once the sync works.
+func TestSyncDirFailureAtRotationWedges(t *testing.T) {
+	dir := t.TempDir()
+	// SegmentBytes below one record forces a rotation per append, and each
+	// rotation syncs the directory: the second append's is the second.
+	sched := fault.NewSchedule(1).FailAt(fault.OpWALSyncDir, 2, fault.Action{Err: syscall.EIO})
+	l, err := Open(dir, Options{SegmentBytes: 1, FS: fault.NewFS(nil, sched)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(batch(0)); err != nil {
+		t.Fatalf("append 1: %v", err)
+	}
+	if _, err := l.Append(batch(10)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("append 2: %v, want EIO wedge", err)
+	}
+	if l.Wedged() == nil {
+		t.Fatal("a failed directory sync at rotation must wedge")
+	}
+	wantLSNs(t, replayAll(t, dir), 0)
+
+	if err := l.TryRecover(); err != nil {
+		t.Fatalf("TryRecover: %v", err)
+	}
+	if lsn, err := l.Append(batch(10)); err != nil || lsn != 1 {
+		t.Fatalf("append after recovery: lsn=%d err=%v", lsn, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wantLSNs(t, replayAll(t, dir), 0, 1)
+}
+
+// A failed directory sync after a snapshot's rename returns the error and
+// keeps the old snapshot installed, on disk as in memory, and every
+// segment; a retry installs and leaves one snapshot file.
+func TestSnapshotInstallSyncDirFailure(t *testing.T) {
+	dir := t.TempDir()
+	// NoSync appends never sync the directory, so the first wal.syncdir is
+	// the first snapshot's install and the second the one that fails.
+	sched := fault.NewSchedule(1).FailAt(fault.OpWALSyncDir, 2, fault.Action{Err: syscall.EIO})
+	l, err := Open(dir, Options{NoSync: true, SegmentBytes: 1, FS: fault.NewFS(nil, sched)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint32(0); i < 4; i++ {
+		if _, err := l.Append(batch(10 * i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.CommitSnapshot(2, batch(0)); err != nil {
+		t.Fatalf("first snapshot: %v", err)
+	}
+	_, oldPath, _ := l.LatestSnapshot()
+	segs := l.Stats().Segments
+	if err := l.CommitSnapshot(4, batch(0)); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("CommitSnapshot: %v, want EIO", err)
+	}
+	if lsn, path, ok := l.LatestSnapshot(); !ok || lsn != 2 || path != oldPath {
+		t.Fatalf("after a failed install: snapshot %d at %q (ok=%v), want 2 at %q", lsn, path, ok, oldPath)
+	}
+	if _, err := os.Stat(oldPath); err != nil {
+		t.Fatalf("old snapshot gone after a failed install: %v", err)
+	}
+	if st := l.Stats(); st.Snapshots != 1 || st.Segments != segs {
+		t.Fatalf("stats after failed snapshot: %+v, want 1 snapshot and %d segments", st, segs)
+	}
+	if err := l.CommitSnapshot(4, batch(0)); err != nil {
+		t.Fatalf("snapshot retry: %v", err)
+	}
+	if lsn, _, ok := l.LatestSnapshot(); !ok || lsn != 4 {
+		t.Fatalf("retry snapshot: lsn=%d ok=%v", lsn, ok)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "snap-*")); len(names) != 1 {
+		t.Fatalf("snapshot files after the retry: %v, want one", names)
+	}
+	// The open segment outlives compaction, so its record replays again.
+	wantLSNs(t, replayAll(t, dir), 3)
+}
+
 // components labels every vertex below n with the smallest vertex of its
 // component in the graph the edges span.
 func components(n int, edges []graph.Edge) []uint32 {

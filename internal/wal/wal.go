@@ -49,6 +49,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"syscall"
 
 	"connectit/internal/fault"
 	"connectit/internal/graph"
@@ -460,7 +461,7 @@ func (l *Log) rotate() error {
 		// acknowledged: a record's own fsync makes its bytes durable, but on
 		// power loss the file itself can vanish if the directory was never
 		// synced, losing the whole acked segment.
-		if err := syncDir(l.dir); err != nil {
+		if err := syncDir(l.fs, l.dir); err != nil {
 			f.Close()
 			return err
 		}
@@ -550,7 +551,11 @@ func (l *Log) CommitSnapshot(lsn uint64, edges []graph.Edge) error {
 		l.fs.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := syncDir(dir); err != nil {
+	if err := syncDir(l.fs, dir); err != nil {
+		// The rename may not be durable, so the old snapshot stays
+		// installed and no segment is pruned. The new file is complete and
+		// fsynced; if it survives, the next Open prefers it, as it does any
+		// newer snapshot.
 		return err
 	}
 
@@ -620,13 +625,13 @@ func syncFile(fsys fault.FS, path string) error {
 	return nil
 }
 
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+// syncDir makes dir's entries (a new segment, a renamed snapshot) durable.
+// A platform that cannot fsync a directory reports EINVAL or ENOTSUP, and
+// rename durability is then best effort; every other error is returned.
+func syncDir(fsys fault.FS, dir string) error {
+	err := fsys.SyncDir(dir)
+	if err == nil || errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) {
+		return nil
 	}
-	// Some platforms cannot fsync directories; rename durability is best
-	// effort there.
-	d.Sync()
-	return d.Close()
+	return fmt.Errorf("wal: %w", err)
 }
