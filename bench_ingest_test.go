@@ -100,13 +100,13 @@ func BenchmarkStreamMixedRatio(b *testing.B) {
 
 // BenchmarkStreamUpdateParallel is Stream.Update alone on the default
 // (Type i) configuration, one goroutine per P over a shuffled RMAT edge
-// list: the per-call price of the ingest layer — gate, accounting, union.
-// Run with -cpu 1,2: producers whose stacks hash onto one accounting line
-// cost nothing extra at -cpu 1 and most of the call at -cpu 2 (DESIGN.md
-// §9 "Per-operation accounting"), a cliff no single-goroutine row can show.
-// Past the first len(edges) calls nearly every edge is intra-component, as
-// in the tail of any power-law stream, so the steady state is the union's
-// read-only early exit.
+// list: the per-call price of the ingest layer — accounting, gate, union.
+// Run with -cpu 1,2: each producer books its calls on the accounting line
+// its stack picks, and a row at one goroutine cannot show what two cost
+// (DESIGN.md §9 "Per-operation accounting"). Past the first len(edges)
+// calls nearly every edge is intra-component, as in the tail of any
+// power-law stream, so the steady state is the pre-gate Joined ascent and
+// one accounting add, with no gate entry and no union.
 func BenchmarkStreamUpdateParallel(b *testing.B) {
 	const scale = 18
 	edges := RMATEdges(scale, 1<<21, 41)

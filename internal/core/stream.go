@@ -98,14 +98,15 @@ func (o StreamOptions) withDefaults() StreamOptions {
 }
 
 // StreamStats is a point-in-time snapshot of a Stream's operation counters.
+// It is exact once every update call has returned.
 type StreamStats struct {
 	// Updates is the number of accepted updates (one per Update call, one
 	// per UpdateBatch or ProcessBatch edge), counted as each is buffered,
 	// applied in place or filtered.
 	Updates uint64
 	// Filtered is the number of updates that joined nothing: self-loops,
-	// Type i unions that found both endpoints in one set, and edges a
-	// buffered round's pre-filter probe found intra-component.
+	// Type i updates and unions that found both endpoints in one set, and
+	// edges a buffered round's pre-filter probe found intra-component.
 	Filtered uint64
 	// Applied is the number of updates that got past the filter. For Type
 	// i it counts the unions that merged two components, so Applied equals
@@ -154,26 +155,31 @@ const (
 
 // slot is one producer's accounting line: every word the Update hot path
 // writes, on one cache line. A call picks its line by a hash of its
-// goroutine's stack address (see enter), so in steady state each line has
-// one writing goroutine and an Update's two read-modify-writes (entered,
-// then one left word) stay in one core's cache. Choosing the line by a hash
-// of the edge instead sends every producer to every line; that bouncing,
-// not the union, was 70 % of the 90/10 mix (DESIGN.md §9 "Per-operation
-// accounting").
+// goroutine's stack address (see line), so in steady state each line has
+// one writing goroutine and its read-modify-writes stay in one core's
+// cache: one (joined) for a Type i edge whose endpoints are already in one
+// set, two (entered, then one left word) for an update that passes the
+// close gate. Choosing the line by a hash of the edge instead sends every
+// producer to every line; that bouncing, not the union, was 70 % of the
+// 90/10 mix (DESIGN.md §9 "Per-operation accounting").
 //
 // All words only grow. Updates past the gate and not yet out are
-// Σentered − Σleft over the slots; StreamStats.Updates is Σleft without
-// the aborted word. Neither is stored.
+// Σentered − Σleft over the slots; StreamStats.Updates is Σjoined plus
+// Σleft without the aborted word. Neither is stored.
 type slot struct {
 	entered atomic.Uint64
 	left    [numExits]atomic.Uint64
-	_       [64 - 8*(1+numExits)]byte
+	// joined counts the Type i Updates that found their endpoints in one
+	// set before the gate and returned without entering it.
+	joined atomic.Uint64
+	_      [64 - 8*(2+numExits)]byte
 }
 
 // tally is the slot words summed.
 type tally struct {
 	entered uint64
 	left    [numExits]uint64
+	joined  uint64
 }
 
 // inFlight is the number of updates past the close gate that have not left.
@@ -225,8 +231,10 @@ func (t tally) inFlight() uint64 {
 //     once per coalesced group, not once per epoch.
 //
 // Intra-component edges are filtered before they link anything. A Type i
-// union is its own filter: its walk stops where the endpoints' paths meet,
-// so Update makes one walk and counts such an edge filtered. Before a
+// Update asks the union-find whether the endpoints are already joined, by
+// the walk the union would start with, before it enters the close gate: a
+// joined edge is counted filtered with one add and returns, and only an
+// edge that can link pays the gate and the union. Before a
 // buffered round reaches the union loop, a sampling-based pre-filter probes
 // both endpoints' parent chains in parallel (read-only, bounded) and drops
 // the edges whose chains meet; on power-law streams the bulk of late
@@ -387,6 +395,7 @@ func (s *Stream) tally() (t tally) {
 		for k := range sl.left {
 			t.left[k] += sl.left[k].Load()
 		}
+		t.joined += sl.joined.Load()
 	}
 	for i := range s.slots {
 		t.entered += s.slots[i].entered.Load()
@@ -397,6 +406,10 @@ func (s *Stream) tally() (t tally) {
 // Stats returns a snapshot of the operation counters. Counters are read
 // individually, so a snapshot taken mid-traffic is approximate; the round
 // counters are read first, so Filtered + Applied never exceeds Updates.
+// Once every update call has returned the snapshot is exact. Close waits
+// out only the calls that can change the structure, so a Type i Update
+// that found its endpoints joined may still be on its way out, and
+// uncounted, when Close returns.
 func (s *Stream) Stats() StreamStats {
 	st := StreamStats{
 		Filtered:  s.roundFiltered.Load(),
@@ -406,20 +419,25 @@ func (s *Stream) Stats() StreamStats {
 		Coalesced: s.coalesced.Load(),
 	}
 	t := s.tally()
-	st.Updates = t.left[exitFiltered] + t.left[exitApplied] + t.left[exitBuffered]
-	st.Filtered += t.left[exitFiltered]
+	st.Updates = t.joined + t.left[exitFiltered] + t.left[exitApplied] + t.left[exitBuffered]
+	st.Filtered += t.joined + t.left[exitFiltered]
 	st.Applied += t.left[exitApplied]
 	return st
 }
 
+// line is the calling goroutine's accounting line: a hash of its stack
+// address (concurrent.StackHint), masked by the array's size, so picking
+// it costs no shared write. A goroutine whose stack moves may pick another
+// line on its next call, which costs nothing: the sums do not care which
+// line a word was counted on.
+func (s *Stream) line() *slot {
+	return &s.slots[concurrent.StackHint()>>(64-slotBits)&uint64(len(s.slots)-1)]
+}
+
 // enter counts n updates into the close gate on the calling goroutine's
-// line and returns it; the call books its exits on that same line. The
-// line is a hash of the stack address (concurrent.StackHint), masked by
-// the array's size, so it costs no shared write. A goroutine whose stack
-// moves may pick another line on its next call, which costs nothing: the
-// sums do not care which line a word was counted on.
+// line and returns it; the call books its exits on that same line.
 func (s *Stream) enter(n uint64) *slot {
-	sl := &s.slots[concurrent.StackHint()>>(64-slotBits)&uint64(len(s.slots)-1)]
+	sl := s.line()
 	sl.entered.Add(n)
 	return sl
 }
@@ -441,6 +459,17 @@ func (s *Stream) leave(sl *slot, n uint64, left *[numExits]uint64) {
 func (s *Stream) Update(u, v uint32) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
+	}
+	if s.stype == TypeAsync {
+		// An edge whose endpoints are already joined changes no set, so it
+		// skips the gate: it is linearized before any Close it races, and
+		// Close has nothing of it to wait out. Joined is the walk the union
+		// would start with, and a DSU with Stats answers false at once.
+		s.check(u, v)
+		if u == v || s.dsu.Joined(u, v) {
+			s.line().joined.Add(1)
+			return nil
+		}
 	}
 	sl := s.enter(1)
 	// Deferred so that a call that panics still leaves the gate and Close
@@ -621,10 +650,13 @@ func (s *Stream) parents() []uint32 {
 }
 
 // Close makes the stream's state final: it rejects new updates and queries
-// (ErrStreamClosed), waits out in-flight update calls, and applies every
-// buffered epoch, so when Close returns the structure reflects exactly the
-// updates that were accepted — the contract a snapshotting server relies
-// on. Close is idempotent and safe to call concurrently: every call returns
+// (ErrStreamClosed), waits out every in-flight update call that can change
+// the structure, and applies every buffered epoch, so when Close returns
+// the structure reflects exactly the updates that were accepted — the
+// contract a snapshotting server relies on. A Type i Update whose
+// endpoints were already joined changes nothing and is not waited for, so
+// Stats is exact once every call has returned, not necessarily when Close
+// does. Close is idempotent and safe to call concurrently: every call returns
 // after the first one's drain completes. The read-only snapshot surface
 // (Labels, NumComponents, Stats, ForestLen, Sync) keeps working on a
 // closed stream.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"connectit/internal/graph"
+	"connectit/internal/unionfind"
 )
 
 // TestSlotIsWholeCacheLines pins the layout the accounting relies on: a
@@ -334,4 +335,95 @@ func TestClosePanickedUpdateDoesNotWedge(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestUpdateJoinedSkipsGate: a Type i Update whose endpoints are already
+// joined changes no set, so it returns before the close gate and books one
+// filtered count; only an edge that can link enters. A stream compiled
+// with Stats instruments every union, so there every Update enters and
+// unions as before.
+func TestUpdateJoinedSkipsGate(t *testing.T) {
+	specs := []string{
+		"uf;async;naive;split-one",
+		"uf;rem-cas;split;split-one",
+		"uf;rem-lock;naive;halve-one",
+		"uf;early;halve;split-one",
+		"uf;jtb;two-try;split-one",
+	}
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) {
+			s := mustStream(t, 16, spec, StreamOptions{})
+			calls := uint64(0)
+			step := func(u, v uint32, enters bool, filtered uint64) {
+				t.Helper()
+				before, st := s.tally().entered, s.Stats()
+				if err := s.Update(u, v); err != nil {
+					t.Fatalf("Update(%d, %d): %v", u, v, err)
+				}
+				calls++
+				if entered := s.tally().entered != before; entered != enters {
+					t.Fatalf("Update(%d, %d) entered the gate: %v, want %v", u, v, entered, enters)
+				}
+				if got := s.Stats().Filtered - st.Filtered; got != filtered {
+					t.Fatalf("Update(%d, %d) raised Filtered by %d, want %d", u, v, got, filtered)
+				}
+			}
+			step(1, 2, true, 0)  // links
+			step(1, 2, false, 1) // repeated
+			step(2, 1, false, 1) // reversed
+			step(3, 3, false, 1) // self-loop
+			step(2, 5, true, 0)  // links
+			step(5, 1, false, 1) // joined through 2
+			st := s.Stats()
+			if st.Updates != calls || st.Filtered+st.Applied != calls || st.Applied != 2 {
+				t.Fatalf("Stats %+v after %d calls, want Updates = Filtered + Applied = %d and Applied = 2", st, calls, calls)
+			}
+			if got := s.tally().inFlight(); got != 0 {
+				t.Fatalf("%d updates in flight on a quiescent stream", got)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			if err := s.Update(1, 2); !errors.Is(err, ErrStreamClosed) {
+				t.Fatalf("a joined Update after Close returned %v, want ErrStreamClosed", err)
+			}
+		})
+	}
+
+	t.Run("stats", func(t *testing.T) {
+		cfg, err := ParseConfig("none;uf;rem-cas;split;split-one")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Stats = new(unionfind.Stats)
+		c, err := Compile(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := c.NewStream(16, StreamOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A self-loop reaches no union with or without Stats, so it still
+		// returns before the gate; every other edge enters.
+		edges := []graph.Edge{{U: 1, V: 2}, {U: 1, V: 2}, {U: 2, V: 1}, {U: 3, V: 3}, {U: 2, V: 5}, {U: 5, V: 1}}
+		want := uint64(0)
+		for _, e := range edges {
+			if err := s.Update(e.U, e.V); err != nil {
+				t.Fatal(err)
+			}
+			if e.U != e.V {
+				want++
+			}
+			if got := s.tally().entered; got != want {
+				t.Fatalf("Update(%d, %d): the gate was entered %d times, want %d", e.U, e.V, got, want)
+			}
+		}
+		if got := cfg.Stats.Unions(); got != 5 {
+			t.Fatalf("Stats counted %d unions, want 5", got)
+		}
+		if st := s.Stats(); st.Updates != 6 || st.Filtered != 4 || st.Applied != 2 {
+			t.Fatalf("Stats %+v, want 6 updates, 4 filtered, 2 applied", st)
+		}
+	})
 }

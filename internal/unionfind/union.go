@@ -114,7 +114,15 @@ func (d *DSU) uniteEarly(u, v uint32, w uint64) bool {
 // Union-Rem-Lock (Patwary et al.) links through lockLink, which stores the
 // link under rx's spinlock after re-checking that rx is still a root. The
 // splice is the same CAS in both.
-func (d *DSU) uniteRem(u, v uint32, w uint64) bool {
+func (d *DSU) uniteRem(u, v uint32, w uint64) bool { return d.remAscent(u, v, w, true) }
+
+// remAscent is uniteRem's loop. It reports whether the ascent reached a
+// root rx with parent(ry) < rx, which puts u and v in two sets at that
+// instant: with link it then links rx and reports whether it did (a lost
+// CAS or lock re-check goes on ascending), and without it it stops there
+// having linked nothing, which is Joined's answer negated. false means the
+// two paths met, so u and v are in one set.
+func (d *DSU) remAscent(u, v uint32, w uint64, link bool) bool {
 	rx, ry := u, v
 	steps := 0
 	px := atomic.LoadUint32(&d.parent[rx])
@@ -127,6 +135,8 @@ func (d *DSU) uniteRem(u, v uint32, w uint64) bool {
 		// parent(rx) > parent(ry)
 		if rx != px {
 			rx = spliceAt(d.parent, d.opt.Splice, rx, px, py)
+		} else if !link {
+			return true
 		} else if d.opt.Union == UnionRemLock && d.lockLink(rx, py) ||
 			d.opt.Union == UnionRemCAS && atomic.CompareAndSwapUint32(&d.parent[rx], rx, py) {
 			// rx was a root: it now hangs below ry's parent.

@@ -342,6 +342,29 @@ func (d *DSU) SameSet(u, v uint32) bool {
 	return true
 }
 
+// Joined reports whether u and v are in one set by the walk Union(u, v)
+// would start with, and never links, so it records no witness and no log
+// entry. Under Union-Rem-CAS and Union-Rem-Lock with SplitAtomicOne or
+// HalveAtomicOne it is uniteRem's own ascent, splices included, stopped
+// where the union would link; under every other rule it is Find(u) ==
+// Find(v). Rem's SpliceAtomic splice moves a subtree into the other
+// endpoint's tree, which only the link that ends the union makes whole
+// again, so there Joined takes the finds too. A DSU that carries Stats
+// answers false at once, so a caller that unions on false leaves the
+// instrumentation exactly as Union alone would. A true answer holds from
+// some instant of the call on; a false one may be stale. Joined has
+// Union's concurrency: it may run beside unions and finds for every
+// variant except Rem + SpliceAtomic, which is phase-concurrent.
+func (d *DSU) Joined(u, v uint32) bool {
+	if d.stats != nil {
+		return false
+	}
+	if (d.opt.Union == UnionRemCAS || d.opt.Union == UnionRemLock) && d.opt.Splice != SpliceAtomic {
+		return !d.remAscent(u, v, 0, false)
+	}
+	return d.Find(u) == d.Find(v)
+}
+
 // Flatten fully compresses every path so that parent[v] is the root of v's
 // tree. It must be called quiescently (no concurrent operation). One chunked
 // pass with no state beyond parent, so independent DSUs may flatten

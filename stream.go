@@ -8,9 +8,11 @@ import "connectit/internal/core"
 // serve the same state to any number of goroutines at once: updates flow
 // through a sharded, coalescing epoch pipeline (seal → queue → coalesce →
 // round) scheduled per the compiled algorithm's StreamType (DESIGN.md §9).
-// Intra-component edges are filtered: a Type i union stops where its two
-// walks meet, and a sampling-based pre-filter drops them from buffered
-// rounds before the union loop. Beyond point Connected lookups, Query opens
+// Intra-component edges are filtered: a Type i Update asks whether the
+// endpoints are already joined, by the walk its union would start with,
+// before it enters the close gate, and returns at once if they are; a
+// sampling-based pre-filter drops them from buffered rounds before the
+// union loop. Beyond point Connected lookups, Query opens
 // a Query engine over the live spanning forest that every Type i and
 // Type ii stream grows as updates arrive (DESIGN.md §12). Build one with
 // NewStream or Solver.Stream.
