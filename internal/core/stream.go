@@ -455,7 +455,10 @@ func (s *Stream) leave(sl *slot, n uint64, left *[numExits]uint64) {
 }
 
 // Update accepts the edge insertion (u, v). Vertices must be < Len(). After
-// Close it returns ErrStreamClosed instead of mutating sealed state.
+// Close it returns ErrStreamClosed instead of mutating sealed state. On a
+// Type i stream an edge whose endpoints are already joined returns before
+// the close gate: most are told by comparing the endpoints' parents, two
+// loads inlined here, and the rest by the walk the union would start with.
 func (s *Stream) Update(u, v uint32) error {
 	if s.closed.Load() {
 		return ErrStreamClosed
@@ -463,10 +466,12 @@ func (s *Stream) Update(u, v uint32) error {
 	if s.stype == TypeAsync {
 		// An edge whose endpoints are already joined changes no set, so it
 		// skips the gate: it is linearized before any Close it races, and
-		// Close has nothing of it to wait out. Joined is the walk the union
-		// would start with, and a DSU with Stats answers false at once.
+		// Close has nothing of it to wait out. SameParent is the first
+		// comparison of the walk the union would start with, inlined here;
+		// Joined is the rest of that walk. A DSU with Stats answers false to
+		// both at once.
 		s.check(u, v)
-		if u == v || s.dsu.Joined(u, v) {
+		if u == v || s.dsu.SameParent(u, v) || s.dsu.Joined(u, v) {
 			s.line().joined.Add(1)
 			return nil
 		}
@@ -518,8 +523,9 @@ func (s *Stream) update(u, v uint32) exit {
 	}
 	if s.stype == TypeAsync {
 		// Fully concurrent: one union in place, which reports whether it
-		// merged anything.
-		if s.dsu.Union(u, v) {
+		// merged anything. Endpoints with one parent are joined, and
+		// SameParent says so without the call.
+		if !s.dsu.SameParent(u, v) && s.dsu.Union(u, v) {
 			return exitApplied
 		}
 		return exitFiltered
@@ -560,12 +566,13 @@ func (s *Stream) ProcessBatch(updates []graph.Edge, queries [][2]uint32) ([]bool
 			var k uint64
 			for i := lo; i < hi; i++ {
 				if i < len(updates) {
-					if s.dsu.Union(updates[i].U, updates[i].V) {
+					e := updates[i]
+					if !s.dsu.SameParent(e.U, e.V) && s.dsu.Union(e.U, e.V) {
 						k++
 					}
 				} else {
 					q := queries[i-len(updates)]
-					results[i-len(updates)] = s.dsu.SameSet(q[0], q[1])
+					results[i-len(updates)] = s.dsu.SameParent(q[0], q[1]) || s.dsu.SameSet(q[0], q[1])
 				}
 			}
 			merged.Add(k)
@@ -596,8 +603,9 @@ func (s *Stream) ProcessBatch(updates []graph.Edge, queries [][2]uint32) ([]bool
 
 // Connected answers a connectivity query against every applied round (and,
 // for Type i, every completed Update). It is wait-free for Type i and ii;
-// for Type iii it waits out any in-flight apply phase. After Close it
-// returns ErrStreamClosed.
+// for Type iii it waits out any in-flight apply phase. A Type i query whose
+// endpoints have one parent is answered by that comparison, before any
+// find. After Close it returns ErrStreamClosed.
 func (s *Stream) Connected(u, v uint32) (bool, error) {
 	if s.closed.Load() {
 		return false, ErrStreamClosed
@@ -612,12 +620,13 @@ func (s *Stream) Connected(u, v uint32) (bool, error) {
 	return s.connected(u, v), nil
 }
 
-// connected is the lock-free query: a union-find find for Types i and iii
-// (the Type iii caller owns the phase barrier), and for Type ii a wait-free
-// chase of the parent array the rounds publish atomically.
+// connected is the lock-free query: for Types i and iii (the Type iii
+// caller owns the phase barrier) the endpoints' parents compared, then
+// union-find finds where they differ, and for Type ii a wait-free chase of
+// the parent array the rounds publish atomically.
 func (s *Stream) connected(u, v uint32) bool {
 	if s.dsu != nil {
-		return s.dsu.SameSet(u, v)
+		return s.dsu.SameParent(u, v) || s.dsu.SameSet(u, v)
 	}
 	ru, rv := chaseRoot(s.parent, u), chaseRoot(s.parent, v)
 	for ru != rv {

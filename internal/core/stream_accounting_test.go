@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"connectit/internal/graph"
+	"connectit/internal/testutil"
 	"connectit/internal/unionfind"
 )
 
@@ -426,4 +427,139 @@ func TestUpdateJoinedSkipsGate(t *testing.T) {
 			t.Fatalf("Stats %+v, want 6 updates, 4 filtered, 2 applied", st)
 		}
 	})
+}
+
+// TestTypeIBatchesMatchBFS feeds Type i streams through UpdateBatch and
+// ProcessBatch from several goroutines at once: the batch paths, whose
+// unions and queries compare the endpoints' parents before any walk. Every
+// edge is sent twice, the second time reversed. A query asked beside the
+// updates may miss an edge not yet applied, but never answers true for a
+// pair the whole edge list leaves apart, and always answers true for the
+// edges its own producer's last UpdateBatch applied; once every update has
+// returned, the answers and the labels equal the BFS oracle's. Stats
+// counts merges exactly: Applied == n − components and Filtered == calls −
+// Applied.
+func TestTypeIBatchesMatchBFS(t *testing.T) {
+	const (
+		n         = 1 << 11
+		producers = 4
+		batch     = 64
+		queries   = 32 // random pairs per ProcessBatch
+	)
+	specs := []string{
+		"uf;async;naive;split-one",
+		"uf;rem-cas;split;split-one",
+		"uf;rem-lock;naive;halve-one",
+		"uf;early;halve;split-one",
+		"uf;jtb;two-try;split-one",
+	}
+	g := graph.ErdosRenyi(n, n, 13)
+	want := testutil.Components(g)
+	edges := g.Edges()
+	rng := uint64(17)
+	for i := len(edges) - 1; i > 0; i-- {
+		rng = graph.Hash64(rng)
+		j := int(rng % uint64(i+1))
+		edges[i], edges[j] = edges[j], edges[i]
+	}
+	for i := range len(edges) {
+		edges = append(edges, graph.Edge{U: edges[i].V, V: edges[i].U})
+	}
+	calls := uint64(len(edges))
+	merges := uint64(n - testutil.NumComponents(want))
+
+	for _, spec := range specs {
+		t.Run(spec, func(t *testing.T) {
+			t.Parallel()
+			s := mustStream(t, n, spec, StreamOptions{})
+			if s.Type() != TypeAsync {
+				t.Fatalf("stream type %v, want Type i", s.Type())
+			}
+			var wg sync.WaitGroup
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					rng := uint64(p)*0x9e3779b97f4a7c15 + 7
+					var last []graph.Edge // applied by this producer's last UpdateBatch
+					for k, lo := 0, p*batch; lo < len(edges); k, lo = k+1, lo+producers*batch {
+						chunk := edges[lo:min(lo+batch, len(edges))]
+						if k%2 == 0 {
+							if err := s.UpdateBatch(chunk); err != nil {
+								t.Errorf("UpdateBatch: %v", err)
+								return
+							}
+							last = chunk
+							continue
+						}
+						qs := make([][2]uint32, 0, len(last)+queries)
+						for _, e := range last {
+							qs = append(qs, [2]uint32{e.U, e.V})
+						}
+						for i := 0; i < queries; i++ {
+							rng = graph.Hash64(rng)
+							qs = append(qs, [2]uint32{uint32(rng % n), uint32((rng >> 32) % n)})
+						}
+						got, err := s.ProcessBatch(chunk, qs)
+						if err != nil {
+							t.Errorf("ProcessBatch: %v", err)
+							return
+						}
+						for i, q := range qs {
+							if i < len(last) && !got[i] {
+								t.Errorf("ProcessBatch: (%d, %d) of an applied batch answered false", q[0], q[1])
+								return
+							}
+							if got[i] && want[q[0]] != want[q[1]] {
+								t.Errorf("ProcessBatch: (%d, %d) answered true, BFS says apart", q[0], q[1])
+								return
+							}
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+
+			// Quiescent: every answer is the oracle's, from several
+			// goroutines at once.
+			for p := 0; p < producers; p++ {
+				wg.Add(1)
+				go func(p int) {
+					defer wg.Done()
+					rng := uint64(p)*0x9e3779b97f4a7c15 + 11
+					qs := make([][2]uint32, 4*batch)
+					for i := range qs {
+						rng = graph.Hash64(rng)
+						u := uint32(rng % n)
+						// Half the pairs are a vertex and its own label,
+						// which are joined unless the vertex is alone.
+						v := want[u]
+						if i%2 == 1 {
+							v = uint32((rng >> 32) % n)
+						}
+						qs[i] = [2]uint32{u, v}
+					}
+					got, err := s.ProcessBatch(nil, qs)
+					if err != nil {
+						t.Errorf("ProcessBatch: %v", err)
+						return
+					}
+					for i, q := range qs {
+						if w := want[q[0]] == want[q[1]]; got[i] != w {
+							t.Errorf("ProcessBatch at quiescence: (%d, %d) = %v, BFS says %v", q[0], q[1], got[i], w)
+							return
+						}
+					}
+				}(p)
+			}
+			wg.Wait()
+			testutil.CheckPartition(t, spec, s.Labels(), want)
+
+			st := s.Stats()
+			if st.Updates != calls || st.Applied != merges || st.Filtered != calls-merges {
+				t.Fatalf("Stats %+v after %d calls, want Updates = %d, Applied = n − components = %d, Filtered = %d",
+					st, calls, calls, merges, calls-merges)
+			}
+		})
+	}
 }

@@ -178,3 +178,123 @@ func TestJoinedBesideUnions(t *testing.T) {
 		})
 	}
 }
+
+// TestSameParentImpliesSameSet holds SameParent to its one promise, on
+// every variant, with and without Stats: a true answer means one set. At
+// quiescence on random forests a true answer implies Find(u) == Find(v),
+// and once the forest is flat every joined pair answers true. Beside
+// concurrent unions (all variants but Rem + SpliceAtomic, which is
+// phase-concurrent) SameSet confirms every true answer once the unions are
+// done. A DSU with Stats answers false, u == v included, and asking moves
+// no counter.
+func TestSameParentImpliesSameSet(t *testing.T) {
+	const (
+		n       = 1500
+		workers = 2
+	)
+	for _, v := range Variants() {
+		for _, stats := range []bool{false, true} {
+			name := v.Name()
+			if stats {
+				name += "/stats"
+			}
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				opt := v.Options()
+				if stats {
+					opt.Stats = new(Stats)
+				}
+				counters := func() [3]uint64 {
+					return [3]uint64{opt.Stats.Unions(), opt.Stats.TotalPathLength(), opt.Stats.MaxPathLength()}
+				}
+				// ask answers every pair, failing on a true answer for a
+				// pair the finds put apart, or any true answer with Stats;
+				// with flat set, also on a false answer for a joined pair.
+				ask := func(d *DSU, pairs [][2]uint32, flat bool) {
+					t.Helper()
+					if stats {
+						before := counters()
+						for _, p := range append(pairs, [2]uint32{7, 7}) {
+							if d.SameParent(p[0], p[1]) {
+								t.Fatalf("SameParent(%d, %d) with Stats answered true", p[0], p[1])
+							}
+						}
+						if counters() != before {
+							t.Fatal("SameParent moved the Stats counters")
+						}
+						return
+					}
+					trues := 0
+					for _, p := range pairs {
+						got := d.SameParent(p[0], p[1])
+						same := d.Find(p[0]) == d.Find(p[1])
+						if got && !same {
+							t.Fatalf("SameParent(%d, %d) answered true for two sets", p[0], p[1])
+						}
+						if flat && same && !got {
+							t.Fatalf("SameParent(%d, %d) answered false for a joined pair on a flat forest", p[0], p[1])
+						}
+						if got {
+							trues++
+						}
+					}
+					if trues == 0 {
+						t.Fatal("no pair answered true: the pairs do not test the promise")
+					}
+				}
+
+				for seed := uint64(0); seed < 3; seed++ {
+					prefix := testEdges(n, 400*int(seed+1), 61+seed)
+					pairs := joinedPairs(n, prefix)
+					d := MustNew(n, opt)
+					for _, e := range prefix {
+						d.Union(e[0], e[1])
+					}
+					ask(d, pairs, false)
+					d.Flatten()
+					ask(d, pairs, true)
+				}
+
+				if (v.Union == UnionRemCAS || v.Union == UnionRemLock) && v.Splice == SpliceAtomic {
+					return
+				}
+				edges := testEdges(n, 1000, 67)
+				pairs := joinedPairs(n, edges)
+				d := MustNew(n, opt)
+				var wg sync.WaitGroup
+				said := make([][][2]uint32, workers)
+				for w := 0; w < workers; w++ {
+					wg.Add(2)
+					go func(w int) {
+						defer wg.Done()
+						for i := w; i < len(edges); i += workers {
+							d.Union(edges[i][0], edges[i][1])
+						}
+					}(w)
+					go func(w int) {
+						defer wg.Done()
+						rng := uint64(w) + 1
+						for i := 0; i < 4*len(edges); i++ {
+							rng = graph.Hash64(rng)
+							p := pairs[rng%uint64(len(pairs))]
+							if d.SameParent(p[0], p[1]) {
+								said[w] = append(said[w], p)
+							}
+						}
+					}(w)
+				}
+				wg.Wait()
+				for _, ps := range said {
+					if stats && len(ps) > 0 {
+						t.Fatalf("SameParent(%d, %d) with Stats answered true beside unions", ps[0][0], ps[0][1])
+					}
+					for _, p := range ps {
+						if !d.SameSet(p[0], p[1]) {
+							t.Fatalf("SameParent(%d, %d) answered true beside unions, SameSet says false", p[0], p[1])
+						}
+					}
+				}
+			})
+		}
+	}
+}

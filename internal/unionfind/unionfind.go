@@ -256,12 +256,17 @@ func (d *DSU) initAux(n int) {
 	}
 }
 
-// Reset re-adopts labels as the parent array (with NewFromLabels' canonical
-// star-form precondition) and clears all per-run auxiliary state, reusing
-// prior allocations when sizes match. It is the reuse path behind
-// core.Compile: a compiled Solver calls Reset instead of paying New's
-// validation and allocations on every run. The DSU shares the labels slice.
-// It must be called quiescently (no concurrent operations).
+// Reset re-adopts labels as the parent array and clears all per-run
+// auxiliary state, reusing prior allocations when sizes match. labels is
+// an existing partial connectivity labeling (the output of a sampling
+// phase) and must be in canonical star form — labels[v] == v, or
+// labels[v] == r with labels[r] == r and r == min of the star — which
+// sample.Canonicalize guarantees; the decreasing-parent invariant that
+// Rem's algorithms and FindCompress rely on then holds from the start
+// (DESIGN.md §4). It is the reuse path behind core.Compile: a compiled
+// Solver starts from MustNew(0, opt) and calls Reset instead of paying
+// New's validation and allocations on every run. The DSU shares the labels
+// slice. It must be called quiescently (no concurrent operations).
 func (d *DSU) Reset(labels []uint32) {
 	d.parent = labels
 	d.initAux(len(labels))
@@ -274,22 +279,6 @@ func MustNew(n int, opt Options) *DSU {
 		panic(err)
 	}
 	return d
-}
-
-// NewFromLabels creates a DSU that adopts an existing partial connectivity
-// labeling (the output of a sampling phase). labels must be in canonical
-// star form — labels[v] == v, or labels[v] == r with labels[r] == r and
-// r == min of the star — which sample.Canonicalize guarantees; the
-// decreasing-parent invariant that Rem's algorithms and FindCompress rely
-// on then holds from the start (DESIGN.md §4). The DSU shares the labels
-// slice.
-func NewFromLabels(labels []uint32, opt Options) (*DSU, error) {
-	d, err := New(len(labels), opt)
-	if err != nil {
-		return nil, err
-	}
-	d.parent = labels
-	return d, nil
 }
 
 // Len returns the number of elements.
@@ -342,6 +331,24 @@ func (d *DSU) SameSet(u, v uint32) bool {
 	return true
 }
 
+// SameParent reports whether u and v have one parent, by two loads and no
+// call, so that it inlines at the call site: the common case of an edge or
+// query on a flat forest, whose endpoints already hang off one root, is
+// answered without Joined's or SameSet's walk. A true answer means u and v
+// were in one set at the second load: parent pointers never leave a set
+// and sets only merge, so parent[u] at the first load is still in u's set
+// at the second. A false answer says nothing; the caller asks the walk.
+// Under Union-Rem-CAS and Union-Rem-Lock it is the ascent's first
+// comparison, which ends the walk before any splice, so asking it first
+// leaves every parent array as the walk alone would. A DSU that carries
+// Stats answers false, so TPL, MPL and union counts stay those of the walk
+// (Joined's rule). Its concurrency is Union's: Rem + SpliceAtomic is
+// phase-concurrent.
+func (d *DSU) SameParent(u, v uint32) bool {
+	p := d.parent
+	return d.stats == nil && atomic.LoadUint32(&p[u]) == atomic.LoadUint32(&p[v])
+}
+
 // Joined reports whether u and v are in one set by the walk Union(u, v)
 // would start with, and never links, so it records no witness and no log
 // entry. Under Union-Rem-CAS and Union-Rem-Lock with SplitAtomicOne or
@@ -354,7 +361,9 @@ func (d *DSU) SameSet(u, v uint32) bool {
 // instrumentation exactly as Union alone would. A true answer holds from
 // some instant of the call on; a false one may be stale. Joined has
 // Union's concurrency: it may run beside unions and finds for every
-// variant except Rem + SpliceAtomic, which is phase-concurrent.
+// variant except Rem + SpliceAtomic, which is phase-concurrent. It is a
+// call; a caller on a hot path asks the inlinable SameParent first, which
+// answers the common case of a flat forest with two loads.
 func (d *DSU) Joined(u, v uint32) bool {
 	if d.stats != nil {
 		return false

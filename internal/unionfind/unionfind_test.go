@@ -207,11 +207,8 @@ func TestFlattenConcurrentIndependentDSUs(t *testing.T) {
 						labels[i] = uint32(i - 1)
 					}
 				}
-				d, err := NewFromLabels(labels, Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne})
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
+				d := MustNew(0, Options{Union: UnionRemCAS, Find: FindNaive, Splice: SplitAtomicOne})
+				d.Reset(labels)
 				d.Flatten()
 				for i, p := range d.Parents() {
 					if want := uint32(i - i%chain); p != want {

@@ -9,8 +9,9 @@ import "connectit/internal/core"
 // through a sharded, coalescing epoch pipeline (seal → queue → coalesce →
 // round) scheduled per the compiled algorithm's StreamType (DESIGN.md §9).
 // Intra-component edges are filtered: a Type i Update asks whether the
-// endpoints are already joined, by the walk its union would start with,
-// before it enters the close gate, and returns at once if they are; a
+// endpoints are already joined, by comparing their parents and, where they
+// differ, by the walk its union would start with, before it enters the
+// close gate, and returns at once if they are; a
 // sampling-based pre-filter drops them from buffered rounds before the
 // union loop. Beyond point Connected lookups, Query opens
 // a Query engine over the live spanning forest that every Type i and
